@@ -34,7 +34,9 @@ const char* StatusCodeName(StatusCode code);
 /// A cheap, copyable success-or-error value.
 ///
 /// An OK status carries no allocation; error statuses carry a message.
-class Status {
+/// [[nodiscard]]: every build warns on a dropped Status (and DPCF_WERROR
+/// builds fail); discard deliberately with an explicit (void) cast.
+class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
 
@@ -87,8 +89,9 @@ class Status {
 };
 
 /// A value-or-error holder. Access the value only after checking ok().
+/// [[nodiscard]] for the same reason as Status.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : repr_(std::move(value)) {}  // NOLINT(runtime/explicit)
   Result(Status status) : repr_(std::move(status)) {  // NOLINT
@@ -144,8 +147,8 @@ const Status& StatusOf(const Result<T>& r) {
   } while (0)
 
 // Abort on a non-OK Status or Result. For callers with no error channel
-// (bench/example main()s, test fixtures returning values): the
-// dpcf-discarded-status lint rejects silently dropping the Status, and a
+// (bench/example main()s, test fixtures returning values): Status is
+// [[nodiscard]], so the compiler rejects silently dropping it, and a
 // setup failure would otherwise surface as nonsense measurements.
 #define DPCF_CHECK_OK(expr)                                         \
   do {                                                              \

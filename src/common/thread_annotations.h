@@ -14,7 +14,7 @@
 //
 // Use dpcf::Mutex + dpcf::MutexLock instead of std::mutex for any new
 // latch; the lint rule dpcf-mutex-annotation rejects raw std::mutex
-// members in src/ (tools/lint/rules/mutex_annotation.py).
+// members in src/ (tools/lint/dpcf_lint.py).
 //
 // PR 7 adds runtime lock-rank enforcement: each long-lived mutex carries a
 // rank from dpcf::lock_rank, and -DDPCF_LOCK_RANK=ON builds keep a
@@ -229,10 +229,13 @@ class CAPABILITY("mutex") Mutex {
 
 /// RAII lock over dpcf::Mutex (std::lock_guard is not annotated, so the
 /// analysis cannot see through it). Not movable: a MutexLock pins one
-/// critical section to one scope.
+/// critical section to one scope. The [[nodiscard]] constructor makes an
+/// unnamed `MutexLock{&mu};`, which unlocks at the semicolon, a warning.
 class SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->lock(); }
+  [[nodiscard]] explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu) {
+    mu_->lock();
+  }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
   ~MutexLock() RELEASE() { mu_->unlock(); }

@@ -84,9 +84,7 @@ Status ScanMonitorBundle::MergeFrom(const ScanMonitorBundle& other) {
       return Status::InvalidArgument(
           "bundle merge with mismatched request entries");
     }
-    // GroupedPageCounter::MergeFrom returns void (same-name Status
-    // methods exist on the bundles, hence the suppression).
-    entries_[i].counter.MergeFrom(o.counter);  // NOLINT(dpcf-discarded-status)
+    entries_[i].counter.MergeFrom(o.counter);
   }
   pages_seen_ += other.pages_seen_;
   pages_sampled_ += other.pages_sampled_;

@@ -94,7 +94,7 @@ class ExecContext {
   /// region is live.
   class WorkerRegion {
    public:
-    explicit WorkerRegion(ExecContext* ctx) : ctx_(ctx) {
+    [[nodiscard]] explicit WorkerRegion(ExecContext* ctx) : ctx_(ctx) {
       ctx_->active_workers_.fetch_add(1, std::memory_order_acq_rel);
     }
     WorkerRegion(const WorkerRegion&) = delete;

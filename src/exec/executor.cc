@@ -64,9 +64,8 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
   const CpuStats cpu_before = ctx->cpu_stats();
 
   // Monotonic endpoints for RunStatistics::wall_ms — wall-time *reporting*
-  // (the paper's measured-run methodology), never feedback state, which is
-  // why steady_clock is also the one clock the regex lint permits here.
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // (the paper's measured-run methodology), never feedback state.
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   auto t0 = std::chrono::steady_clock::now();
   {
     // Every span recorded from the driver thread during this plan carries
@@ -87,7 +86,7 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
     }
     DPCF_RETURN_IF_ERROR(root->Close(ctx));
   }
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   auto t1 = std::chrono::steady_clock::now();
 
   RunStatistics& stats = result.stats;

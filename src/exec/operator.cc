@@ -12,10 +12,8 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 double MsSince(SteadyClock::time_point t0) {
-  // Monotonic wall time feeding OpProfile only — reporting, never feedback
-  // state; the regex lint allows steady_clock in src/exec for the same
-  // reason (rules/nondeterminism.py).
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // Monotonic wall time for OpProfile only: reporting, never feedback state.
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - t0)
       .count();
 }
@@ -41,7 +39,7 @@ Status Operator::Open(ExecContext* ctx) {
   const CpuStats cpu_before = ctx->cpu_stats();
   const StallStats stall_before = ctx->stall_stats();
   // Wall-time profiling timestamp (OpProfile::open_wall_ms), not feedback.
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   const auto t0 = SteadyClock::now();
   Status st;
   {
@@ -67,7 +65,7 @@ Result<bool> Operator::Next(ExecContext* ctx, Tuple* out) {
   const CpuStats cpu_before = ctx->cpu_stats();
   const StallStats stall_before = ctx->stall_stats();
   // Wall-time profiling timestamp (OpProfile::next_wall_ms), not feedback.
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   const auto t0 = SteadyClock::now();
   Result<bool> more = NextImpl(ctx, out);
   profile_.next_wall_ms += MsSince(t0);
@@ -97,7 +95,7 @@ Status Operator::Close(ExecContext* ctx) {
   const CpuStats cpu_before = ctx->cpu_stats();
   const StallStats stall_before = ctx->stall_stats();
   // Wall-time profiling timestamp (OpProfile::close_wall_ms), not feedback.
-  // NOLINTNEXTLINE(dpcf-ast-nondeterminism)
+  // NOLINTNEXTLINE(dpcf-nondeterminism)
   const auto t0 = SteadyClock::now();
   Status st;
   {

@@ -10,6 +10,7 @@
 #include "exec/executor.h"
 #include "exec/predicate_kernel.h"
 #include "exec/readahead.h"
+#include "exec/scan_ops.h"
 #include "obs/event_journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/stall_tracker.h"
@@ -18,14 +19,6 @@
 namespace dpcf {
 
 namespace {
-void MaterializeProjection(const RowView& row,
-                           const std::vector<int>& projection, Tuple* out) {
-  out->clear();
-  out->reserve(projection.size());
-  for (int col : projection) {
-    out->push_back(row.GetValue(static_cast<size_t>(col)));
-  }
-}
 
 /// Shared cursor between the scan workers and the readahead thread. The
 /// prefetcher walks pages in order and sleeps whenever it is `window` pages
@@ -377,22 +370,7 @@ std::string ParallelTableScanOp::Describe() const {
 
 void ParallelTableScanOp::CollectOwnMonitorRecords(
     std::vector<MonitorRecord>* out) const {
-  if (monitors_ == nullptr) return;
-  for (const ScanExprResult& r : monitors_->Finish()) {
-    MonitorRecord rec;
-    rec.table = table_->name();
-    rec.label = r.label;
-    rec.expr_text = r.expr_text;
-    rec.mechanism =
-        r.mode == ScanMonitorMode::kSampled
-            ? StrFormat("dpsample(f=%s)",
-                        FormatDouble(r.sample_fraction, 4).c_str())
-            : ScanMonitorModeName(r.mode);
-    rec.actual_dpc = r.dpc;
-    rec.actual_cardinality = r.cardinality;
-    rec.exact = r.mode != ScanMonitorMode::kSampled;
-    out->push_back(std::move(rec));
-  }
+  AppendScanMonitorRecords(*table_, monitors_.get(), out);
 }
 
 }  // namespace dpcf

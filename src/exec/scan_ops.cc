@@ -8,16 +8,26 @@
 
 namespace dpcf {
 
-namespace {
-void MaterializeProjection(const RowView& row,
-                           const std::vector<int>& projection, Tuple* out) {
-  out->clear();
-  out->reserve(projection.size());
-  for (int col : projection) {
-    out->push_back(row.GetValue(static_cast<size_t>(col)));
+void AppendScanMonitorRecords(const Table& table,
+                              const ScanMonitorBundle* monitors,
+                              std::vector<MonitorRecord>* out) {
+  if (monitors == nullptr) return;
+  for (const ScanExprResult& r : monitors->Finish()) {
+    MonitorRecord rec;
+    rec.table = table.name();
+    rec.label = r.label;
+    rec.expr_text = r.expr_text;
+    rec.mechanism =
+        r.mode == ScanMonitorMode::kSampled
+            ? StrFormat("dpsample(f=%s)",
+                        FormatDouble(r.sample_fraction, 4).c_str())
+            : ScanMonitorModeName(r.mode);
+    rec.actual_dpc = r.dpc;
+    rec.actual_cardinality = r.cardinality;
+    rec.exact = r.mode != ScanMonitorMode::kSampled;
+    out->push_back(std::move(rec));
   }
 }
-}  // namespace
 
 TableScanOp::TableScanOp(Table* table, Predicate pushed,
                          std::vector<int> projection,
@@ -169,22 +179,7 @@ std::string TableScanOp::Describe() const {
 
 void TableScanOp::CollectOwnMonitorRecords(
     std::vector<MonitorRecord>* out) const {
-  if (monitors_ == nullptr) return;
-  for (const ScanExprResult& r : monitors_->Finish()) {
-    MonitorRecord rec;
-    rec.table = table_->name();
-    rec.label = r.label;
-    rec.expr_text = r.expr_text;
-    rec.mechanism =
-        r.mode == ScanMonitorMode::kSampled
-            ? StrFormat("dpsample(f=%s)",
-                        FormatDouble(r.sample_fraction, 4).c_str())
-            : ScanMonitorModeName(r.mode);
-    rec.actual_dpc = r.dpc;
-    rec.actual_cardinality = r.cardinality;
-    rec.exact = r.mode != ScanMonitorMode::kSampled;
-    out->push_back(std::move(rec));
-  }
+  AppendScanMonitorRecords(*table_, monitors_.get(), out);
 }
 
 ClusteredRangeScanOp::ClusteredRangeScanOp(
@@ -378,22 +373,7 @@ std::string ClusteredRangeScanOp::Describe() const {
 
 void ClusteredRangeScanOp::CollectOwnMonitorRecords(
     std::vector<MonitorRecord>* out) const {
-  if (monitors_ == nullptr) return;
-  for (const ScanExprResult& r : monitors_->Finish()) {
-    MonitorRecord rec;
-    rec.table = table_->name();
-    rec.label = r.label;
-    rec.expr_text = r.expr_text;
-    rec.mechanism =
-        r.mode == ScanMonitorMode::kSampled
-            ? StrFormat("dpsample(f=%s)",
-                        FormatDouble(r.sample_fraction, 4).c_str())
-            : ScanMonitorModeName(r.mode);
-    rec.actual_dpc = r.dpc;
-    rec.actual_cardinality = r.cardinality;
-    rec.exact = r.mode != ScanMonitorMode::kSampled;
-    out->push_back(std::move(rec));
-  }
+  AppendScanMonitorRecords(*table_, monitors_.get(), out);
 }
 
 CoveringIndexScanOp::CoveringIndexScanOp(Index* index, Predicate pushed,

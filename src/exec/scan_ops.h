@@ -18,6 +18,25 @@ namespace dpcf {
 
 class LogHistogram;  // obs/metrics_registry.h
 
+/// Copies the `projection` columns of `row` into `out`: the one tuple
+/// materialization every heap scan (serial, range, parallel) shares.
+inline void MaterializeProjection(const RowView& row,
+                                  const std::vector<int>& projection,
+                                  Tuple* out) {
+  out->clear();
+  out->reserve(projection.size());
+  for (int col : projection) {
+    out->push_back(row.GetValue(static_cast<size_t>(col)));
+  }
+}
+
+/// Appends one MonitorRecord per expression `monitors` tracked over
+/// `table`; no-op for an unmonitored scan (null `monitors`). The one
+/// record builder every heap scan's CollectOwnMonitorRecords shares.
+void AppendScanMonitorRecords(const Table& table,
+                              const ScanMonitorBundle* monitors,
+                              std::vector<MonitorRecord>* out);
+
 /// Full sequential scan of a heap or clustered table with a pushed-down,
 /// short-circuited conjunction and optional page-count monitoring.
 ///

@@ -30,7 +30,9 @@ double QErrorHistogram::Quantile(double phi) const {
   for (size_t i = 0; i < buckets_.size(); ++i) {
     cumulative += buckets_[i];
     if (cumulative >= target) {
-      return std::pow(2.0, static_cast<double>(i + 1));
+      // The bucket's upper bound, but never past the largest observation
+      // (an all-ones histogram has p95 = 1, not 2).
+      return std::min(std::pow(2.0, static_cast<double>(i + 1)), max_);
     }
   }
   return max_;

@@ -36,8 +36,9 @@ class QErrorHistogram {
   int64_t count() const { return count_; }
   double max() const { return max_; }
   double mean() const { return count_ == 0 ? 0 : sum_ / count_; }
-  /// Upper bound of the bucket holding the phi-quantile (conservative:
-  /// quantile estimates round up to the bucket boundary).
+  /// Upper bound of the bucket holding the phi-quantile, clamped to max()
+  /// (conservative: estimates round up to the bucket boundary, but never
+  /// past the largest observed q-error).
   double Quantile(double phi) const;
   const std::vector<int64_t>& buckets() const { return buckets_; }
 

@@ -9,8 +9,8 @@ namespace dpcf {
 
 namespace {
 
-// The journal is an observability sink (tools/analysis NONDET_BARRIERS):
-// timestamps feed the dump, never feedback state.
+// The journal is an observability sink (NONDET_BARRIERS in
+// tools/lint/dpcf_lint.py): timestamps feed the dump, never feedback state.
 uint64_t SteadyNowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -73,7 +73,7 @@ enum class StallKind {
 /// innermost wins, matching how a sub-plan's stalls belong to its run).
 class StallScope {
  public:
-  explicit StallScope(StallStats* sink);
+  [[nodiscard]] explicit StallScope(StallStats* sink);
   ~StallScope();
   StallScope(const StallScope&) = delete;
   StallScope& operator=(const StallScope&) = delete;

@@ -43,7 +43,7 @@ class TraceCollector {
   /// Scopes nest; the previous id is restored on destruction.
   class QueryIdScope {
    public:
-    explicit QueryIdScope(uint64_t query_id);
+    [[nodiscard]] explicit QueryIdScope(uint64_t query_id);
     QueryIdScope(const QueryIdScope&) = delete;
     QueryIdScope& operator=(const QueryIdScope&) = delete;
     ~QueryIdScope();
@@ -115,7 +115,8 @@ class TraceCollector {
 /// disabled.
 class ScopedSpan {
  public:
-  ScopedSpan(TraceCollector* trace, const char* category, std::string name)
+  [[nodiscard]] ScopedSpan(TraceCollector* trace, const char* category,
+                           std::string name)
       : trace_(trace != nullptr && trace->enabled() ? trace : nullptr) {
     if (trace_ != nullptr) {
       category_ = category;

@@ -28,7 +28,7 @@ int64_t SteadyNowUs() {
 /// "every callback has returned" guarantee hold.
 class CompletionScope {
  public:
-  explicit CompletionScope(DiskManager* disk) : disk_(disk) {}
+  [[nodiscard]] explicit CompletionScope(DiskManager* disk) : disk_(disk) {}
   CompletionScope(const CompletionScope&) = delete;
   CompletionScope& operator=(const CompletionScope&) = delete;
   ~CompletionScope() {

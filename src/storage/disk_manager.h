@@ -168,11 +168,12 @@ class DiskManager {
 
   /// Batches several Add() calls into a single acquisition of the ring
   /// latch; workers are woken once, at scope exit. Named-object RAII (the
-  /// dpcf-ast-unnamed-raii rule rejects a discarded temporary, which would
+  /// [[nodiscard]] constructor rejects a discarded temporary, which would
   /// enqueue nothing and release the latch immediately).
   class SCOPED_CAPABILITY SubmissionGuard {
    public:
-    explicit SubmissionGuard(DiskManager* disk) ACQUIRE(disk->submit_mu_);
+    [[nodiscard]] explicit SubmissionGuard(DiskManager* disk)
+        ACQUIRE(disk->submit_mu_);
     SubmissionGuard(const SubmissionGuard&) = delete;
     SubmissionGuard& operator=(const SubmissionGuard&) = delete;
     ~SubmissionGuard() RELEASE();
@@ -250,8 +251,8 @@ class DiskManager {
 
   /// The one read implementation both paths share: classify + charge under
   /// mu_, then sleep the simulated latency and memcpy off-latch. Exactly
-  /// one page image leaves the disk per OK return (dpcf-ast-charge-
-  /// conservation lists this as a page reader).
+  /// one page image leaves the disk per OK return (dpcf-charge-conservation
+  /// lists this as a page reader).
   Status CopyPageImage(PageId pid, char* out, ReadClass cls) EXCLUDES(mu_);
 
   /// Spawns the io_threads_ completion workers on first use, so purely

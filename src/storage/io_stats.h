@@ -105,7 +105,7 @@ struct IoStats {
   // hatch the offline paths (histogram/statistics builds, index builds,
   // workload generation) use to scan segments without disturbing the buffer
   // pool. Counted so no page access is invisible to the accounting
-  // (dpcf-ast-charge-conservation polices this); charged no simulated time,
+  // (dpcf-charge-conservation polices this); charged no simulated time,
   // since these paths sit outside the measured query runs.
   AtomicCounter raw_page_reads;
 

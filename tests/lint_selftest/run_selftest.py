@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Self-test for tools/lint/dpcf_lint.py, run as a ctest case.
 
-Each rule gets a violating fixture (must produce findings with the right
-rule id) and a clean fixture (must produce none); a final case checks that
-NOLINT / NOLINTNEXTLINE actually suppress. Fixtures live under fixtures/
-in a layout that mirrors the repo (src/, src/core/) and are linted with
---rel-root so the path-scoped rules fire; the tree-wide lint skips the
-whole lint_selftest directory.
+Every rule gets violating fixtures (exact finding count, right rule id)
+and clean fixtures (no findings). Further cases pin NOLINT suppression for
+a line rule and a call-graph rule, the call chain in a transitive
+nondeterminism finding, and the tree walk skipping this directory.
+Fixtures live under fixtures/ in a layout that mirrors the repo and are
+analyzed with --rel-root so the path-scoped rules fire.
 """
 
 import os
@@ -18,81 +18,81 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 LINT = os.path.join(REPO, "tools", "lint", "dpcf_lint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
 
-# (rule id, fixture paths relative to fixtures/, expected finding count;
-#  None = "at least one").
-VIOLATING = [
+# (rule id or None for every rule, fixture paths under fixtures/, expected
+# finding count; 0 = clean).
+CASES = [
     ("dpcf-mutex-annotation", ["src/bad_mutex.h"], 2),
     ("dpcf-mutex-annotation", ["src/bad_mutex_unguarded.h"], 1),
-    ("dpcf-nondeterminism", ["src/core/bad_random.h"], 3),
-    ("dpcf-discarded-status", ["src/bad_status.h", "src/bad_status.cc"], 2),
+    ("dpcf-mutex-annotation", ["src/good_mutex.h"], 0),
+    ("dpcf-nondeterminism", ["src/core/bad_entropy_direct.cc"], 5),
+    ("dpcf-nondeterminism", ["src/core/bad_entropy_transitive.cc",
+                             "src/support/entropy_helper.cc"], 1),
+    ("dpcf-nondeterminism", ["src/core/good_entropy.cc",
+                             "src/obs/report_sink.cc"], 0),
+    ("dpcf-charge-conservation", ["src/exec/bad_charge_missing.cc"], 1),
+    ("dpcf-charge-conservation", ["src/exec/bad_charge_earlyreturn.cc"], 1),
+    ("dpcf-charge-conservation", ["src/storage/bad_charge_copyimage.cc"], 1),
+    ("dpcf-charge-conservation", ["src/exec/good_charge.cc"], 0),
+    ("dpcf-charge-conservation", ["src/storage/good_charge_copyimage.cc"], 0),
     ("dpcf-include-hygiene", ["src/bad_include.h"], 2),
+    ("dpcf-include-hygiene", ["src/good_include.h"], 0),
     ("dpcf-naked-new", ["src/bad_new.h", "src/bad_new.cc"], 3),
+    ("dpcf-naked-new", ["src/good_new.h", "src/good_new.cc"], 0),
     ("dpcf-metric-naming", ["src/bad_metric.cc"], 3),
+    ("dpcf-metric-naming", ["src/good_metric.cc"], 0),
     ("dpcf-eval-in-morsel", ["src/exec/bad_scan_loop.cc"], 2),
+    ("dpcf-eval-in-morsel", ["src/exec/good_scan_loop.cc"], 0),
     ("dpcf-simd-intrinsics", ["src/exec/bad_intrinsics.cc"], 2),
-]
-
-CLEAN = [
-    ("dpcf-mutex-annotation", ["src/good_mutex.h"]),
-    ("dpcf-nondeterminism", ["src/core/good_random.h"]),
-    ("dpcf-discarded-status", ["src/bad_status.h", "src/good_status.cc"]),
-    ("dpcf-include-hygiene", ["src/good_include.h"]),
-    ("dpcf-naked-new", ["src/good_new.h", "src/good_new.cc"]),
-    ("dpcf-metric-naming", ["src/good_metric.cc"]),
-    ("dpcf-eval-in-morsel", ["src/exec/good_scan_loop.cc"]),
-    ("dpcf-simd-intrinsics", ["src/exec/simd_fixture.cc"]),
-    # Violations present but suppressed -> clean.
-    ("dpcf-naked-new", ["src/suppressed.h", "src/suppressed.cc"]),
+    ("dpcf-simd-intrinsics", ["src/exec/simd_fixture.cc"], 0),
+    # Violations present but suppressed; every rule must honor NOLINT.
+    (None, ["src/core/suppressed.cc"], 0),
 ]
 
 
-def run_lint(rule, rel_paths):
-    cmd = [sys.executable, LINT, "--rel-root", FIXTURES, "--rule", rule]
-    cmd += [os.path.join(FIXTURES, p) for p in rel_paths]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    return proc
+def run_lint(args):
+    return subprocess.run([sys.executable, LINT] + args,
+                          capture_output=True, text=True)
 
 
 def main():
     failures = []
-
-    for rule, paths, expected in VIOLATING:
-        proc = run_lint(rule, paths)
-        findings = [ln for ln in proc.stdout.splitlines() if f"[{rule}]" in ln]
-        if proc.returncode != 1:
-            failures.append(f"{rule} on {paths}: expected exit 1, got "
-                            f"{proc.returncode}\n{proc.stdout}{proc.stderr}")
-        elif expected is not None and len(findings) != expected:
-            failures.append(f"{rule} on {paths}: expected {expected} "
-                            f"finding(s), got {len(findings)}:\n"
-                            + "\n".join(findings))
+    for rule, paths, expected in CASES:
+        args = ["--rel-root", FIXTURES] + (["--rule", rule] if rule else [])
+        proc = run_lint(args + [os.path.join(FIXTURES, p) for p in paths])
+        findings = [ln for ln in proc.stdout.splitlines()
+                    if f"[{rule or 'dpcf-'}" in ln]
+        label = f"{rule or 'all rules'} on {paths}"
+        if proc.returncode != (1 if expected else 0) or \
+                len(findings) != expected:
+            failures.append(f"{label}: expected {expected} finding(s), got "
+                            f"{len(findings)} (exit {proc.returncode})\n"
+                            f"{proc.stdout}{proc.stderr}")
         else:
-            print(f"ok  (violating) {rule}: {len(findings)} finding(s)")
+            print(f"ok  {label}: {expected} finding(s)")
 
-    for rule, paths in CLEAN:
-        proc = run_lint(rule, paths)
-        if proc.returncode != 0:
-            failures.append(f"{rule} on {paths}: expected clean exit 0, got "
-                            f"{proc.returncode}\n{proc.stdout}{proc.stderr}")
-        else:
-            print(f"ok  (clean)     {rule}: {paths[-1]}")
+    # The transitive nondeterminism finding must carry the call chain.
+    proc = run_lint(["--rel-root", FIXTURES, "--rule", "dpcf-nondeterminism",
+                     os.path.join(FIXTURES, "src/core/bad_entropy_transitive.cc"),
+                     os.path.join(FIXTURES, "src/support/entropy_helper.cc")])
+    if "StampRun -> NowSeconds -> time()" not in proc.stdout:
+        failures.append(f"transitive finding must name the call chain, "
+                        f"got:\n{proc.stdout}")
+    else:
+        print("ok  nondeterminism message names the call chain")
 
-    # The tree-wide invocation must skip this fixture directory entirely.
-    proc = subprocess.run(
-        [sys.executable, LINT, os.path.join(REPO, "tests")],
-        capture_output=True, text=True)
+    # The tree-wide walk must skip this fixture directory entirely.
+    proc = run_lint([os.path.join(REPO, "tests")])
     if proc.returncode != 0:
-        failures.append("tree-wide lint of tests/ must skip lint_selftest "
+        failures.append("tree-wide analysis of tests/ must skip the "
                         f"fixtures but exited {proc.returncode}:\n"
                         f"{proc.stdout}{proc.stderr}")
     else:
-        print("ok  (discovery) tests/ walk skips lint_selftest fixtures")
+        print("ok  tests/ walk skips lint_selftest fixtures")
 
     if failures:
         print("\n".join(["", "FAILURES:"] + failures), file=sys.stderr)
         return 1
-    print(f"\nlint selftest: all {len(VIOLATING) + len(CLEAN) + 1} cases "
-          "passed")
+    print(f"\nlint selftest: all {len(CASES) + 2} cases passed")
     return 0
 
 

@@ -246,9 +246,14 @@ TEST(QErrorHistogramTest, ObserveAndQuantile) {
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
   EXPECT_DOUBLE_EQ(h.mean(), (1.0 + 1.5 + 3.0 + 100.0) / 4);
   // Conservative bucket-boundary quantiles: the median lands in the
-  // [1, 2] band, the tail in 100's bucket (64, 128].
+  // [1, 2] band; the tail's bucket (64, 128] is clamped to the max.
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 128.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 100.0);
+
+  // Perfect estimates: every quantile is exactly 1, not bucket 0's bound.
+  QErrorHistogram ones;
+  for (int i = 0; i < 20; ++i) ones.Observe(1.0);
+  EXPECT_DOUBLE_EQ(ones.Quantile(0.95), 1.0);
 }
 
 TEST(EstimationErrorTrackerTest, GroupsByTableAndMechanism) {

@@ -95,8 +95,7 @@ TEST(GroupedPageCounterMergeTest, SumsDisjointPages) {
     drive(&whole, rows_per_page[p]);
     drive(p % 2 == 0 ? &part_a : &part_b, rows_per_page[p]);
   }
-  // void merge; the name collides with the bundles' Status MergeFrom.
-  part_a.MergeFrom(part_b);  // NOLINT(dpcf-discarded-status)
+  part_a.MergeFrom(part_b);
   EXPECT_EQ(part_a.pages_seen(), whole.pages_seen());
   EXPECT_EQ(part_a.pages_satisfying(), whole.pages_satisfying());
   EXPECT_EQ(part_a.rows_satisfying(), whole.rows_satisfying());
