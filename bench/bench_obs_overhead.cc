@@ -4,10 +4,10 @@
 // Two identical Databases run the same cold-cache morsel-parallel scans —
 // one with observability.journal on (the default), one with it off — and
 // the gate fails if the journal-on configuration is more than 5% slower.
-// The async submission ring is on in both, so the measured path includes
-// every journaled site (ring submit/dispatch/complete, backpressure,
-// eviction, loading waits) rather than an idle journal. Timing is
-// best-of-N to shave scheduler noise.
+// The scans read ahead through the submission ring, so the measured path
+// includes every journaled site (ring submit/dispatch/complete,
+// backpressure, eviction, loading waits) rather than an idle journal.
+// Timing is best-of-N to shave scheduler noise.
 //
 // Knobs: DPCF_BENCH_PAGES (default 2048; 1 KiB pages),
 // DPCF_BENCH_READ_LAT_US (default 50), DPCF_BENCH_IO_THREADS (default 8),
@@ -45,8 +45,7 @@ double BestColdScanMs(Database* db, Table* table, int repeat,
   for (int r = 0; r < repeat; ++r) {
     CheckOk(db->ColdCache(), "cold cache");
     ParallelScanOptions options{/*num_threads=*/4, /*morsel_pages=*/32,
-                                prefetch, /*vectorized=*/true,
-                                /*adaptive_readahead=*/true};
+                                prefetch, /*vectorized=*/true};
     ParallelTableScanOp scan(table, Predicate(), {kC1}, nullptr, options);
     ExecContext ctx(db->buffer_pool());
     ctx.set_metrics(db->metrics());
@@ -94,7 +93,6 @@ int main() {
     DatabaseOptions db_opts;
     db_opts.page_size = kBenchPageSize;
     db_opts.buffer_pool_pages = static_cast<size_t>(pages) / 2;
-    db_opts.async_io = true;
     db_opts.io_threads = io_threads;
     db_opts.observability.journal = journal_on;
     Database db(db_opts);

@@ -6,8 +6,6 @@
 //   DPCF_TPCH_ROWS    tpch-like lineitem rows        (default 240000)
 //   DPCF_SCAN_THREADS morsel workers for monitored scans (default 1)
 //   DPCF_PREFETCH     readahead window in pages      (default 0 = off)
-//   DPCF_ASYNC_IO     1 routes misses/readahead through the async
-//                     submission ring                (default 0 = sync)
 //   DPCF_OBS_DIR      when set, benches that support it enable tracing and
 //                     dump metrics.prom / metrics.json / trace.json /
 //                     journal.json / explain.txt there (validated by
@@ -54,7 +52,6 @@ inline int ScanThreads() {
 inline uint32_t PrefetchPages() {
   return static_cast<uint32_t>(EnvInt("DPCF_PREFETCH", 0));
 }
-inline bool AsyncIo() { return EnvInt("DPCF_ASYNC_IO", 0) != 0; }
 /// Observability dump directory; nullptr when DPCF_OBS_DIR is unset.
 inline const char* ObsDir() { return std::getenv("DPCF_OBS_DIR"); }
 
@@ -114,7 +111,6 @@ inline SyntheticPair BuildSyntheticPair(bool with_t1) {
   // An observability dump was requested: record trace events from the
   // start so the dump covers the whole bench, not just the final query.
   db_opts.observability.tracing = ObsDir() != nullptr;
-  db_opts.async_io = AsyncIo();
   out.db = std::make_unique<Database>(db_opts);
   SyntheticOptions opts;
   opts.num_rows = SyntheticRows();

@@ -79,7 +79,6 @@ Result<InstrumentedHooks> MonitorManager::ForSingleTable(
   out.hooks.scan_threads = options_.scan_threads;
   out.hooks.morsel_pages = options_.morsel_pages;
   out.hooks.prefetch_pages = options_.prefetch_pages;
-  out.hooks.adaptive_readahead = options_.adaptive_readahead;
   out.hooks.vectorized_scan = options_.vectorized_scan;
   if (!options_.enabled) return out;
 

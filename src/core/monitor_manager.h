@@ -58,11 +58,6 @@ struct MonitorOptions {
   /// only changes *when* pages enter the buffer pool, never the monitor
   /// stream, so feedback stays bit-for-bit identical.
   uint32_t prefetch_pages = 0;
-  /// Scale the readahead window per scan from the live prefetch hit /
-  /// rejection counters (forwarded into
-  /// PlanMonitorHooks::adaptive_readahead; exec/readahead.h). Off freezes
-  /// the window at prefetch_pages. Feedback is unaffected either way.
-  bool adaptive_readahead = true;
   /// Vectorized predicate kernels on full table scans (forwarded into
   /// PlanMonitorHooks::vectorized_scan; DESIGN.md section 12). Off = the
   /// row-at-a-time oracle path. Either way the tuples, CpuStats, and

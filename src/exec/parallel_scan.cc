@@ -105,8 +105,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
   const int64_t half_pool = static_cast<int64_t>(ctx->pool()->capacity() / 2);
   if (window > half_pool) window = half_pool;
   // Resolved unconditionally so the series exists (and reads 0) even for
-  // scans with readahead off or a static window — dashboards never see a
-  // dead series just because adaptive_readahead is false.
+  // scans with readahead off — dashboards never see a dead series.
   Gauge* const window_gauge =
       ctx->metrics() != nullptr
           ? ctx->metrics()->GetGauge(
@@ -122,15 +121,14 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     AdaptiveReadaheadConfig ra_cfg;
     ra_cfg.initial_window = window;
     ra_cfg.max_window = half_pool;
-    ra_cfg.adaptive = options_.adaptive_readahead;
     ra_controller = std::make_unique<AdaptiveReadaheadController>(
         ra_cfg, pool->disk()->io_stats(), window_gauge, journal);
     // Prime the initial window before any worker starts, so the
     // prefetch-vs-demand split of the scan's first pages does not depend
     // on how quickly the first worker gets going: those pages are always
-    // charged as prefetch_reads on a cold cache. (In async mode priming
-    // submits one batch; a worker demanding one of these pages before its
-    // completion lands simply waits behind the kLoading frame.)
+    // charged as prefetch_reads on a cold cache. (Priming submits one
+    // batch; a worker demanding one of these pages before its completion
+    // lands simply waits behind the kLoading frame.)
     const PageNo primed =
         total_pages < static_cast<PageNo>(window)
             ? total_pages
@@ -140,10 +138,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     for (PageNo p = 0; p < primed; ++p) {
       prime_batch.push_back(PageId{segment, p});
     }
-    if (!pool->PrefetchBatch(prime_batch).ok()) {
-      // Backpressure is OK-by-contract, so this is a hard disk error;
-      // keep going — demand fetches will surface it with context.
-    }
+    pool->PrefetchBatch(prime_batch);
     const uint64_t query_id = ctx->query_id();
     AdaptiveReadaheadController* const controller = ra_controller.get();
     const int64_t batch_pages =
@@ -181,8 +176,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
           for (PageNo p = next; p < static_cast<PageNo>(end); ++p) {
             batch.push_back(PageId{segment, p});
           }
-          Status st = pool->PrefetchBatch(batch);
-          if (!st.ok()) break;  // demand fetches will surface disk errors
+          pool->PrefetchBatch(batch);
           next = static_cast<PageNo>(end);
           // Feedback: react to the hit/rejection deltas this batch exposed.
           controller->Update();
@@ -356,8 +350,7 @@ Status ParallelTableScanOp::CloseImpl(ExecContext* ctx) {
 std::string ParallelTableScanOp::Describe() const {
   std::string prefetch =
       options_.prefetch_pages > 0
-          ? StrFormat(", prefetch=%u%s", options_.prefetch_pages,
-                      options_.adaptive_readahead ? "+adaptive" : "")
+          ? StrFormat(", prefetch=%u", options_.prefetch_pages)
           : std::string();
   return StrFormat("Parallel%s(%s, %s, threads=%d%s)",
                    table_->organization() == TableOrganization::kClustered

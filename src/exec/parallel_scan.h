@@ -36,7 +36,10 @@ struct ParallelScanOptions {
   /// this many pages ahead of the scan cursor resident in the buffer pool
   /// (clamped to half the pool so prefetch can never evict pages the scan
   /// still needs), submitting morsel-sized batches through
-  /// BufferPool::PrefetchBatch. Prefetched pages are charged to
+  /// BufferPool::PrefetchBatch onto the disk's submission ring.
+  /// AdaptiveReadaheadController then widens or narrows the window per
+  /// scan from the live prefetch hit/rejection counters
+  /// (exec/readahead.h). Prefetched pages are charged to
   /// IoStats::prefetch_reads, not physical reads, and readahead never
   /// touches monitors, so feedback stays bit-for-bit identical to the
   /// serial scan. 0 disables readahead.
@@ -46,12 +49,6 @@ struct ParallelScanOptions {
   /// row-at-a-time oracle loop. Both paths produce identical tuples,
   /// CpuStats, and monitor feedback.
   bool vectorized = true;
-  /// Let AdaptiveReadaheadController widen/narrow the window per scan from
-  /// the live prefetch hit/rejection counters (exec/readahead.h);
-  /// prefetch_pages seeds the initial window. Off freezes the window at
-  /// prefetch_pages — the historical static knob. Either way the merged
-  /// monitor feedback is unaffected.
-  bool adaptive_readahead = true;
 };
 
 /// Per-worker tallies, exposed after the scan for load-balance reporting

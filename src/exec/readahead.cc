@@ -39,7 +39,6 @@ void AdaptiveReadaheadController::Publish(int64_t w) {
 }
 
 void AdaptiveReadaheadController::Update() {
-  if (!config_.adaptive) return;
   // Quiescent-enough snapshots: these counters are relaxed atomics shared
   // with the scan workers, so a delta can miss an in-flight increment; it
   // is then observed by the next Update. The law only needs trends.

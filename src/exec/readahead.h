@@ -25,7 +25,7 @@
 // Monitors never see any of this: the window only shifts pages between the
 // prefetch and demand read classes, and ScanMonitorBundle feedback is a
 // pure function of (page sequence, seed) — so merged MonitorRecords stay
-// bit-for-bit identical across window settings, adaptive or static
+// bit-for-bit identical across initial windows and thread counts
 // (asserted by tests/async_disk_test.cc).
 
 #pragma once
@@ -48,9 +48,6 @@ struct AdaptiveReadaheadConfig {
   int64_t min_window = 4;
   /// Ceiling: half the buffer pool (the scan clamps it).
   int64_t max_window = 0;
-  /// False freezes the window at initial_window (the pre-adaptive static
-  /// behavior); Update() becomes a no-op.
-  bool adaptive = true;
 };
 
 /// Owned by one scan; Update() is called only from that scan's readahead

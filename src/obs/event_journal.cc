@@ -23,9 +23,11 @@ std::atomic<uint64_t> g_journal_ids{1};
 // Per-thread ring cache. Entries are matched on BOTH the journal pointer
 // and its process-unique id: a new journal allocated at a dead journal's
 // address gets a different id, so a stale entry can only miss, never
-// dangle. Four entries cover every test that juggles multiple journals;
-// eviction just re-registers (the orphaned ring stays drainable in its
-// journal until that journal dies).
+// dangle. Each entry holds a writer reference to its ring, so the ring
+// outlives a dead journal until the entry lets go. Four entries cover
+// every test that juggles multiple journals; eviction hands the evicted
+// ring back (it stays drainable in its journal and adoptable by the next
+// thread that registers there) and re-registers on the next miss.
 struct RingCacheEntry {
   const void* journal = nullptr;
   uint64_t id = 0;
@@ -71,13 +73,34 @@ EventJournal::EventJournal(size_t events_per_thread)
     : capacity_(events_per_thread == 0 ? 1 : events_per_thread),
       id_(g_journal_ids.fetch_add(1, std::memory_order_relaxed)) {}
 
+// Touched only on the registration slow path, so Record's fast path reads
+// nothing but the trivially destructible cache above; its destructor runs
+// at thread exit and releases every ring the cache still holds.
+struct EventJournal::ThreadRings {
+  bool armed = false;
+  ~ThreadRings() {
+    for (RingCacheEntry& e : g_ring_cache) {
+      if (e.ring != nullptr) Unref(static_cast<Ring*>(e.ring));
+      e = RingCacheEntry{};
+    }
+  }
+};
+thread_local EventJournal::ThreadRings EventJournal::thread_rings_;
+
 EventJournal::~EventJournal() {
   Ring* r = rings_.load(std::memory_order_acquire);
   while (r != nullptr) {
     Ring* next = r->next;
-    // The journal owns the whole intrusive list; see the new below.
-    delete r;  // NOLINT(dpcf-naked-new)
+    Unref(r);  // a ring whose writer is still alive is freed by its thread
     r = next;
+  }
+}
+
+void EventJournal::Unref(Ring* ring) {
+  // acq_rel: the last owner sees every write the other made before
+  // letting go, so the delete cannot race a final Record or Collect.
+  if (ring->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete ring;  // NOLINT(dpcf-naked-new) — allocated below
   }
 }
 
@@ -88,22 +111,39 @@ EventJournal::Ring* EventJournal::RingForThisThread() {
       return static_cast<Ring*>(e.ring);
     }
   }
-  // Raw new: the ring is published by lock-free CAS into an intrusive
-  // list whose `next` must live inside the node, which rules out
-  // unique_ptr links; the destructor above frees the list.
-  Ring* ring = new Ring(capacity_);  // NOLINT(dpcf-naked-new)
-  ring->thread_index = num_rings_.fetch_add(1, std::memory_order_acq_rel);
-  Ring* head = rings_.load(std::memory_order_acquire);
-  do {
-    ring->next = head;
-  } while (!rings_.compare_exchange_weak(head, ring,
-                                         std::memory_order_release,
-                                         std::memory_order_acquire));
+  // Adopt the ring of a thread that has exited: the acquiring CAS makes
+  // the previous writer's head and slots visible, and it succeeds for one
+  // thread only, so the ring keeps a single writer.
+  Ring* ring = nullptr;
+  for (Ring* r = rings_.load(std::memory_order_acquire); r != nullptr;
+       r = r->next) {
+    uint32_t idle = 1;
+    if (r->refs.compare_exchange_strong(idle, 2, std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      ring = r;
+      break;
+    }
+  }
+  if (ring == nullptr) {
+    // Raw new: the ring is published by lock-free CAS into an intrusive
+    // list whose `next` must live inside the node, which rules out
+    // unique_ptr links; Unref frees it.
+    ring = new Ring(capacity_);  // NOLINT(dpcf-naked-new)
+    ring->thread_index = num_rings_.fetch_add(1, std::memory_order_acq_rel);
+    Ring* head = rings_.load(std::memory_order_acquire);
+    do {
+      ring->next = head;
+    } while (!rings_.compare_exchange_weak(head, ring,
+                                           std::memory_order_release,
+                                           std::memory_order_acquire));
+  }
   RingCacheEntry& slot = g_ring_cache[g_ring_cache_next];
   g_ring_cache_next = (g_ring_cache_next + 1) % kRingCacheSize;
+  if (slot.ring != nullptr) Unref(static_cast<Ring*>(slot.ring));
   slot.journal = this;
   slot.id = id_;
   slot.ring = ring;
+  thread_rings_.armed = true;  // registers the thread-exit release
   return ring;
 }
 

@@ -8,8 +8,8 @@
 // dumping (`journal.json` under DPCF_OBS_DIR) no matter what tracing was
 // configured. The write path takes no lock:
 //
-//  * each ring has exactly ONE writer — the thread that registered it —
-//    so the head cursor is a plain monotone counter;
+//  * each live ring has exactly ONE writer — the thread that registered
+//    or adopted it — so the head cursor is a plain monotone counter;
 //  * slots are per-slot seqlocks over relaxed atomics (Boehm's pattern:
 //    odd seq while writing, release-publish on completion; readers
 //    re-check the seq and drop torn slots), so a concurrent Snapshot()
@@ -20,7 +20,13 @@
 //
 // Threads cache their ring in a small thread_local table keyed by
 // (journal pointer, globally unique journal id) so a destroyed journal's
-// reused address can never resurrect a stale ring pointer.
+// reused address can never resurrect a stale ring pointer. A ring outlives
+// its writer: when the thread exits (or evicts the cache entry) the ring,
+// events and all, is handed back, and the next thread that registers with
+// the journal adopts it instead of allocating. Rings therefore track the
+// peak number of concurrently recording threads, not every short-lived
+// scan worker that ever recorded. The journal and the writer each hold a
+// reference to the ring, so either may be destroyed first.
 
 #pragma once
 
@@ -37,7 +43,7 @@ namespace dpcf {
 /// page numbers, waited microseconds, window sizes, milli-q-errors.
 enum class JournalEvent : uint32_t {
   kNone = 0,
-  kRingSubmit = 1,        // a=page, b=read class (0 demand, 1 prefetch)
+  kRingSubmit = 1,        // a=page (the ring carries readahead only)
   kRingDispatch = 2,      // a=page, b=queue wait us
   kRingComplete = 3,      // a=page, b=service time us
   kBackpressureBegin = 4, // a=queued pages at full
@@ -58,7 +64,7 @@ class EventJournal {
   /// One decoded event, as returned by Snapshot()/Drain().
   struct Event {
     uint64_t ts_us = 0;        // steady-clock microseconds
-    uint32_t thread_index = 0; // ring registration order
+    uint32_t thread_index = 0; // ring index, in registration order
     JournalEvent type = JournalEvent::kNone;
     uint64_t a = 0;
     uint64_t b = 0;
@@ -96,7 +102,9 @@ class EventJournal {
   }
 
   size_t capacity_per_thread() const { return capacity_; }
-  /// Rings registered so far (monotone; rings are never removed).
+  /// Rings registered so far (monotone; rings are never removed, and an
+  /// exited thread's ring is adopted by the next registering thread, so
+  /// this is the peak number of concurrent writers).
   size_t thread_count() const {
     return num_rings_.load(std::memory_order_acquire);
   }
@@ -120,11 +128,22 @@ class EventJournal {
     std::atomic<uint64_t> drained{0};  // first position Drain hasn't taken
     uint32_t thread_index = 0;
     Ring* next = nullptr;  // immutable after the CAS publish
+    // References: one for the journal (dropped by its destructor) plus one
+    // while a writer thread holds the ring. 1 with the journal alive means
+    // the ring is idle and adoptable; whoever drops the last one frees it.
+    std::atomic<uint32_t> refs{2};
   };
 
-  /// Fast path: thread-local cache hit. Slow path: allocate + publish a
-  /// new ring for this thread (lock-free CAS push).
+  /// Hands this thread's cached rings back at thread exit (event_journal.cc).
+  struct ThreadRings;
+  static thread_local ThreadRings thread_rings_;
+
+  /// Fast path: thread-local cache hit. Slow path: adopt an idle ring, or
+  /// allocate + publish a new one (lock-free CAS push).
   Ring* RingForThisThread();
+
+  /// Drops one reference to `ring`, freeing it on the last.
+  static void Unref(Ring* ring);
 
   std::vector<Event> Collect(bool advance) const;
 

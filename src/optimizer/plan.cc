@@ -258,8 +258,7 @@ Result<OperatorPtr> BuildSingleTableExec(const AccessPathPlan& path,
                         ParallelScanOptions{hooks.scan_threads,
                                             hooks.morsel_pages,
                                             hooks.prefetch_pages,
-                                            hooks.vectorized_scan,
-                                            hooks.adaptive_readahead}));
+                                            hooks.vectorized_scan}));
   if (query.count_star) {
     op = OperatorPtr(std::make_unique<AggregateCountOp>(std::move(op)));
   }

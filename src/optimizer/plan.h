@@ -162,9 +162,6 @@ struct PlanMonitorHooks {
   /// Readahead window for the parallel scan (see
   /// ParallelScanOptions::prefetch_pages). 0 disables readahead.
   uint32_t prefetch_pages = 0;
-  /// Adaptive readahead window (see
-  /// ParallelScanOptions::adaptive_readahead).
-  bool adaptive_readahead = true;
   /// Vectorized predicate kernels for kTableScan lowering (serial and
   /// parallel); off = the row-at-a-time oracle path.
   bool vectorized_scan = true;

@@ -76,7 +76,7 @@ size_t BufferPool::PickShardCount(size_t capacity, size_t requested) {
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
                        BufferPoolOptions options)
-    : disk_(disk), capacity_pages_(capacity_pages), options_(options) {
+    : disk_(disk), capacity_pages_(capacity_pages) {
   assert(capacity_pages > 0);
   const size_t n = PickShardCount(capacity_pages, options.num_shards);
   shards_.reserve(n);
@@ -98,13 +98,11 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
 }
 
 BufferPool::~BufferPool() {
-  if (options_.async_io && !options_.serialize_miss_io) {
-    // Retire queued prefetches (their completions free the frames) and
-    // wait out claimed ones, so no disk io-thread can call back into this
-    // pool once the members start being destroyed.
-    disk_->CancelPending();
-    disk_->DrainSubmissions();
-  }
+  // Retire queued prefetches (their completions free the frames) and wait
+  // out claimed ones, so no disk io-thread can call back into this pool
+  // once the members start being destroyed.
+  disk_->CancelPending();
+  disk_->DrainSubmissions();
 }
 
 void BufferPool::AttachObservability(MetricsRegistry* registry,
@@ -186,19 +184,22 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     auto it = s.table.find(pid);
     if (it != s.table.end()) {
       Frame& fr = s.frames[static_cast<size_t>(it->second)];
-      if (fr.state != FrameState::kReady) {
-        // Another fetcher is reading this page off disk (kLoading), or its
-        // async load just failed (kLoadError) and the loader — who holds
-        // the pin — is about to free the frame. Either way: wait (the
-        // latch is released inside the wait) and re-check from the top; a
-        // wake-up with the entry gone means the load failed or the frame
-        // was evicted, in which case this fetch becomes the loader.
+      if (fr.state == FrameState::kLoading) {
+        // Another fetcher, or a readahead completion, is reading this page
+        // off disk. Wait (the latch is released inside the wait) until the
+        // page's entry resolves, then re-check from the top; an entry gone
+        // means the load failed or the frame was evicted, in which case
+        // this fetch becomes the loader. The shard condvar is shared by
+        // every load in the shard, so the wait spans however many wake-ups
+        // it takes and is counted and journaled once.
         if (s.m_loading_waits != nullptr) s.m_loading_waits->Increment();
         const bool wait_timed =
             journal_ != nullptr || CurrentStallSink() != nullptr;
         std::chrono::steady_clock::time_point wait_t0;
         if (wait_timed) wait_t0 = std::chrono::steady_clock::now();
-        s.cv.wait(s.mu);
+        do {
+          s.cv.wait(s.mu);
+        } while (PageLoadingLocked(&s, pid));
         if (wait_timed) {
           const int64_t waited_us = static_cast<int64_t>(
               std::chrono::duration<double, std::micro>(
@@ -259,45 +260,17 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       read_t0 = std::chrono::steady_clock::now();
       if (traced) span_begin = trace_->NowUs();
     }
-    Status st;
-    if (options_.serialize_miss_io) {
-      // Legacy mode: the read happens under the latch, as in the
-      // monolithic pool. Lock order shard -> disk either way.
-      st = disk_->ReadPage(pid, dst);
-    } else if (options_.async_io) {
-      // Async mode: submit and sleep on the shard condvar; the completion
-      // (on a disk io-thread, holding no latch) re-latches the shard,
-      // resolves the frame state and wakes every waiter. The frame cannot
-      // be reused meanwhile — it is pinned and kLoading — so capturing
-      // the shard/frame indexes is safe.
-      s.mu.unlock();
-      disk_->SubmitRead(
-          pid, dst, ReadClass::kDemand, [this, si, f](const Status& read) {
-            Shard& sh = *shards_[si];
-            {
-              MutexLock relock(&sh.mu);
-              Frame& loaded = sh.frames[static_cast<size_t>(f)];
-              loaded.load_status = read;
-              loaded.state = read.ok() ? FrameState::kReady
-                                       : FrameState::kLoadError;
-            }
-            sh.cv.notify_all();
-          });
-      s.mu.lock();
-      while (fr.state == FrameState::kLoading) s.cv.wait(s.mu);
-      st = fr.state == FrameState::kReady ? Status::OK() : fr.load_status;
-    } else {
-      s.mu.unlock();
-      st = disk_->ReadPage(pid, dst);
-      s.mu.lock();
-    }
+    // The pool's only demand read: inline, off the shard latch. The frame
+    // is pinned and kLoading, so nothing else touches `dst` meanwhile.
+    s.mu.unlock();
+    const Status st = disk_->ReadPage(pid, dst);
+    s.mu.lock();
     if (timed && st.ok()) {
       const double read_us = std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - read_t0)
                                  .count();
-      // The fetching thread was blocked for the whole read (sync) or from
-      // submit to completion wake-up (async); either way it is this
-      // query's I/O wait.
+      // The fetching thread was blocked for the whole read: this query's
+      // I/O wait.
       ChargeStall(StallKind::kIoWait, static_cast<int64_t>(read_us));
       if (m_miss_read_us_ != nullptr) {
         m_miss_read_us_->Observe(read_us);
@@ -330,85 +303,19 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
   }
 }
 
-Status BufferPool::Prefetch(PageId pid) {
-  const uint32_t si = static_cast<uint32_t>(shard_index(pid));
-  Shard& s = *shards_[si];
-  IoStats* io = disk_->io_stats();
-  s.mu.lock();
-  if (s.table.find(pid) != s.table.end()) {
-    // Cached or already loading (demand fetchers wait on it themselves):
-    // nothing to do.
-    s.mu.unlock();
-    return Status::OK();
-  }
-  Status status = Status::OK();
-  int32_t f = AcquireFrameLocked(&s, &status);
-  if (f < 0) {
-    // A full shard just means readahead is running too far ahead of the
-    // consumers; skipping the page is the correct backpressure. Counted so
-    // the adaptive readahead window can narrow on it instead of the scan
-    // silently losing its prefetcher.
-    ++io->prefetch_rejected;
-    s.mu.unlock();
-    return Status::OK();
-  }
-  Frame& fr = s.frames[static_cast<size_t>(f)];
-  fr.pid = pid;
-  fr.state = FrameState::kLoading;
-  fr.pin_count = 1;
-  fr.dirty = false;
-  fr.prefetched = false;
-  s.table[pid] = f;
-  char* dst = fr.data.get();
-  const bool traced = trace_ != nullptr && trace_->enabled();
-  const int64_t span_begin = traced ? trace_->NowUs() : 0;
-  Status st;
-  if (options_.serialize_miss_io) {
-    st = disk_->ReadPage(pid, dst, ReadClass::kPrefetch);
-  } else {
-    s.mu.unlock();
-    st = disk_->ReadPage(pid, dst, ReadClass::kPrefetch);
-    s.mu.lock();
-  }
-  if (traced && st.ok()) {
-    trace_->AddSpan("io", StrFormat("prefetch %s", pid.ToString().c_str()),
-                    span_begin);
-  }
-  if (!st.ok()) {
-    s.table.erase(pid);
-    fr.state = FrameState::kFree;
-    fr.pin_count = 0;
-    s.free_frames.push_back(f);
-    s.cv.notify_all();
-    s.mu.unlock();
-    return st;
-  }
-  fr.state = FrameState::kReady;
-  fr.prefetched = true;
-  // Unpin straight to the front of the LRU: most recently used, so the
-  // window of prefetched-but-unconsumed pages survives until the scan
-  // cursor arrives (unless the shard is under real pressure).
-  fr.pin_count = 0;
-  s.lru.push_front(f);
-  fr.lru_pos = s.lru.begin();
-  fr.in_lru = true;
-  s.cv.notify_all();
-  s.mu.unlock();
-  return Status::OK();
+bool BufferPool::PageLoadingLocked(const Shard* s, PageId pid) {
+  auto it = s->table.find(pid);
+  return it != s->table.end() &&
+         s->frames[static_cast<size_t>(it->second)].state ==
+             FrameState::kLoading;
 }
 
-Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
-  if (!options_.async_io || options_.serialize_miss_io) {
-    for (PageId pid : pids) {
-      DPCF_RETURN_IF_ERROR(Prefetch(pid));
-    }
-    return Status::OK();
-  }
-  // Async: publish a kLoading frame per still-uncached page (one shard
-  // latch at a time, never two), then hand the whole batch to the ring in
-  // a single SubmitBatch. Completions run on disk io-threads and resolve
-  // each frame to ready-unpinned-MRU — or free it again on error or
-  // cancellation — with no thread ever waiting on a prefetched page.
+void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
+  // Publish a kLoading frame per still-uncached page (one shard latch at a
+  // time, never two), then hand the whole batch to the ring in a single
+  // SubmitBatch. Completions run on disk io-threads and resolve each frame
+  // to ready-unpinned-MRU — or free it again on error or cancellation —
+  // with no thread ever waiting on a prefetched page.
   std::vector<ReadRequest> batch;
   batch.reserve(pids.size());
   IoStats* io = disk_->io_stats();
@@ -420,7 +327,9 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     Status status = Status::OK();
     int32_t f = AcquireFrameLocked(&s, &status);
     if (f < 0) {
-      // Same backpressure semantics as Prefetch: skip, count, carry on.
+      // A full shard just means readahead is running too far ahead of
+      // the consumers: skip the page and count it, so the adaptive window
+      // narrows instead of the scan silently losing its prefetcher.
       ++io->prefetch_rejected;
       continue;
     }
@@ -432,8 +341,7 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     fr.prefetched = false;
     s.table[pid] = f;
     batch.push_back(ReadRequest{
-        pid, fr.data.get(), ReadClass::kPrefetch,
-        [this, si, f](const Status& read) {
+        pid, fr.data.get(), [this, si, f](const Status& read) {
           Shard& sh = *shards_[si];
           {
             MutexLock relock(&sh.mu);
@@ -462,7 +370,6 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
         }});
   }
   disk_->SubmitBatch(std::move(batch));
-  return Status::OK();
 }
 
 Result<PageGuard> BufferPool::NewPage(SegmentId segment, PageId* out_pid) {
@@ -511,14 +418,12 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::ColdReset() {
-  if (options_.async_io && !options_.serialize_miss_io) {
-    // A speculative readahead backlog must not stall (or fail) the reset:
-    // retire everything still queued — the Cancelled completions free
-    // their kLoading frames without charging anything — and wait for the
-    // claimed reads to finish resolving their frames.
-    disk_->CancelPending();
-    disk_->DrainSubmissions();
-  }
+  // A speculative readahead backlog must not stall (or fail) the reset:
+  // retire everything still queued — the Cancelled completions free their
+  // kLoading frames without charging anything — and wait for the claimed
+  // reads to finish resolving their frames.
+  disk_->CancelPending();
+  disk_->DrainSubmissions();
   // Pass 1: verify quiescence, one shard at a time in index order. A pin or
   // in-flight load appearing *after* its shard was checked would be a caller
   // bug — ColdReset's contract requires a quiescent pool, as before.

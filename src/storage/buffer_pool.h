@@ -25,27 +25,23 @@
 // there would let a concurrent miss of the victim page read stale bytes
 // from the disk mid-writeback.
 //
-// Async mode (BufferPoolOptions::async_io, DESIGN.md section 14): the same
-// LOADING protocol, but the disk read goes through DiskManager's
-// submission ring instead of blocking the fetching thread inside ReadPage.
-// The demand loader publishes the kLoading frame, submits, and waits on
-// the shard condvar; the completion callback (on a disk io-thread)
-// re-latches the shard, flips the frame to kReady (or kLoadError with the
-// status), and wakes the waiters — so the loader and any wait-behind
-// fetchers resume through the exact same re-check loop. PrefetchBatch()
-// publishes a kLoading frame per page and hands the whole batch to
-// SubmitBatch in one ring round-trip; its completions resolve frames to
-// ready-unpinned-MRU with no waiting thread at all. Accounting is
-// unchanged: the charge sites are identical, only the thread that blocks
-// differs.
+// The kind of read picks the path (DESIGN.md section 14). A demand miss is
+// read inline by the fetching thread: its caller blocks on the page either
+// way, so handing the read to another thread would only add a hand-off.
+// Readahead is read by nobody in particular: PrefetchBatch() publishes a
+// kLoading frame per page and hands the whole batch to the disk's
+// submission ring in one SubmitBatch; the completions (on disk io-threads)
+// resolve each frame to ready-unpinned-MRU and wake the shard's waiters, so
+// a demand fetch that arrives early waits behind the kLoading frame exactly
+// as it would behind another fetcher's inline read.
 //
 // Accounting is exact, not approximate: logical_reads is charged only when
 // a fetch succeeds (hit, wait-behind-loader, or completed load), so
 //   logical_reads == buffer_hits + physical_reads()
 // holds under any interleaving, including ResourceExhausted failures.
 //
-// Lock order: any shard latch before DiskManager::mu_ (the miss and
-// writeback paths call into the disk at most below one shard latch; no code
+// Lock order: any shard latch before DiskManager::mu_ (dirty-victim
+// writeback and flush call into the disk below one shard latch; no code
 // path holds two shard latches at once — aggregate operations such as
 // cached_pages()/ColdReset()/FlushAll() visit shards one at a time in
 // increasing shard-index order). The order is machine-checked two ways:
@@ -111,20 +107,6 @@ struct BufferPoolOptions {
   /// for tiny pools, up to 8) so small single-threaded pools behave exactly
   /// like the historical monolithic pool.
   size_t num_shards = 0;
-  /// Compatibility/benchmark mode: hold the shard latch across the miss
-  /// disk read (the pre-sharding behavior). With num_shards = 1 this
-  /// reproduces the monolithic pool bit for bit; bench_buffer_contention
-  /// uses it as the A side of its A/B comparison.
-  bool serialize_miss_io = false;
-  /// Route miss and prefetch reads through DiskManager's asynchronous
-  /// submission ring (SubmitRead/SubmitBatch) instead of synchronous
-  /// ReadPage calls. Demand fetchers still block (on the shard condvar,
-  /// woken by the completion) but prefetch becomes fire-and-forget and the
-  /// simulated latency is paid by the disk's io_threads, which is what
-  /// lets a scan overlap more reads than it has workers. Ignored when
-  /// serialize_miss_io is set (that mode exists to reproduce the
-  /// monolithic pool exactly).
-  bool async_io = false;
 };
 
 /// Fixed-capacity sharded page cache with per-shard LRU replacement and pin
@@ -136,33 +118,27 @@ class BufferPool {
   BufferPool(DiskManager* disk, size_t capacity_pages,
              BufferPoolOptions options = BufferPoolOptions{});
 
-  /// Drains the submission ring first in async mode: a completion callback
-  /// must never run against a destroyed pool.
+  /// Cancels and drains the submission ring first: a readahead completion
+  /// callback must never run against a destroyed pool.
   ~BufferPool();
 
-  /// Pins the page, reading it from disk on a miss. Fails with
-  /// ResourceExhausted if every frame of the page's shard is pinned or
-  /// loading. Nothing is charged to IoStats on failure.
+  /// Pins the page, reading it from disk on the calling thread on a miss.
+  /// Fails with ResourceExhausted if every frame of the page's shard is
+  /// pinned or loading. Nothing is charged to IoStats on failure.
   Result<PageGuard> Fetch(PageId pid) EXCLUDES(disk_->mu_);
 
-  /// Speculatively loads the page into its shard (unpinned, most recently
-  /// used) so a subsequent Fetch is a hit, synchronously on the calling
-  /// thread. Charges IoStats::prefetch_reads instead of a physical read
-  /// and never moves the disk read head. A page already cached or loading
-  /// is a benign no-op; a shard with no evictable frame skips the page,
-  /// charges IoStats::prefetch_rejected, and still returns OK (readahead
-  /// running too far ahead of the consumers is backpressure, not an
-  /// error — the adaptive window narrows on the counter).
-  Status Prefetch(PageId pid) EXCLUDES(disk_->mu_);
-
-  /// Batch prefetch: publishes a kLoading frame per still-uncached page
-  /// and submits the whole batch through the disk's submission ring in one
-  /// SubmitBatch call (async mode), or falls back to a loop of synchronous
-  /// Prefetch calls otherwise. Same skip/charge semantics as Prefetch per
-  /// page; returns the first hard disk error (sync mode only — async
-  /// completions resolve errors by freeing the frame).
-  Status PrefetchBatch(const std::vector<PageId>& pids)
-      EXCLUDES(disk_->mu_);
+  /// Readahead: publishes a kLoading frame per still-uncached page and
+  /// submits the whole batch through the disk's submission ring in one
+  /// SubmitBatch call, without waiting for any of it. Each completed load
+  /// is left unpinned and most recently used, so a later Fetch is a hit,
+  /// and is charged to IoStats::prefetch_reads instead of a physical read
+  /// (it never moves the disk read head). A page already cached or loading
+  /// is skipped; a shard with no evictable frame skips the page and
+  /// charges IoStats::prefetch_rejected (readahead running too far ahead
+  /// of the consumers is backpressure, not an error — the adaptive window
+  /// narrows on the counter). A failed or cancelled read frees its frame;
+  /// a demand Fetch of the page surfaces a persistent error itself.
+  void PrefetchBatch(const std::vector<PageId>& pids) EXCLUDES(disk_->mu_);
 
   /// Allocates a fresh zeroed page in `segment`, pins it, and returns the
   /// guard together with its id via `out_pid`. No physical read is charged
@@ -219,20 +195,15 @@ class BufferPool {
   friend class PageGuard;
 
   enum class FrameState : uint8_t {
-    kFree,       // on the shard free list; pid meaningless
-    kLoading,    // published in the page table; disk read in flight
-    kReady,      // contents valid
-    kLoadError,  // async load failed; load_status set, loader cleans up
+    kFree,     // on the shard free list; pid meaningless
+    kLoading,  // published in the page table; disk read in flight
+    kReady,    // contents valid
   };
 
   struct Frame {
     PageId pid;
     std::unique_ptr<char[]> data;
     FrameState state = FrameState::kFree;
-    // Outcome of a failed async demand load, parked here (state
-    // kLoadError) until the loader — who still holds the pin — wakes,
-    // frees the frame and propagates it to the Fetch caller.
-    Status load_status;
     int32_t pin_count = 0;
     bool dirty = false;
     // Position in the shard lru when pin_count == 0; lru.end() otherwise.
@@ -279,6 +250,9 @@ class BufferPool {
   /// Writes back all dirty kReady frames of `s`.
   Status FlushShardLocked(Shard* s) REQUIRES(s->mu);
 
+  /// True while `pid` is published in `s` and its read is in flight.
+  static bool PageLoadingLocked(const Shard* s, PageId pid) REQUIRES(s->mu);
+
   void Unpin(uint32_t shard, int32_t frame);
   void MarkDirty(uint32_t shard, int32_t frame);
 
@@ -286,7 +260,6 @@ class BufferPool {
 
   DiskManager* disk_;
   size_t capacity_pages_;  // == sum of shard frame counts; ctor-immutable
-  BufferPoolOptions options_;
   // Pool-wide observability handles; null until AttachObservability.
   Counter* m_logical_reads_ = nullptr;
   Counter* m_prefetch_hits_ = nullptr;

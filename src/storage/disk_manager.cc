@@ -114,18 +114,14 @@ void DiskManager::AttachMetrics(MetricsRegistry* registry,
   m_in_flight_ = registry->GetGauge(
       "disk_in_flight_pages",
       "Claimed submissions a completion worker is currently servicing");
-  const char* cls_names[2] = {"demand", "prefetch"};
-  for (int c = 0; c < 2; ++c) {
-    m_queue_wait_us_[c] = registry->GetHistogram(
-        "disk_queue_wait_us",
-        "Wall time a submission waited unclaimed on the ring, by class",
-        1.0, 2.0, 20, {{"class", cls_names[c]}});
-    m_service_time_us_[c] = registry->GetHistogram(
-        "disk_service_time_us",
-        "Wall time from worker claim to completion-callback return, "
-        "by class",
-        1.0, 2.0, 20, {{"class", cls_names[c]}});
-  }
+  m_queue_wait_us_ = registry->GetHistogram(
+      "disk_queue_wait_us",
+      "Wall time a submission waited unclaimed on the ring, by class", 1.0,
+      2.0, 20, {{"class", "prefetch"}});
+  m_service_time_us_ = registry->GetHistogram(
+      "disk_service_time_us",
+      "Wall time from worker claim to completion-callback return, by class",
+      1.0, 2.0, 20, {{"class", "prefetch"}});
 }
 
 void DiskManager::set_read_latency_us(int64_t us) {
@@ -200,8 +196,8 @@ Status DiskManager::CopyPageImage(PageId pid, char* out, ReadClass cls) {
   return Status::OK();
 }
 
-Status DiskManager::ReadPage(PageId pid, char* out, ReadClass cls) {
-  return CopyPageImage(pid, out, cls);
+Status DiskManager::ReadPage(PageId pid, char* out) {
+  return CopyPageImage(pid, out, ReadClass::kDemand);
 }
 
 DiskManager::SubmissionGuard::SubmissionGuard(DiskManager* disk)
@@ -227,6 +223,10 @@ void DiskManager::SubmissionGuard::Add(ReadRequest req) {
       disk_->journal_->Record(JournalEvent::kBackpressureBegin,
                               disk_->queue_.size());
     }
+    // This guard announces its entries only at scope exit; wake the
+    // workers now, or a batch longer than the free ring space would wait
+    // on workers nobody woke.
+    disk_->submit_cv_.notify_all();
     while (disk_->queue_.size() >= disk_->queue_depth_ &&
            !disk_->stop_workers_) {
       disk_->submit_cv_.wait(disk_->submit_mu_);
@@ -244,8 +244,7 @@ void DiskManager::SubmissionGuard::Add(ReadRequest req) {
     req.submit_us = SteadyNowUs();
   }
   if (disk_->journal_ != nullptr) {
-    disk_->journal_->Record(JournalEvent::kRingSubmit, req.pid.page_no,
-                            req.cls == ReadClass::kPrefetch ? 1 : 0);
+    disk_->journal_->Record(JournalEvent::kRingSubmit, req.pid.page_no);
   }
   disk_->queue_.push_back(std::move(req));
   if (disk_->m_submitted_ != nullptr) disk_->m_submitted_->Increment();
@@ -264,12 +263,6 @@ DiskManager::SubmissionGuard::~SubmissionGuard() {
           "io", StrFormat("submit batch n=%zu", added_));
     }
   }
-}
-
-void DiskManager::SubmitRead(PageId pid, char* out, ReadClass cls,
-                             ReadCompletion cb) {
-  SubmissionGuard guard(this);
-  guard.Add(ReadRequest{pid, out, cls, std::move(cb)});
 }
 
 void DiskManager::SubmitBatch(std::vector<ReadRequest> batch) {
@@ -311,15 +304,13 @@ void DiskManager::IoWorkerLoop() {
     submit_cv_.notify_all();
     {
       CompletionScope done(this);
-      const size_t cls_idx = req.cls == ReadClass::kPrefetch ? 1 : 0;
       // Claim timestamp: splits submit→complete into queue wait
       // (submit→dispatch) and service time (dispatch→complete).
       const int64_t dispatch_us = req.submit_us != 0 ? SteadyNowUs() : 0;
       if (req.submit_us != 0) {
         const int64_t queue_wait = dispatch_us - req.submit_us;
-        if (m_queue_wait_us_[cls_idx] != nullptr) {
-          m_queue_wait_us_[cls_idx]->Observe(
-              static_cast<double>(queue_wait));
+        if (m_queue_wait_us_ != nullptr) {
+          m_queue_wait_us_->Observe(static_cast<double>(queue_wait));
         }
         if (journal_ != nullptr) {
           journal_->Record(JournalEvent::kRingDispatch, req.pid.page_no,
@@ -328,23 +319,19 @@ void DiskManager::IoWorkerLoop() {
       }
       const bool traced = trace_ != nullptr && trace_->enabled();
       const int64_t span_begin = traced ? trace_->NowUs() : 0;
-      const Status st = CopyPageImage(req.pid, req.dst, req.cls);
+      const Status st = CopyPageImage(req.pid, req.dst, ReadClass::kPrefetch);
       if (traced) {
         trace_->AddSpan(
             "io",
-            StrFormat("async %s read %s",
-                      req.cls == ReadClass::kPrefetch ? "prefetch"
-                                                      : "demand",
-                      req.pid.ToString().c_str()),
+            StrFormat("async prefetch read %s", req.pid.ToString().c_str()),
             span_begin);
       }
       if (req.on_complete) req.on_complete(st);
       if (req.submit_us != 0) {
         const int64_t complete_us = SteadyNowUs();
         const int64_t service = complete_us - dispatch_us;
-        if (m_service_time_us_[cls_idx] != nullptr) {
-          m_service_time_us_[cls_idx]->Observe(
-              static_cast<double>(service));
+        if (m_service_time_us_ != nullptr) {
+          m_service_time_us_->Observe(static_cast<double>(service));
         }
         if (m_submit_to_complete_us_ != nullptr) {
           m_submit_to_complete_us_->Observe(

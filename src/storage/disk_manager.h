@@ -8,17 +8,16 @@
 // sequential iff it targets the page immediately after the previous read in
 // the same segment.
 //
-// Two read paths share that classifier:
-//  * ReadPage(): the synchronous path — classify + charge under the latch,
-//    sleep the simulated latency and copy the bytes off-latch. The caller's
-//    thread is blocked for the full device time.
-//  * SubmitRead()/SubmitBatch(): the io_uring-style asynchronous path — the
-//    request lands on a bounded submission ring (its own ranked latch,
+// The kind of read picks the path, and both funnel through CopyPageImage():
+//  * ReadPage(): demand reads, synchronous — classify + charge under the
+//    latch, sleep the simulated latency and copy the bytes off-latch. The
+//    caller's thread, which needs the page anyway, pays the device time.
+//  * SubmitBatch(): readahead, the io_uring-style asynchronous path — the
+//    requests land on a bounded submission ring (its own ranked latch,
 //    lock_rank::kDiskSubmission) and a small pool of completion workers
-//    (DiskManagerOptions::io_threads) performs the same classify/charge/
-//    sleep/copy and then fires the completion callback off-latch. The
-//    accounting is identical to the synchronous path because both funnel
-//    through CopyPageImage(); only *whose thread* pays the latency differs.
+//    (DiskManagerOptions::io_threads) performs the prefetch-class charge/
+//    sleep/copy and then fires each completion callback off-latch, so no
+//    query thread waits on a speculative read.
 
 #pragma once
 
@@ -39,10 +38,11 @@
 
 namespace dpcf {
 
-/// How a read should be charged to IoStats. Demand reads go through the
-/// read-head classifier (sequential vs random); prefetch reads are charged
-/// to the separate prefetch_reads counter and do NOT move the read head, so
-/// readahead cannot perturb the classification of the demand stream.
+/// How a read is charged to IoStats. Demand reads (ReadPage) go through
+/// the read-head classifier (sequential vs random); prefetch reads (the
+/// submission ring) are charged to the separate prefetch_reads counter and
+/// do NOT move the read head, so readahead cannot perturb the
+/// classification of the demand stream.
 enum class ReadClass { kDemand, kPrefetch };
 
 class Counter;          // obs/metrics_registry.h
@@ -66,7 +66,6 @@ using ReadCompletion = std::function<void(const Status&)>;
 struct ReadRequest {
   PageId pid;
   char* dst = nullptr;
-  ReadClass cls = ReadClass::kDemand;
   ReadCompletion on_complete;
   /// Set by the queue at enqueue time when latency observation is attached
   /// (metrics or journal); 0 means unobserved. The claiming worker stamps
@@ -82,7 +81,7 @@ struct DiskManagerOptions {
   /// represents one in-flight device operation, so this is the simulated
   /// device queue depth for latency overlap. Clamped to >= 1.
   int io_threads = 2;
-  /// Bounded ring capacity: Add()/SubmitRead() block (releasing no latch
+  /// Bounded ring capacity: Add()/SubmitBatch() block (releasing no latch
   /// the caller holds — producers must not submit under a shard latch)
   /// once this many requests are enqueued and unclaimed.
   size_t queue_depth = 256;
@@ -129,23 +128,17 @@ class DiskManager {
 
   const std::string& SegmentName(SegmentId segment) const EXCLUDES(mu_);
 
-  /// Physical read of a page into `out` (page_size bytes), synchronously on
-  /// the calling thread. Demand reads are charged to IoStats as sequential
-  /// or random per the read-head model; prefetch reads are charged to
-  /// prefetch_reads only. The simulated device latency (if any) is slept
+  /// Demand read of a page into `out` (page_size bytes), synchronously on
+  /// the calling thread, charged to IoStats as sequential or random per the
+  /// read-head model. The simulated device latency (if any) is slept
   /// outside the latch so concurrent reads overlap.
-  Status ReadPage(PageId pid, char* out, ReadClass cls = ReadClass::kDemand)
-      EXCLUDES(mu_);
+  Status ReadPage(PageId pid, char* out) EXCLUDES(mu_);
 
-  /// Enqueues one read on the submission ring; `cb` fires from a completion
-  /// worker once the bytes are in `out` (or with the error). Blocks only
-  /// while the ring is full. Prefer SubmitBatch/SubmissionGuard when
-  /// enqueueing more than one request.
-  void SubmitRead(PageId pid, char* out, ReadClass cls, ReadCompletion cb)
-      EXCLUDES(submit_mu_, mu_);
-
-  /// Enqueues a whole batch in one ring latch round-trip, preserving order
-  /// (the ring is FIFO; with io_threads == 1 completions are FIFO too).
+  /// Enqueues a batch of prefetch reads in one ring latch round-trip,
+  /// preserving order (the ring is FIFO; with io_threads == 1 completions
+  /// are FIFO too). Each request's callback fires from a completion worker
+  /// once the bytes are in its `dst` (or with the error); each read is
+  /// charged to IoStats::prefetch_reads. Blocks only while the ring is full.
   void SubmitBatch(std::vector<ReadRequest> batch)
       EXCLUDES(submit_mu_, mu_);
 
@@ -228,9 +221,9 @@ class DiskManager {
 
   /// Resolves this disk's metric handles (reads by class, writes, the
   /// latency-knob gauge, submission-ring depth/in-flight gauges, the
-  /// per-class queue-wait / service-time / submit→complete latency
+  /// ring's queue-wait / service-time / submit→complete latency
   /// histograms and the backpressure-stall counter) from `registry`,
-  /// wires `trace` for async read spans and `journal` for ring events.
+  /// wires `trace` for ring read spans and `journal` for ring events.
   /// Call once at a quiescent point (Database's constructor does); null
   /// detaches nothing and is ignored.
   void AttachMetrics(MetricsRegistry* registry,
@@ -255,8 +248,8 @@ class DiskManager {
   /// lists this as a page reader).
   Status CopyPageImage(PageId pid, char* out, ReadClass cls) EXCLUDES(mu_);
 
-  /// Spawns the io_threads_ completion workers on first use, so purely
-  /// synchronous workloads (every pre-async caller) never pay the threads.
+  /// Spawns the io_threads_ completion workers on first use, so workloads
+  /// without readahead never pay the threads.
   void EnsureWorkersLocked() REQUIRES(submit_mu_);
 
   /// Completion-worker body: pop under submit_mu_, release, read via
@@ -275,7 +268,7 @@ class DiskManager {
   PageId last_read_ GUARDED_BY(mu_);  // invalid when head position unknown
   std::atomic<int64_t> read_latency_us_{0};  // its own synchronization
 
-  // --- Submission ring (async path) ---------------------------------
+  // --- Submission ring (readahead path) -----------------------------
   // Rank kDiskSubmission > kDisk: a worker that popped a request takes
   // mu_ only after releasing submit_mu_, and producers may submit while
   // holding nothing (or a shard latch, rank 100 < 250).
@@ -305,9 +298,10 @@ class DiskManager {
   Gauge* m_queue_depth_ = nullptr;
   Gauge* m_in_flight_ = nullptr;
   LogHistogram* m_submit_to_complete_us_ = nullptr;
-  // Indexed by ReadClass (0 = demand, 1 = prefetch).
-  LogHistogram* m_queue_wait_us_[2] = {nullptr, nullptr};
-  LogHistogram* m_service_time_us_[2] = {nullptr, nullptr};
+  // The ring carries prefetch reads only; the series keep their
+  // class="prefetch" label.
+  LogHistogram* m_queue_wait_us_ = nullptr;
+  LogHistogram* m_service_time_us_ = nullptr;
   /// True once any ring-latency observer (histograms or journal) is
   /// attached: gates the submit/dispatch/complete clock reads.
   bool ring_latency_observed_ = false;

@@ -84,9 +84,9 @@ struct IoStats {
 
   // Demand fetches that found their frame resident *because* a kPrefetch
   // read loaded it (counted once per prefetched load, on first hit). The
-  // prefetch hit rate prefetch_hits / prefetch_reads is the signal the
-  // adaptive-readahead roadmap item scales the window from. Invariant at
-  // quiescent points: prefetch_hits <= prefetch_reads.
+  // prefetch hit rate prefetch_hits / prefetch_reads is the signal
+  // AdaptiveReadaheadController (exec/readahead.h) scales the window from.
+  // Invariant at quiescent points: prefetch_hits <= prefetch_reads.
   AtomicCounter prefetch_hits;
 
   // Prefetch requests the buffer pool dropped because the page's shard had

@@ -62,9 +62,7 @@ Database::Database(DatabaseOptions options)
       disk_(DiskManagerOptions{options.page_size, options.io_threads,
                                /*queue_depth=*/256}),
       pool_(&disk_, options.buffer_pool_pages,
-            BufferPoolOptions{options.buffer_pool_shards,
-                              /*serialize_miss_io=*/false,
-                              options.async_io}) {
+            BufferPoolOptions{options.buffer_pool_shards}) {
   MetricsRegistry* registry =
       options_.observability.metrics ? &metrics_ : nullptr;
   disk_.AttachMetrics(registry, &trace_, journal());

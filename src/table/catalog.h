@@ -68,14 +68,9 @@ struct DatabaseOptions {
   /// Buffer-pool shards (see BufferPoolOptions::num_shards); 0 picks the
   /// capacity-scaled default.
   size_t buffer_pool_shards = 0;
-  /// Route buffer-pool miss and readahead I/O through the disk manager's
-  /// asynchronous submission ring (BufferPoolOptions::async_io). Off by
-  /// default: the synchronous path is the established baseline the
-  /// benches compare against.
-  bool async_io = false;
-  /// Completion workers for the submission ring — the simulated device
-  /// queue depth (DiskManagerOptions::io_threads). Only matters with
-  /// async_io.
+  /// Completion workers for the readahead submission ring — the simulated
+  /// device queue depth (DiskManagerOptions::io_threads). Demand misses are
+  /// read inline by the fetching thread and never use them.
   int io_threads = 2;
   /// Simulated device/CPU cost constants used when deriving run times.
   SimCostParams cost_params;

@@ -1,16 +1,19 @@
-// The asynchronous disk submission ring (storage/disk_manager.h) and the
-// adaptive readahead window built on it (exec/readahead.h).
+// The asynchronous disk submission ring (storage/disk_manager.h), the
+// readahead path built on it (BufferPool::PrefetchBatch), and the adaptive
+// readahead window (exec/readahead.h).
 //
 //  - one completion worker drains the ring in submission order (FIFO);
-//  - concurrent async Fetches of the same cold page collapse onto one
-//    physical read (the kLoading frame protocol), and the exact accounting
-//    invariant logical_reads == buffer_hits + physical_reads() holds;
+//  - demand misses are read inline and never touch the ring; readahead
+//    always goes through it, and the exact accounting invariant
+//    logical_reads == buffer_hits + physical_reads() holds;
+//  - a fetch waiting behind a loading page counts one wait, however many
+//    other loads in the shard wake it;
 //  - ColdReset cancels the queued backlog instead of waiting out its
 //    simulated latency, and cancelled reads charge nothing;
 //  - the adaptive window controller follows its integer control law
 //    (widen on consumed prefetches, narrow on waste or rejection);
 //  - merged scan feedback is bit-for-bit identical to the serial oracle
-//    for every thread count x window x adaptive-mode combination.
+//    for every thread count x initial window combination.
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +29,8 @@
 #include "exec/parallel_scan.h"
 #include "exec/readahead.h"
 #include "exec/scan_ops.h"
+#include "obs/event_journal.h"
+#include "obs/metrics_registry.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "tests/test_util.h"
@@ -74,7 +79,7 @@ TEST(AsyncDiskTest, SingleWorkerCompletesInSubmissionOrder) {
   std::vector<ReadRequest> batch;
   for (PageNo p = 0; p < kPages; ++p) {
     batch.push_back(ReadRequest{
-        PageId{seg, p}, dst[p].data(), ReadClass::kDemand,
+        PageId{seg, p}, dst[p].data(),
         [&order_mu, &completed, p](const Status& st) {
           EXPECT_TRUE(st.ok()) << st.ToString();
           std::lock_guard<std::mutex> hold(order_mu);
@@ -90,8 +95,11 @@ TEST(AsyncDiskTest, SingleWorkerCompletesInSubmissionOrder) {
     EXPECT_EQ(dst[p][0], static_cast<char>(p)) << "page " << p;
   }
   EXPECT_EQ(disk.pending_submissions(), 0u);
-  EXPECT_EQ(disk.io_stats()->physical_reads(),
+  // The ring carries readahead: charged as prefetch reads, never as
+  // demand reads, so the read head stays where the demand stream left it.
+  EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_reads),
             static_cast<int64_t>(kPages));
+  EXPECT_EQ(disk.io_stats()->physical_reads(), 0);
 }
 
 TEST(AsyncDiskTest, SubmitBeyondQueueDepthBackpressuresNotDrops) {
@@ -104,12 +112,14 @@ TEST(AsyncDiskTest, SubmitBeyondQueueDepthBackpressuresNotDrops) {
   std::vector<std::vector<char>> dst(kPages,
                                      std::vector<char>(kPageSize, 0));
   std::atomic<int> ok_count{0};
+  std::vector<ReadRequest> batch;
   for (PageNo p = 0; p < kPages; ++p) {
-    disk.SubmitRead(PageId{seg, p}, dst[p].data(), ReadClass::kDemand,
-                    [&ok_count](const Status& st) {
-                      if (st.ok()) ok_count.fetch_add(1);
-                    });
+    batch.push_back(ReadRequest{PageId{seg, p}, dst[p].data(),
+                                [&ok_count](const Status& st) {
+                                  if (st.ok()) ok_count.fetch_add(1);
+                                }});
   }
+  disk.SubmitBatch(std::move(batch));
   disk.DrainSubmissions();
   EXPECT_EQ(ok_count.load(), static_cast<int>(kPages));
   for (PageNo p = 0; p < kPages; ++p) {
@@ -131,7 +141,7 @@ TEST(AsyncDiskTest, DestructorCancelsQueuedReads) {
     std::vector<ReadRequest> batch;
     for (PageNo p = 0; p < kPages; ++p) {
       batch.push_back(ReadRequest{
-          PageId{seg, p}, dst[p].data(), ReadClass::kPrefetch,
+          PageId{seg, p}, dst[p].data(),
           [&cancelled, &completed](const Status& st) {
             (st.ok() ? completed : cancelled).fetch_add(1);
           }});
@@ -147,45 +157,6 @@ TEST(AsyncDiskTest, DestructorCancelsQueuedReads) {
 
 // ---------------------------------------------------- pool integration
 
-TEST(AsyncDiskTest, ConcurrentFetchesShareOnePhysicalRead) {
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/4,
-                                      /*queue_depth=*/256});
-  const PageNo kPages = 32;
-  SegmentId seg = FillSegment(&disk, kPages);
-  disk.set_read_latency_us(200);  // widen the kLoading window
-
-  BufferPool pool(&disk, /*capacity_pages=*/64,
-                  BufferPoolOptions{/*num_shards=*/4,
-                                    /*serialize_miss_io=*/false,
-                                    /*async_io=*/true});
-  const int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &failures, seg, t] {
-      // Different start offsets maximize same-page contention.
-      for (PageNo i = 0; i < kPages; ++i) {
-        PageNo p = (i + static_cast<PageNo>(4 * t)) % kPages;
-        auto guard = pool.Fetch(PageId{seg, p});
-        if (!guard.ok() ||
-            guard.value().data()[0] != static_cast<char>(p)) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  const IoStats& io = *disk.io_stats();
-  // Capacity exceeds the segment, so no eviction: the kLoading protocol
-  // must collapse all concurrent misses of a page onto ONE physical read.
-  EXPECT_EQ(io.physical_reads(), static_cast<int64_t>(kPages));
-  EXPECT_EQ(static_cast<int64_t>(io.logical_reads),
-            static_cast<int64_t>(kThreads) * kPages);
-  CheckExactInvariant(io, "contended async fetch");
-}
-
 TEST(AsyncDiskTest, ColdResetCancelsPendingPrefetches) {
   DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
                                       /*queue_depth=*/256});
@@ -194,12 +165,10 @@ TEST(AsyncDiskTest, ColdResetCancelsPendingPrefetches) {
   disk.set_read_latency_us(1000);  // ~64 ms if the backlog were slept
 
   BufferPool pool(&disk, /*capacity_pages=*/128,
-                  BufferPoolOptions{/*num_shards=*/2,
-                                    /*serialize_miss_io=*/false,
-                                    /*async_io=*/true});
+                  BufferPoolOptions{/*num_shards=*/2});
   std::vector<PageId> pids;
   for (PageNo p = 0; p < kPages; ++p) pids.push_back(PageId{seg, p});
-  ASSERT_OK(pool.PrefetchBatch(pids));
+  pool.PrefetchBatch(pids);
   ASSERT_OK(pool.ColdReset());  // cancels the queue instead of draining it
 
   EXPECT_EQ(pool.cached_pages(), 0u);
@@ -225,16 +194,14 @@ TEST(AsyncDiskTest, InvariantHoldsUnderEvictionChurn) {
   // Capacity far below the segment: constant eviction, and PrefetchBatch
   // sees rejections when a shard has no evictable frame.
   BufferPool pool(&disk, /*capacity_pages=*/16,
-                  BufferPoolOptions{/*num_shards=*/2,
-                                    /*serialize_miss_io=*/false,
-                                    /*async_io=*/true});
+                  BufferPoolOptions{/*num_shards=*/2});
   for (int pass = 0; pass < 2; ++pass) {
     for (PageNo p = 0; p < kPages; p += 8) {
       std::vector<PageId> window;
       for (PageNo q = p; q < std::min<PageNo>(p + 8, kPages); ++q) {
         window.push_back(PageId{seg, q});
       }
-      ASSERT_OK(pool.PrefetchBatch(window));
+      pool.PrefetchBatch(window);
       for (const PageId& pid : window) {
         auto guard = pool.Fetch(pid);
         ASSERT_OK(guard.status());
@@ -245,6 +212,43 @@ TEST(AsyncDiskTest, InvariantHoldsUnderEvictionChurn) {
   }
   disk.DrainSubmissions();
   CheckExactInvariant(*disk.io_stats(), "eviction churn");
+}
+
+TEST(AsyncDiskTest, LoadingWaitCountedOncePerFetch) {
+  // One shard and one io worker: the ring completes p0, then p1, and each
+  // completion notifies the shard condvar. A Fetch of p1 is woken by p0's
+  // completion first, finds p1 still loading, and keeps waiting — one
+  // wait, not one per wake-up.
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
+                                      /*queue_depth=*/64});
+  SegmentId seg = FillSegment(&disk, 2);
+  disk.set_read_latency_us(50'000);
+  MetricsRegistry registry;
+  EventJournal journal;
+  BufferPool pool(&disk, /*capacity_pages=*/8,
+                  BufferPoolOptions{/*num_shards=*/1});
+  pool.AttachObservability(&registry, nullptr, &journal);
+
+  pool.PrefetchBatch({PageId{seg, 0}, PageId{seg, 1}});
+  {
+    auto guard = pool.Fetch(PageId{seg, 1});
+    ASSERT_OK(guard.status());
+    EXPECT_EQ(guard.value().data()[0], 1);
+  }
+  EXPECT_EQ(registry
+                .GetCounter("buffer_pool_loading_waits_total", "",
+                            {{"shard", "0"}})
+                ->value(),
+            1);
+  int64_t wait_events = 0;
+  for (const EventJournal::Event& e : journal.Snapshot()) {
+    if (e.type != JournalEvent::kLoadingWait) continue;
+    ++wait_events;
+    EXPECT_EQ(e.a, 1u);
+    EXPECT_GT(e.b, 0u) << "the one event carries the whole wait";
+  }
+  EXPECT_EQ(wait_events, 1);
+  CheckExactInvariant(*disk.io_stats(), "loading wait");
 }
 
 // ------------------------------------------------- adaptive controller
@@ -301,20 +305,6 @@ TEST(AdaptiveReadaheadTest, ControlLawWidensAndNarrows) {
   EXPECT_EQ(ctl.window(), 4);
 }
 
-TEST(AdaptiveReadaheadTest, DisabledControllerHoldsWindow) {
-  IoStats io;
-  AdaptiveReadaheadConfig cfg;
-  cfg.initial_window = 32;
-  cfg.adaptive = false;
-  AdaptiveReadaheadController ctl(cfg, &io, nullptr);
-  io.prefetch_reads += 1000;
-  ++io.prefetch_rejected;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 32);
-  EXPECT_EQ(ctl.widenings(), 0);
-  EXPECT_EQ(ctl.narrowings(), 0);
-}
-
 // --------------------------------------- feedback determinism (oracle)
 
 class AsyncScanTest : public ::testing::Test {
@@ -322,7 +312,6 @@ class AsyncScanTest : public ::testing::Test {
   void SetUp() override {
     DatabaseOptions opts;
     opts.buffer_pool_pages = 512;
-    opts.async_io = true;
     opts.io_threads = 4;
     db_ = std::make_unique<Database>(opts);
     SyntheticOptions sopts;
@@ -377,40 +366,66 @@ TEST_F(AsyncScanTest, FeedbackIdenticalAcrossThreadsAndWindows) {
 
   for (int threads : {1, 4}) {
     for (uint32_t window : {16u, 256u}) {
-      for (bool adaptive : {false, true}) {
-        ParallelTableScanOp parallel(
-            t_, Pushed(), {kC1, kC5}, MakeBundle(),
-            ParallelScanOptions{threads, 8, window, /*vectorized=*/true,
-                                adaptive});
-        RunResult run = Run(&parallel);
-        const std::string what =
-            "threads=" + std::to_string(threads) +
-            " window=" + std::to_string(window) +
-            " adaptive=" + std::to_string(adaptive);
+      ParallelTableScanOp parallel(
+          t_, Pushed(), {kC1, kC5}, MakeBundle(),
+          ParallelScanOptions{threads, 8, window, /*vectorized=*/true});
+      RunResult run = Run(&parallel);
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " window=" + std::to_string(window);
 
-        ASSERT_EQ(run.output.size(), oracle.output.size()) << what;
-        for (size_t i = 0; i < oracle.output.size(); ++i) {
-          ASSERT_TRUE(run.output[i] == oracle.output[i])
-              << what << " tuple " << i;
-        }
-        ASSERT_EQ(run.stats.monitors.size(),
-                  oracle.stats.monitors.size());
-        for (size_t i = 0; i < oracle.stats.monitors.size(); ++i) {
-          const MonitorRecord& s = oracle.stats.monitors[i];
-          const MonitorRecord& p = run.stats.monitors[i];
-          EXPECT_EQ(p.label, s.label) << what;
-          EXPECT_EQ(p.actual_dpc, s.actual_dpc) << what << " " << s.label;
-          EXPECT_EQ(p.actual_cardinality, s.actual_cardinality)
-              << what << " " << s.label;
-          EXPECT_EQ(p.exact, s.exact) << what;
-        }
-        EXPECT_EQ(run.stats.io.logical_reads,
-                  oracle.stats.io.logical_reads)
-            << what;
-        CheckExactInvariant(run.stats.io, what.c_str());
+      ASSERT_EQ(run.output.size(), oracle.output.size()) << what;
+      for (size_t i = 0; i < oracle.output.size(); ++i) {
+        ASSERT_TRUE(run.output[i] == oracle.output[i])
+            << what << " tuple " << i;
       }
+      ASSERT_EQ(run.stats.monitors.size(), oracle.stats.monitors.size());
+      for (size_t i = 0; i < oracle.stats.monitors.size(); ++i) {
+        const MonitorRecord& s = oracle.stats.monitors[i];
+        const MonitorRecord& p = run.stats.monitors[i];
+        EXPECT_EQ(p.label, s.label) << what;
+        EXPECT_EQ(p.actual_dpc, s.actual_dpc) << what << " " << s.label;
+        EXPECT_EQ(p.actual_cardinality, s.actual_cardinality)
+            << what << " " << s.label;
+        EXPECT_EQ(p.exact, s.exact) << what;
+      }
+      EXPECT_EQ(run.stats.io.logical_reads, oracle.stats.io.logical_reads)
+          << what;
+      CheckExactInvariant(run.stats.io, what.c_str());
     }
   }
+}
+
+// ------------------------------------------- miss-path selection (no knob)
+
+class MissPathSelectionTest : public SyntheticDbTest {
+ protected:
+  int64_t RingSubmissions() {
+    return db_->metrics()->GetCounter("disk_async_submitted_total", "")
+        ->value();
+  }
+};
+
+TEST_F(MissPathSelectionTest, ColdSerialScanNeverTouchesTheRing) {
+  ASSERT_OK(db_->ColdCache());
+  TableScanOp scan(t_, Predicate(), {kC1}, nullptr);
+  ExecContext ctx(db_->buffer_pool());
+  ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
+  EXPECT_GT(run.stats.io.physical_reads(), 0) << "the scan really missed";
+  EXPECT_EQ(RingSubmissions(), 0) << "demand misses are read inline";
+}
+
+TEST_F(MissPathSelectionTest, ParallelReadaheadGoesThroughTheRing) {
+  ASSERT_OK(db_->ColdCache());
+  ParallelTableScanOp scan(t_, Predicate(), {kC1}, nullptr,
+                           ParallelScanOptions{/*num_threads=*/2, 8,
+                                               /*prefetch_pages=*/64});
+  ExecContext ctx(db_->buffer_pool());
+  ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
+  const int64_t prefetch_reads = run.stats.io.prefetch_reads;
+  EXPECT_GT(prefetch_reads, 0);
+  EXPECT_LE(prefetch_reads, RingSubmissions())
+      << "every prefetch read was a ring submission";
+  CheckExactInvariant(run.stats.io, "parallel readahead");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,10 +72,15 @@ TEST(EventJournalTest, WraparoundKeepsTheNewestEvents) {
 TEST(EventJournalTest, PerThreadRingsGetDistinctIndexes) {
   EventJournal j(64);
   constexpr int kThreads = 4;
+  // Every thread stays alive until all have recorded: live writers never
+  // share a ring (an exited thread's ring may be adopted, see below).
+  std::atomic<int> recorded{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&j, t] {
+    threads.emplace_back([&j, &recorded, t] {
       j.Record(JournalEvent::kMonitorBuild, static_cast<uint64_t>(t), 0);
+      recorded.fetch_add(1);
+      while (recorded.load() < kThreads) std::this_thread::yield();
     });
   }
   for (auto& t : threads) t.join();
@@ -87,6 +93,60 @@ TEST(EventJournalTest, PerThreadRingsGetDistinctIndexes) {
     EXPECT_FALSE(seen[e.thread_index]) << "duplicate ring index";
     seen[e.thread_index] = true;
   }
+}
+
+// Short-lived threads (a parallel scan's workers, one set per scan) must
+// not grow the journal: each exited writer's ring, events and all, is
+// adopted by the next thread that records.
+TEST(EventJournalTest, SequentialThreadsReuseOneRing) {
+  EventJournal j(64);
+  constexpr int kThreads = 8;
+  constexpr uint64_t kEventsPerThread = 5;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread writer([&j, t] {
+      for (uint64_t i = 0; i < kEventsPerThread; ++i) {
+        j.Record(JournalEvent::kEviction, static_cast<uint64_t>(t), i);
+      }
+    });
+    writer.join();
+  }
+  EXPECT_EQ(j.thread_count(), 1u);
+  std::vector<Event> events = j.Snapshot();
+  ASSERT_EQ(events.size(), kThreads * kEventsPerThread)
+      << "adoption keeps every earlier writer's events";
+  std::vector<uint64_t> per_thread(kThreads, 0);
+  for (const Event& e : events) {
+    EXPECT_EQ(e.thread_index, 0u);
+    ASSERT_LT(e.a, static_cast<uint64_t>(kThreads));
+    ++per_thread[e.a];
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(per_thread[static_cast<size_t>(t)], kEventsPerThread) << t;
+  }
+  EXPECT_EQ(j.dropped_torn(), 0);
+  EXPECT_EQ(j.dropped_overwritten(), 0);
+}
+
+// The other order of destruction: the journal dies while a thread that
+// recorded into it is still alive. The thread's reference keeps the ring
+// valid until the thread exits and frees it (ASAN/TSAN police the frees).
+TEST(EventJournalTest, JournalDestroyedBeforeWriterThreadExits) {
+  auto j = std::make_unique<EventJournal>(16);
+  std::atomic<int> phase{0};
+  std::thread writer([&j, &phase] {
+    j->Record(JournalEvent::kEviction, 1, 0);
+    phase.store(1);
+    while (phase.load() < 2) std::this_thread::yield();
+    // A fresh journal on this thread registers normally.
+    EventJournal fresh(16);
+    fresh.Record(JournalEvent::kEviction, 2, 0);
+    EXPECT_EQ(fresh.Snapshot().size(), 1u);
+  });
+  while (phase.load() < 1) std::this_thread::yield();
+  EXPECT_EQ(j->Snapshot().size(), 1u);
+  j.reset();
+  phase.store(2);
+  writer.join();
 }
 
 // The TSAN centerpiece: writers hammer their rings (wrapping many times)

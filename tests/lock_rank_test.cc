@@ -106,9 +106,10 @@ TEST(LockRankTest, OrderedAcquisitionStaysSilent) {
 }
 
 TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
-  // Exercise the genuine shard-latch -> disk-latch nesting: misses (read
-  // under serialize_miss_io so the shard latch really is held across the
-  // disk read), eviction writeback, flush, and cold reset.
+  // Exercise the genuine shard-latch -> disk-latch nesting: dirty-victim
+  // writeback (under the shard latch, so a concurrent miss of the victim
+  // cannot read stale bytes), flush, and cold reset; plus the misses that
+  // drive the eviction.
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
   const PageNo kPages = 64;
@@ -117,11 +118,8 @@ TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
     disk.AllocatePage(seg);
     ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
   }
-  BufferPoolOptions opts;
-  opts.num_shards = 2;
-  opts.serialize_miss_io = true;  // hold the shard latch across ReadPage
-  BufferPool pool(&disk, 16, opts);
-  for (PageNo p = 0; p < kPages; ++p) {  // misses + constant eviction
+  BufferPool pool(&disk, 16, BufferPoolOptions{/*num_shards=*/2});
+  for (PageNo p = 0; p < kPages; ++p) {  // misses + dirty-victim writeback
     auto guard = pool.Fetch(PageId{seg, p});
     ASSERT_OK(guard.status());
     std::memcpy(guard.value().mutable_data(), buf.data(), 8);  // dirty it

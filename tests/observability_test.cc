@@ -361,7 +361,8 @@ TEST_F(PrefetchHitTest, FirstDemandFetchAfterPrefetchChargesOneHit) {
   IoStats* io = db_->disk()->io_stats();
   const PageId pid{t_->file()->segment(), 0};
 
-  ASSERT_OK(pool->Prefetch(pid));
+  pool->PrefetchBatch({pid});
+  db_->disk()->DrainSubmissions();
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_reads), 1);
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_hits), 0);
 
@@ -375,7 +376,8 @@ TEST_F(PrefetchHitTest, FirstDemandFetchAfterPrefetchChargesOneHit) {
             static_cast<int64_t>(io->prefetch_reads));
 
   // A prefetch of an already-cached page is a no-op, not a second read.
-  ASSERT_OK(pool->Prefetch(pid));
+  pool->PrefetchBatch({pid});
+  db_->disk()->DrainSubmissions();
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_reads), 1);
 }
 
