@@ -2,8 +2,8 @@
 // section 16), on two synthetic tables that differ only in row width —
 // narrow (44-byte rows, dense pages, small gather stride) and wide
 // (100-byte rows, the paper's layout) — at low/high selectivity and 1/4
-// scan threads, plus the clustered range scan's row-at-a-time vs
-// leaf-run batch path.
+// scan threads, plus the clustered range scan's row-at-a-time oracle vs
+// its batch page step.
 //
 // Warm-cache and CPU-bound like bench_predicate_batch: the pool holds
 // both tables, a warm-up pass faults them in, and the only variable per
@@ -120,7 +120,7 @@ double TimedScanPasses(Database* db, Table* t, const Predicate& pred,
 
 /// Best-of-`passes` wall ms for a clustered range scan over [lo, hi]
 /// with a selective residual predicate (C5 keeps ~1%), row-at-a-time or
-/// leaf-run batch. The selective residual makes per-row predicate work
+/// batch. The selective residual makes per-row predicate work
 /// the dominant cost — with a permissive residual both paths are
 /// materialization-bound and the ratio collapses to 1.
 double TimedClusteredPasses(Database* db, Table* t, Index* cluster,
@@ -132,8 +132,8 @@ double TimedClusteredPasses(Database* db, Table* t, Index* cluster,
   pushed.Add(PredicateAtom::Int64(kC5, CmpOp::kLt, t->row_count() / 100));
   double best_ms = 0;
   for (int pass = 0; pass < passes; ++pass) {
-    ClusteredRangeScanOp scan(t, cluster, lo, hi, pushed, {kC1, kC3},
-                              /*monitors=*/nullptr, vectorized);
+    TableScanOp scan(t, pushed, {kC1, kC3}, /*monitors=*/nullptr, vectorized,
+                     ClusteredRange{cluster, lo, hi});
     ExecContext ctx(db->buffer_pool());
     RunResult run = CheckOk(ExecutePlan(&scan, &ctx), "clustered scan");
     if (pass == 0 || run.stats.wall_ms < best_ms) best_ms = run.stats.wall_ms;
@@ -289,7 +289,7 @@ int main() {
   std::printf("\n");
   stable.Print();
 
-  // ---- clustered range scan: row-at-a-time vs leaf-run batch (both
+  // ---- clustered range scan: row-at-a-time vs page batch (both
   // under the dispatched ISA; the batch path additionally replaces the
   // per-row key check with the run-cutoff primitive).
   PinIsa(dispatched);

@@ -58,10 +58,11 @@ struct MonitorOptions {
   /// only changes *when* pages enter the buffer pool, never the monitor
   /// stream, so feedback stays bit-for-bit identical.
   uint32_t prefetch_pages = 0;
-  /// Vectorized predicate kernels on full table scans (forwarded into
+  /// Vectorized predicate kernels on every heap scan (forwarded into
   /// PlanMonitorHooks::vectorized_scan; DESIGN.md section 12). Off = the
-  /// row-at-a-time oracle path. Either way the tuples, CpuStats, and
-  /// monitor feedback are bit-for-bit identical; only wall-clock differs.
+  /// page step's row-at-a-time oracle. Either way the tuples, CpuStats,
+  /// and monitor feedback are bit-for-bit identical; only wall-clock
+  /// differs.
   bool vectorized_scan = true;
 };
 

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
-#include "exec/predicate_kernel.h"
 #include "exec/readahead.h"
 #include "exec/scan_ops.h"
 #include "obs/event_journal.h"
@@ -40,10 +39,11 @@ ParallelTableScanOp::ParallelTableScanOp(
     Table* table, Predicate pushed, std::vector<int> projection,
     std::unique_ptr<ScanMonitorBundle> monitors, ParallelScanOptions options)
     : table_(table),
-      pushed_(std::move(pushed)),
       projection_(std::move(projection)),
       monitors_(std::move(monitors)),
-      options_(options) {
+      options_(options),
+      step_(*table, std::move(pushed), options.vectorized,
+            monitors_ != nullptr) {
   if (options_.num_threads < 1) options_.num_threads = 1;
   if (options_.morsel_pages < 1) options_.morsel_pages = 1;
 }
@@ -51,18 +51,8 @@ ParallelTableScanOp::ParallelTableScanOp(
 Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
   const HeapFile* file = table_->file();
   const Schema* schema = &table_->schema();
-  const uint32_t num_atoms = static_cast<uint32_t>(pushed_.size());
   const int num_workers = options_.num_threads;
-  // One compiled kernel shared by every worker: EvalBatch is const and
-  // stateless (each worker brings its own RowBlock and selection vectors).
-  const PredicateKernel kernel(pushed_, schema);
-  LogHistogram* const batch_rows_hist =
-      options_.vectorized && ctx->metrics() != nullptr
-          ? ctx->metrics()->GetHistogram(
-                "dpcf_scan_batch_rows",
-                "rows per vectorized predicate batch (one batch per page)",
-                1.0, 2.0, 12)
-          : nullptr;
+  LogHistogram* const batch_rows = step_.BatchRowsHistogram(*ctx);
 
   MorselQueue queue(file->page_count(), options_.morsel_pages);
   morsel_out_.assign(queue.num_morsels(), {});
@@ -110,8 +100,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
       ctx->metrics() != nullptr
           ? ctx->metrics()->GetGauge(
                 "scan_readahead_window_pages",
-                "Current readahead window of the last scan (static or "
-                "adaptive)")
+                "Current adaptive readahead window of the last scan")
           : nullptr;
   if (window_gauge != nullptr && (window <= 0 || total_pages == 0)) {
     window_gauge->Set(0);
@@ -206,10 +195,9 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
             ? nullptr
             : (w == 0 ? monitors_.get()
                       : worker_bundles[static_cast<size_t>(w)].get());
-    // Worker-local vectorized-path state, reused across pages.
-    RowBlock block(schema);
-    std::vector<uint32_t> sel;
-    std::vector<uint32_t> leading_vec;
+    // Worker-local page state; the step itself is shared.
+    HeapPageStep::Scratch scratch(schema);
+    scratch.batch_rows = batch_rows;
     uint32_t morsel;
     PageNo begin, end;
     while (queue.Next(&morsel, &begin, &end)) {
@@ -224,53 +212,19 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
           stop.store(true, std::memory_order_relaxed);
           return guard.status();
         }
-        PageGuard page = std::move(guard).value();
-        const uint32_t rows_in_page = HeapFile::PageRowCount(page.data());
+        const PageGuard page = std::move(guard).value();
         ++ws.pages_scanned;
-        if (bundle != nullptr) bundle->BeginPage(cpu, p);
-        if (options_.vectorized) {
-          block.Reset(HeapFile::PageRows(page.data()), rows_in_page);
-          sel.resize(rows_in_page);
-          cpu->rows_processed += rows_in_page;
-          uint32_t* leading_out = nullptr;
-          if (bundle != nullptr) {
-            leading_vec.resize(rows_in_page);
-            leading_out = leading_vec.data();
-          }
-          const uint32_t m =
-              kernel.EvalBatch(&block, cpu, sel.data(), leading_out);
-          if (bundle != nullptr) {
-            bundle->ObserveBatch(&block, leading_out, cpu,
-                                 ctx->filter_slots());
-          }
-          for (uint32_t i = 0; i < m; ++i) {
-            RowView row(block.row(sel[i]), schema);
-            out.emplace_back();
-            MaterializeProjection(row, projection_, &out.back());
-            ++ws.tuples;
-          }
-          if (batch_rows_hist != nullptr) {
-            batch_rows_hist->Observe(static_cast<double>(rows_in_page));
-          }
-        } else {
-          // oracle: row-at-a-time reference loop for the property sweep.
-          for (uint32_t r = 0; r < rows_in_page; ++r) {
-            RowView row(
-                file->RowInPage(page.data(), static_cast<uint16_t>(r)),
-                schema);
-            ++cpu->rows_processed;
-            uint32_t leading = pushed_.EvalLeading(row, cpu);
-            if (bundle != nullptr) {
-              bundle->OnRow(row, leading, cpu, ctx->filter_slots());
-            }
-            if (leading == num_atoms) {
-              out.emplace_back();
-              MaterializeProjection(row, projection_, &out.back());
-              ++ws.tuples;
-            }
-          }
+        // The morsel's survivors are buffered, not streamed, so nothing
+        // downstream can change between evaluating and observing a page.
+        const uint32_t survivors = step_.Eval(page.data(), cpu, &scratch);
+        step_.Observe(p, bundle, cpu, ctx->filter_slots(), &scratch);
+        for (uint32_t i = 0; i < survivors; ++i) {
+          out.emplace_back();
+          MaterializeProjection(RowView(scratch.block.row(scratch.sel[i]),
+                                        schema),
+                                projection_, &out.back());
         }
-        if (bundle != nullptr) bundle->EndPage();
+        ws.tuples += survivors;
       }
       if (ra_ptr != nullptr) {
         ra_ptr->mu.lock();
@@ -357,7 +311,7 @@ std::string ParallelTableScanOp::Describe() const {
                        ? "ClusteredIndexScan"
                        : "TableScan",
                    table_->name().c_str(),
-                   pushed_.ToString(table_->schema()).c_str(),
+                   step_.pushed().ToString(table_->schema()).c_str(),
                    options_.num_threads, prefetch.c_str());
 }
 

@@ -3,6 +3,9 @@
 // N workers each scan their claimed morsels with a thread-local
 // ScanMonitorBundle clone and thread-local CpuStats, and the per-worker
 // state is folded back (MergeFrom / operator+=) when the scan completes.
+// Every worker runs the serial scan's page step: one shared, const
+// HeapPageStep (exec/scan_ops.h) and a worker-local Scratch, calling Eval
+// and Observe back to back on each page.
 //
 // Equivalence guarantees relative to TableScanOp on the same table:
 //  * identical output tuples in identical order — matches are buffered per
@@ -20,6 +23,7 @@
 
 #include "core/dpsample.h"
 #include "exec/operator.h"
+#include "exec/scan_ops.h"
 #include "obs/stall_tracker.h"
 #include "table/catalog.h"
 
@@ -45,9 +49,9 @@ struct ParallelScanOptions {
   /// serial scan. 0 disables readahead.
   uint32_t prefetch_pages = 0;
   /// Evaluate predicates with the vectorized PredicateKernel per page and
-  /// feed monitors via ObserveBatch (DESIGN.md section 12). Off = the
-  /// row-at-a-time oracle loop. Both paths produce identical tuples,
-  /// CpuStats, and monitor feedback.
+  /// feed monitors via ObserveBatch (DESIGN.md section 12). Off = the page
+  /// step's row-at-a-time oracle. Both produce identical tuples, CpuStats,
+  /// and monitor feedback.
   bool vectorized = true;
 };
 
@@ -91,10 +95,10 @@ class ParallelTableScanOp : public Operator {
 
  private:
   Table* table_;
-  Predicate pushed_;
   std::vector<int> projection_;
   std::unique_ptr<ScanMonitorBundle> monitors_;
   ParallelScanOptions options_;
+  const HeapPageStep step_;  // shared by every worker
 
   /// Matches buffered per morsel; drained in morsel order so the output
   /// sequence is identical to the serial scan's.

@@ -1,6 +1,5 @@
 #include "exec/scan_ops.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/string_util.h"
@@ -29,349 +28,191 @@ void AppendScanMonitorRecords(const Table& table,
   }
 }
 
+HeapPageStep::HeapPageStep(const Table& table, Predicate pushed,
+                           bool vectorized, bool monitored,
+                           std::optional<int64_t> cutoff_hi)
+    : schema_(&table.schema()),
+      pushed_(std::move(pushed)),
+      kernel_(pushed_, schema_),
+      simd_(&ActiveSimdOps()),
+      cutoff_hi_(cutoff_hi),
+      vectorized_(vectorized),
+      monitored_(monitored) {
+  if (cutoff_hi_.has_value()) {
+    assert(table.cluster_key_col() >= 0 &&
+           "a cut step requires a clustered table");
+    key_col_ = static_cast<size_t>(table.cluster_key_col());
+  }
+}
+
+LogHistogram* HeapPageStep::BatchRowsHistogram(const ExecContext& ctx) const {
+  if (!vectorized_ || ctx.metrics() == nullptr) return nullptr;
+  return ctx.metrics()->GetHistogram(
+      "dpcf_scan_batch_rows",
+      "rows per vectorized predicate batch (one batch per page)", 1.0, 2.0,
+      12);
+}
+
+uint32_t HeapPageStep::Eval(const char* page, CpuStats* cpu,
+                            Scratch* s) const {
+  const uint32_t rows_in_page = HeapFile::PageRowCount(page);
+  const char* rows = HeapFile::PageRows(page);
+  s->block.Reset(rows, rows_in_page);
+  s->sel.resize(rows_in_page);
+  uint32_t n = rows_in_page;  // rows before the cut
+  uint32_t survivors = 0;
+  if (vectorized_) {
+    // A clustered data page is a key-ordered run, so the sorted-key early
+    // exit is a batch-size decision: rows at and after the first key past
+    // hi are never evaluated or observed.
+    if (cutoff_hi_.has_value()) {
+      n = simd_->int64_leading_le(rows, s->block.row_stride(),
+                                  schema_->offset(key_col_), *cutoff_hi_,
+                                  rows_in_page);
+      s->block.Reset(rows, n);
+    }
+    uint32_t* leading = nullptr;
+    if (monitored_) {
+      s->leading.resize(n);
+      leading = s->leading.data();
+    }
+    survivors = kernel_.EvalBatch(&s->block, cpu, s->sel.data(), leading);
+    if (s->batch_rows != nullptr) {
+      s->batch_rows->Observe(static_cast<double>(n));
+    }
+  } else {
+    // oracle: the row-at-a-time reference evaluator (EvalLeading here,
+    // OnRow in Observe) the batch path is verified against.
+    s->leading.resize(rows_in_page);
+    const uint32_t num_atoms = static_cast<uint32_t>(pushed_.size());
+    for (n = 0; n < rows_in_page; ++n) {
+      RowView row(s->block.row(n), schema_);
+      if (cutoff_hi_.has_value() && row.GetInt64(key_col_) > *cutoff_hi_) {
+        break;
+      }
+      s->leading[n] = pushed_.EvalLeading(row, cpu);
+      if (s->leading[n] == num_atoms) s->sel[survivors++] = n;
+    }
+    s->block.Reset(rows, n);
+  }
+  cpu->rows_processed += n;
+  s->cut = n < rows_in_page;
+  return survivors;
+}
+
+void HeapPageStep::Observe(
+    PageNo page_no, ScanMonitorBundle* monitors, CpuStats* cpu,
+    const std::vector<const BitvectorFilter*>& filter_slots,
+    Scratch* s) const {
+  if (monitors == nullptr) return;
+  assert(monitored_ && "Eval kept no leading[] for an unmonitored step");
+  monitors->BeginPage(cpu, page_no);
+  if (vectorized_) {
+    monitors->ObserveBatch(&s->block, s->leading.data(), cpu, filter_slots);
+  } else {
+    // The row oracle's monitor half (see Eval).
+    for (uint32_t r = 0; r < s->block.size(); ++r) {
+      monitors->OnRow(RowView(s->block.row(r), schema_), s->leading[r], cpu,
+                      filter_slots);
+    }
+  }
+  monitors->EndPage();
+}
+
 TableScanOp::TableScanOp(Table* table, Predicate pushed,
                          std::vector<int> projection,
                          std::unique_ptr<ScanMonitorBundle> monitors,
-                         bool vectorized)
+                         bool vectorized,
+                         std::optional<ClusteredRange> range)
     : table_(table),
-      pushed_(std::move(pushed)),
       projection_(std::move(projection)),
       monitors_(std::move(monitors)),
-      vectorized_(vectorized),
-      kernel_(pushed_, &table->schema()),
-      block_(&table->schema()) {}
+      range_(range),
+      step_(*table, std::move(pushed), vectorized, monitors_ != nullptr,
+            range.has_value() ? std::optional<int64_t>(range->hi)
+                              : std::nullopt),
+      scratch_(&table->schema()) {}
 
 Status TableScanOp::OpenImpl(ExecContext* ctx) {
   page_idx_ = 0;
-  row_idx_ = 0;
-  rows_in_page_ = 0;
-  page_open_ = false;
-  done_ = false;
   sel_pos_ = 0;
   sel_count_ = 0;
-  batch_rows_hist_ =
-      vectorized_ && ctx->metrics() != nullptr
-          ? ctx->metrics()->GetHistogram(
-                "dpcf_scan_batch_rows",
-                "rows per vectorized predicate batch (one batch per page)",
-                1.0, 2.0, 12)
-          : nullptr;
+  page_open_ = false;
+  done_ = false;
+  scratch_.batch_rows = step_.BatchRowsHistogram(*ctx);
+  if (range_.has_value()) {
+    // Locate the first data page holding a key >= lo via the clustered-key
+    // index (charges the descent I/O, like a real clustered seek).
+    DPCF_ASSIGN_OR_RETURN(
+        BtreeIterator it,
+        range_->index->tree()->SeekFirst(BtreeKey::Min(range_->lo)));
+    done_ = !it.Valid() || it.key().k1 > range_->hi;
+    if (!done_) page_idx_ = Rid::Unpack(it.aux()).page_no;
+  }
   return Status::OK();
 }
 
 Result<bool> TableScanOp::NextImpl(ExecContext* ctx, Tuple* out) {
-  return vectorized_ ? NextVectorized(ctx, out) : NextRowAtATime(ctx, out);
-}
-
-Result<bool> TableScanOp::NextRowAtATime(ExecContext* ctx, Tuple* out) {
-  if (done_) return false;
   const HeapFile* file = table_->file();
-  const Schema* schema = &table_->schema();
-  CpuStats* cpu = ctx->cpu();
-  const uint32_t num_atoms = static_cast<uint32_t>(pushed_.size());
-  while (true) {
-    if (!page_open_) {
-      if (page_idx_ >= file->page_count()) {
-        done_ = true;
-        return false;
-      }
-      auto guard = ctx->pool()->Fetch(PageId{file->segment(), page_idx_});
-      if (!guard.ok()) return guard.status();
-      guard_ = std::move(guard).value();
-      rows_in_page_ = HeapFile::PageRowCount(guard_.data());
-      row_idx_ = 0;
-      page_open_ = true;
-      if (monitors_ != nullptr) monitors_->BeginPage(cpu, page_idx_);
-    }
-    // oracle: the row-at-a-time reference path the vectorized kernel is
-    // verified against.
-    while (row_idx_ < rows_in_page_) {
-      RowView row(file->RowInPage(guard_.data(),
-                                  static_cast<uint16_t>(row_idx_)),
-                  schema);
-      ++row_idx_;
-      ++cpu->rows_processed;
-      uint32_t leading = pushed_.EvalLeading(row, cpu);
-      if (monitors_ != nullptr) {
-        monitors_->OnRow(row, leading, cpu, ctx->filter_slots());
-      }
-      if (leading == num_atoms) {
-        MaterializeProjection(row, projection_, out);
-        return true;
-      }
-    }
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-    ++page_idx_;
-  }
-}
-
-Result<bool> TableScanOp::NextVectorized(ExecContext* ctx, Tuple* out) {
-  if (done_) return false;
-  const HeapFile* file = table_->file();
-  const Schema* schema = &table_->schema();
-  CpuStats* cpu = ctx->cpu();
-  while (true) {
-    if (!page_open_) {
-      if (page_idx_ >= file->page_count()) {
-        done_ = true;
-        return false;
-      }
-      auto guard = ctx->pool()->Fetch(PageId{file->segment(), page_idx_});
-      if (!guard.ok()) return guard.status();
-      guard_ = std::move(guard).value();
-      rows_in_page_ = HeapFile::PageRowCount(guard_.data());
-      page_open_ = true;
-      if (monitors_ != nullptr) monitors_->BeginPage(cpu, page_idx_);
-      // The whole page is evaluated and observed up front; survivors are
-      // then emitted one Next() at a time from the selection vector.
-      block_.Reset(HeapFile::PageRows(guard_.data()), rows_in_page_);
-      sel_.resize(rows_in_page_);
-      cpu->rows_processed += rows_in_page_;
-      uint32_t* leading_out = nullptr;
-      if (monitors_ != nullptr) {
-        leading_.resize(rows_in_page_);
-        leading_out = leading_.data();
-      }
-      sel_count_ = kernel_.EvalBatch(&block_, cpu, sel_.data(), leading_out);
-      sel_pos_ = 0;
-      if (monitors_ != nullptr) {
-        monitors_->ObserveBatch(&block_, leading_out, cpu,
-                                ctx->filter_slots());
-      }
-      if (batch_rows_hist_ != nullptr) {
-        batch_rows_hist_->Observe(static_cast<double>(rows_in_page_));
-      }
-    }
+  while (!done_) {
     if (sel_pos_ < sel_count_) {
-      RowView row(block_.row(sel_[sel_pos_]), schema);
-      ++sel_pos_;
+      RowView row(scratch_.block.row(scratch_.sel[sel_pos_++]),
+                  &table_->schema());
       MaterializeProjection(row, projection_, out);
       return true;
     }
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-    ++page_idx_;
+    if (page_open_) {
+      LeavePage(ctx);
+      // A cut page held a key past hi: sorted order says no later page
+      // holds in-range rows.
+      if (scratch_.cut) break;
+      ++page_idx_;
+    }
+    if (page_idx_ >= file->page_count()) break;
+    auto guard = ctx->pool()->Fetch(PageId{file->segment(), page_idx_});
+    if (!guard.ok()) return guard.status();
+    guard_ = std::move(guard).value();
+    page_open_ = true;
+    sel_count_ = step_.Eval(guard_.data(), ctx->cpu(), &scratch_);
+    sel_pos_ = 0;
   }
+  done_ = true;
+  return false;
+}
+
+void TableScanOp::LeavePage(ExecContext* ctx) {
+  step_.Observe(page_idx_, monitors_.get(), ctx->cpu(), ctx->filter_slots(),
+                &scratch_);
+  guard_.Release();
+  page_open_ = false;
 }
 
 Status TableScanOp::CloseImpl(ExecContext* ctx) {
-  (void)ctx;
-  // A drained scan already closed its last page; an abandoned one has not.
-  if (page_open_) {
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-  }
+  // A drained scan already left its last page; an abandoned one has not.
+  if (page_open_) LeavePage(ctx);
   return Status::OK();
 }
 
 std::string TableScanOp::Describe() const {
+  const Schema& schema = table_->schema();
+  const std::string pushed = step_.pushed().ToString(schema);
+  if (range_.has_value()) {
+    return StrFormat(
+        "ClusteredRangeScan(%s, %s in [%lld,%lld], %s)",
+        table_->name().c_str(),
+        schema.column(static_cast<size_t>(table_->cluster_key_col()))
+            .name.c_str(),
+        static_cast<long long>(range_->lo),
+        static_cast<long long>(range_->hi), pushed.c_str());
+  }
   return StrFormat("%s(%s, %s)",
                    table_->organization() == TableOrganization::kClustered
                        ? "ClusteredIndexScan"
                        : "TableScan",
-                   table_->name().c_str(),
-                   pushed_.ToString(table_->schema()).c_str());
+                   table_->name().c_str(), pushed.c_str());
 }
 
 void TableScanOp::CollectOwnMonitorRecords(
-    std::vector<MonitorRecord>* out) const {
-  AppendScanMonitorRecords(*table_, monitors_.get(), out);
-}
-
-ClusteredRangeScanOp::ClusteredRangeScanOp(
-    Table* table, Index* cluster_index, int64_t lo, int64_t hi,
-    Predicate pushed, std::vector<int> projection,
-    std::unique_ptr<ScanMonitorBundle> monitors, bool vectorized)
-    : table_(table),
-      cluster_index_(cluster_index),
-      lo_(lo),
-      hi_(hi),
-      cluster_col_(table->cluster_key_col()),
-      pushed_(std::move(pushed)),
-      projection_(std::move(projection)),
-      monitors_(std::move(monitors)),
-      vectorized_(vectorized),
-      kernel_(pushed_, &table->schema()),
-      simd_(&ActiveSimdOps()),
-      block_(&table->schema()) {
-  assert(cluster_col_ >= 0 && "range scan requires a clustered table");
-}
-
-Status ClusteredRangeScanOp::OpenImpl(ExecContext* ctx) {
-  row_idx_ = 0;
-  rows_in_page_ = 0;
-  page_open_ = false;
-  done_ = false;
-  sel_pos_ = 0;
-  sel_count_ = 0;
-  truncated_ = false;
-  batch_rows_hist_ =
-      vectorized_ && ctx->metrics() != nullptr
-          ? ctx->metrics()->GetHistogram(
-                "dpcf_scan_batch_rows",
-                "rows per vectorized predicate batch (one batch per page)",
-                1.0, 2.0, 12)
-          : nullptr;
-  // Locate the first data page holding a key >= lo via the clustered-key
-  // index (charges the descent I/O, like a real clustered seek).
-  DPCF_ASSIGN_OR_RETURN(BtreeIterator it,
-                        cluster_index_->tree()->SeekFirst(BtreeKey::Min(lo_)));
-  if (!it.Valid() || it.key().k1 > hi_) {
-    done_ = true;
-    return Status::OK();
-  }
-  page_idx_ = Rid::Unpack(it.aux()).page_no;
-  return Status::OK();
-}
-
-Result<bool> ClusteredRangeScanOp::NextImpl(ExecContext* ctx, Tuple* out) {
-  return vectorized_ ? NextVectorized(ctx, out) : NextRowAtATime(ctx, out);
-}
-
-Result<bool> ClusteredRangeScanOp::NextRowAtATime(ExecContext* ctx,
-                                                  Tuple* out) {
-  if (done_) return false;
-  const HeapFile* file = table_->file();
-  const Schema* schema = &table_->schema();
-  CpuStats* cpu = ctx->cpu();
-  const uint32_t num_atoms = static_cast<uint32_t>(pushed_.size());
-  while (true) {
-    if (!page_open_) {
-      if (page_idx_ >= file->page_count()) {
-        done_ = true;
-        return false;
-      }
-      auto guard = ctx->pool()->Fetch(PageId{file->segment(), page_idx_});
-      if (!guard.ok()) return guard.status();
-      guard_ = std::move(guard).value();
-      rows_in_page_ = HeapFile::PageRowCount(guard_.data());
-      row_idx_ = 0;
-      page_open_ = true;
-      if (monitors_ != nullptr) monitors_->BeginPage(cpu, page_idx_);
-    }
-    // oracle: stays row-at-a-time — the sorted-key early exit below can
-    // stop mid-page, and batch-observing the page up front would feed the
-    // monitors rows the serial semantics never evaluates.
-    while (row_idx_ < rows_in_page_) {
-      RowView row(file->RowInPage(guard_.data(),
-                                  static_cast<uint16_t>(row_idx_)),
-                  schema);
-      // Keys are sorted: past hi means the range (and the scan) is done.
-      if (row.GetInt64(static_cast<size_t>(cluster_col_)) > hi_) {
-        if (monitors_ != nullptr) monitors_->EndPage();
-        guard_.Release();
-        page_open_ = false;
-        done_ = true;
-        return false;
-      }
-      ++row_idx_;
-      ++cpu->rows_processed;
-      uint32_t leading = pushed_.EvalLeading(row, cpu);
-      if (monitors_ != nullptr) {
-        monitors_->OnRow(row, leading, cpu, ctx->filter_slots());
-      }
-      if (leading == num_atoms) {
-        MaterializeProjection(row, projection_, out);
-        return true;
-      }
-    }
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-    ++page_idx_;
-  }
-}
-
-Result<bool> ClusteredRangeScanOp::NextVectorized(ExecContext* ctx,
-                                                  Tuple* out) {
-  if (done_) return false;
-  const HeapFile* file = table_->file();
-  const Schema* schema = &table_->schema();
-  CpuStats* cpu = ctx->cpu();
-  const size_t key_offset = schema->offset(static_cast<size_t>(cluster_col_));
-  while (true) {
-    if (!page_open_) {
-      if (page_idx_ >= file->page_count()) {
-        done_ = true;
-        return false;
-      }
-      auto guard = ctx->pool()->Fetch(PageId{file->segment(), page_idx_});
-      if (!guard.ok()) return guard.status();
-      guard_ = std::move(guard).value();
-      rows_in_page_ = HeapFile::PageRowCount(guard_.data());
-      page_open_ = true;
-      if (monitors_ != nullptr) monitors_->BeginPage(cpu, page_idx_);
-      // Leaf-run adapter: a clustered data page *is* a key-ordered run of
-      // the clustering leaf level, so binding the RowBlock truncated at
-      // the first key past hi turns the sorted-key early exit into a
-      // batch-size decision. The cutoff probe is uncharged, exactly like
-      // the row path's key peek, and rows at/after the cutoff are never
-      // evaluated or observed — same as the serial semantics.
-      const char* rows = HeapFile::PageRows(guard_.data());
-      const uint32_t run = simd_->int64_leading_le(
-          rows, block_.row_stride(), key_offset, hi_, rows_in_page_);
-      truncated_ = run < rows_in_page_;
-      block_.Reset(rows, run);
-      sel_.resize(run);
-      cpu->rows_processed += run;
-      uint32_t* leading_out = nullptr;
-      if (monitors_ != nullptr) {
-        leading_.resize(run);
-        leading_out = leading_.data();
-      }
-      sel_count_ = kernel_.EvalBatch(&block_, cpu, sel_.data(), leading_out);
-      sel_pos_ = 0;
-      if (monitors_ != nullptr) {
-        monitors_->ObserveBatch(&block_, leading_out, cpu,
-                                ctx->filter_slots());
-      }
-      if (batch_rows_hist_ != nullptr) {
-        batch_rows_hist_->Observe(static_cast<double>(run));
-      }
-    }
-    if (sel_pos_ < sel_count_) {
-      RowView row(block_.row(sel_[sel_pos_]), schema);
-      ++sel_pos_;
-      MaterializeProjection(row, projection_, out);
-      return true;
-    }
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-    if (truncated_) {
-      // The run stopped at an out-of-range key: sorted order says no later
-      // page can hold in-range rows.
-      done_ = true;
-      return false;
-    }
-    ++page_idx_;
-  }
-}
-
-Status ClusteredRangeScanOp::CloseImpl(ExecContext* ctx) {
-  (void)ctx;
-  if (page_open_) {
-    if (monitors_ != nullptr) monitors_->EndPage();
-    guard_.Release();
-    page_open_ = false;
-  }
-  return Status::OK();
-}
-
-std::string ClusteredRangeScanOp::Describe() const {
-  return StrFormat("ClusteredRangeScan(%s, %s in [%lld,%lld], %s)",
-                   table_->name().c_str(),
-                   table_->schema().column(
-                       static_cast<size_t>(cluster_col_)).name.c_str(),
-                   static_cast<long long>(lo_), static_cast<long long>(hi_),
-                   pushed_.ToString(table_->schema()).c_str());
-}
-
-void ClusteredRangeScanOp::CollectOwnMonitorRecords(
     std::vector<MonitorRecord>* out) const {
   AppendScanMonitorRecords(*table_, monitors_.get(), out);
 }

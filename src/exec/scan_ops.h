@@ -1,11 +1,18 @@
-// Scan plans: heap / clustered-index scan, clustered range scan, and
-// covering-index scan. These are the storage-engine operators with the
-// grouped-page-access property (paper Fig 2), so their page-count monitoring
-// is exact (prefix expressions) or DPSample-based (everything else).
+// Scan plans: the heap scan (a full scan, or a key range of a clustered
+// table) and the covering-index scan. Heap scans are the storage-engine
+// operators with the grouped-page-access property (paper Fig 2), so their
+// page-count monitoring is exact (prefix expressions) or DPSample-based
+// (everything else).
+//
+// Every heap scan runs the same page step, HeapPageStep: the serial
+// TableScanOp (full or clustered range) and each morsel-parallel worker of
+// ParallelTableScanOp (exec/parallel_scan.h) fetch a page, Eval it, Observe
+// it, and emit its survivors. They differ only in when Observe runs.
 
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/dpsample.h"
 #include "exec/operator.h"
@@ -37,28 +44,99 @@ void AppendScanMonitorRecords(const Table& table,
                               const ScanMonitorBundle* monitors,
                               std::vector<MonitorRecord>* out);
 
-/// Full sequential scan of a heap or clustered table with a pushed-down,
+/// The one heap-scan page step (DESIGN.md section 12). Immutable after
+/// construction: every worker of a scan shares one step and brings its own
+/// Scratch.
+///
+/// Two equivalent evaluators, selected by `vectorized`:
+///  * batch (default): PredicateKernel::EvalBatch over a selection vector,
+///    and the monitors ingest the whole page via ObserveBatch;
+///  * row-at-a-time: EvalLeading and OnRow per row, the oracle the
+///    property sweeps compare the batch evaluator against.
+/// Both produce identical survivors, CpuStats charges and monitor feedback.
+class HeapPageStep {
+ public:
+  /// One worker's view of the page it is on.
+  struct Scratch {
+    explicit Scratch(const Schema* schema) : block(schema) {}
+    RowBlock block;                 // the rows Eval bound (after the cut)
+    std::vector<uint32_t> sel;      // survivors: sel[0..Eval's result)
+    std::vector<uint32_t> leading;  // leading-true atom count per row
+    bool cut = false;               // the page held a key past the cutoff
+    LogHistogram* batch_rows = nullptr;  // BatchRowsHistogram, may be null
+  };
+
+  /// `monitored`: Observe will be called, so the batch evaluator must keep
+  /// leading[]. `cutoff_hi`: the scan is a clustered range ending at this
+  /// clustering key, and each page is cut at its first key past it.
+  HeapPageStep(const Table& table, Predicate pushed, bool vectorized,
+               bool monitored,
+               std::optional<int64_t> cutoff_hi = std::nullopt);
+
+  const Predicate& pushed() const { return pushed_; }
+  bool vectorized() const { return vectorized_; }
+
+  /// The dpcf_scan_batch_rows histogram of `ctx`'s registry (rows per
+  /// batch, one batch per page); null without a registry or when the step
+  /// evaluates row-at-a-time.
+  LogHistogram* BatchRowsHistogram(const ExecContext& ctx) const;
+
+  /// Binds the pinned page image `page` to s->block, cut at the first
+  /// clustering key past the cutoff (the sorted-key early exit; the key
+  /// probe is uncharged), evaluates the pushed conjunction over the bound
+  /// rows and charges rows_processed. Returns the survivor count.
+  uint32_t Eval(const char* page, CpuStats* cpu, Scratch* s) const;
+
+  /// Feeds the rows Eval bound to `monitors` as page `page_no`:
+  /// BeginPage, ObserveBatch, EndPage. No-op for null `monitors`.
+  void Observe(PageNo page_no, ScanMonitorBundle* monitors, CpuStats* cpu,
+               const std::vector<const BitvectorFilter*>& filter_slots,
+               Scratch* s) const;
+
+ private:
+  const Schema* schema_;
+  Predicate pushed_;
+  PredicateKernel kernel_;
+  const SimdOps* simd_;  // for the cutoff probe, snapshotted like kernel_
+  std::optional<int64_t> cutoff_hi_;
+  size_t key_col_ = 0;   // the clustering column, when cut
+  bool vectorized_;
+  bool monitored_;
+};
+
+/// A key range [lo, hi] on a clustered table's clustering column.
+struct ClusteredRange {
+  Index* index = nullptr;  // the clustered-key index seeked for lo
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+
+/// Sequential scan of a heap or clustered table with a pushed-down,
 /// short-circuited conjunction and optional page-count monitoring.
 ///
-/// Two equivalent evaluation paths (DESIGN.md section 12):
-///  * vectorized (default): per page, a PredicateKernel evaluates the
-///    conjunction over a selection vector and the monitors ingest the whole
-///    page at once via ObserveBatch;
-///  * row-at-a-time (`vectorized = false`): the original EvalLeading/OnRow
-///    loop, kept as the oracle the property sweep compares against.
-/// Both produce identical tuples, CpuStats, and monitor feedback.
+/// With a `range` it is a clustered range scan: Open seeks the
+/// clustered-key index for the first data page holding a key >= lo, and
+/// the scan ends with the page whose keys pass hi. The pushed conjunction
+/// must include the range atoms (boundary pages carry out-of-range rows).
+///
+/// The scan is pipelined. It evaluates a page when it opens it, emits the
+/// survivors one Next() at a time, and observes the page when it leaves it
+/// (at the next fetch, or at Close for an abandoned scan). Observing on
+/// leave is what makes a merge join's partial bitvector exact: by then the
+/// join has consumed every outer key up to the page's last key.
 class TableScanOp : public Operator {
  public:
   TableScanOp(Table* table, Predicate pushed, std::vector<int> projection,
               std::unique_ptr<ScanMonitorBundle> monitors = nullptr,
-              bool vectorized = true);
+              bool vectorized = true,
+              std::optional<ClusteredRange> range = std::nullopt);
 
   std::string Describe() const override;
   void CollectOwnMonitorRecords(
       std::vector<MonitorRecord>* out) const override;
 
   const ScanMonitorBundle* monitors() const { return monitors_.get(); }
-  bool vectorized() const { return vectorized_; }
+  bool vectorized() const { return step_.vectorized(); }
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -66,98 +144,22 @@ class TableScanOp : public Operator {
   Status CloseImpl(ExecContext* ctx) override;
 
  private:
-  Result<bool> NextRowAtATime(ExecContext* ctx, Tuple* out);
-  Result<bool> NextVectorized(ExecContext* ctx, Tuple* out);
+  /// Observes the open page and unpins it.
+  void LeavePage(ExecContext* ctx);
 
   Table* table_;
-  Predicate pushed_;
   std::vector<int> projection_;
   std::unique_ptr<ScanMonitorBundle> monitors_;
-  bool vectorized_;
+  std::optional<ClusteredRange> range_;
+  const HeapPageStep step_;
+  HeapPageStep::Scratch scratch_;
 
   PageGuard guard_;
   PageNo page_idx_ = 0;
-  uint32_t row_idx_ = 0;
-  uint32_t rows_in_page_ = 0;
+  uint32_t sel_pos_ = 0;  // next survivor of the open page to emit
+  uint32_t sel_count_ = 0;
   bool page_open_ = false;
   bool done_ = false;
-
-  // Vectorized-path state: the compiled kernel, the per-page block view,
-  // and the current page's survivors (sel_[sel_pos_..sel_count_)).
-  PredicateKernel kernel_;
-  RowBlock block_;
-  std::vector<uint32_t> sel_;
-  std::vector<uint32_t> leading_;
-  uint32_t sel_pos_ = 0;
-  uint32_t sel_count_ = 0;
-  LogHistogram* batch_rows_hist_ = nullptr;  // resolved at Open, may be null
-};
-
-/// Range scan of a clustered table: seeks the clustered-key index for the
-/// first data page of [lo, hi] on the clustering column and scans data pages
-/// sequentially until the key range is exhausted. The pushed conjunction
-/// must include the range atoms (boundary pages carry out-of-range rows).
-///
-/// Like TableScanOp it has two equivalent paths. The vectorized one treats
-/// each data page as a key-ordered clustering-leaf run: the page's rows are
-/// bound to a RowBlock *truncated at the first out-of-range key* (found by
-/// the SIMD run-cutoff primitive, uncharged — the row path's key peek is
-/// uncharged too), then evaluated/observed as one batch. The sorted-key
-/// early exit therefore fires at the same row, and monitored feedback,
-/// DPSample draws, charges and tuples are bit-for-bit identical to the
-/// row-at-a-time oracle (tests/simd_dispatch_test.cc proves it).
-class ClusteredRangeScanOp : public Operator {
- public:
-  ClusteredRangeScanOp(Table* table, Index* cluster_index, int64_t lo,
-                       int64_t hi, Predicate pushed,
-                       std::vector<int> projection,
-                       std::unique_ptr<ScanMonitorBundle> monitors = nullptr,
-                       bool vectorized = true);
-
-  std::string Describe() const override;
-  void CollectOwnMonitorRecords(
-      std::vector<MonitorRecord>* out) const override;
-
-  bool vectorized() const { return vectorized_; }
-
- protected:
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Tuple* out) override;
-  Status CloseImpl(ExecContext* ctx) override;
-
- private:
-  Result<bool> NextRowAtATime(ExecContext* ctx, Tuple* out);
-  Result<bool> NextVectorized(ExecContext* ctx, Tuple* out);
-
-  Table* table_;
-  Index* cluster_index_;
-  int64_t lo_;
-  int64_t hi_;
-  int cluster_col_;
-  Predicate pushed_;
-  std::vector<int> projection_;
-  std::unique_ptr<ScanMonitorBundle> monitors_;
-  bool vectorized_;
-
-  PageGuard guard_;
-  PageNo page_idx_ = 0;
-  uint32_t row_idx_ = 0;
-  uint32_t rows_in_page_ = 0;
-  bool page_open_ = false;
-  bool done_ = false;
-
-  // Vectorized-path state (see TableScanOp): current page's leaf run bound
-  // to block_, survivors in sel_[sel_pos_..sel_count_). truncated_ means
-  // the run hit the range's upper bound and the scan ends with this page.
-  PredicateKernel kernel_;
-  const SimdOps* simd_;
-  RowBlock block_;
-  std::vector<uint32_t> sel_;
-  std::vector<uint32_t> leading_;
-  uint32_t sel_pos_ = 0;
-  uint32_t sel_count_ = 0;
-  bool truncated_ = false;
-  LogHistogram* batch_rows_hist_ = nullptr;  // resolved at Open, may be null
 };
 
 /// Scan of index leaf pages for queries whose referenced columns are all

@@ -194,28 +194,23 @@ Result<OperatorPtr> BuildAccessPathOp(
     const ParallelScanOptions& parallel) {
   Status st;
   switch (path.kind) {
-    case AccessKind::kTableScan: {
-      auto bundle = MakeBundle(path.full_pred, &path.table->schema(),
-                               scan_requests, sample_fraction, seed, &st);
-      DPCF_RETURN_IF_ERROR(st);
-      if (parallel.num_threads > 1) {
-        return OperatorPtr(std::make_unique<ParallelTableScanOp>(path.table, path.full_pred,
-                                                   projection,
-                                                   std::move(bundle),
-                                                   parallel));
-      }
-      return OperatorPtr(std::make_unique<TableScanOp>(
-          path.table, path.full_pred, projection, std::move(bundle),
-          parallel.vectorized));
-    }
+    case AccessKind::kTableScan:
     case AccessKind::kClusteredRange: {
       auto bundle = MakeBundle(path.full_pred, &path.table->schema(),
                                scan_requests, sample_fraction, seed, &st);
       DPCF_RETURN_IF_ERROR(st);
-      return OperatorPtr(std::make_unique<ClusteredRangeScanOp>(
-          path.table, path.ranges[0].index, path.cluster_lo, path.cluster_hi,
-          path.full_pred, projection, std::move(bundle),
-          parallel.vectorized));
+      std::optional<ClusteredRange> range;
+      if (path.kind == AccessKind::kClusteredRange) {
+        range = ClusteredRange{path.ranges[0].index, path.cluster_lo,
+                               path.cluster_hi};
+      } else if (parallel.num_threads > 1) {
+        return OperatorPtr(std::make_unique<ParallelTableScanOp>(
+            path.table, path.full_pred, projection, std::move(bundle),
+            parallel));
+      }
+      return OperatorPtr(std::make_unique<TableScanOp>(
+          path.table, path.full_pred, projection, std::move(bundle),
+          parallel.vectorized, range));
     }
     case AccessKind::kIndexSeek: {
       const IndexRange& r = path.ranges[0];

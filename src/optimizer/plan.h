@@ -162,15 +162,18 @@ struct PlanMonitorHooks {
   /// Readahead window for the parallel scan (see
   /// ParallelScanOptions::prefetch_pages). 0 disables readahead.
   uint32_t prefetch_pages = 0;
-  /// Vectorized predicate kernels for kTableScan lowering (serial and
-  /// parallel); off = the row-at-a-time oracle path.
+  /// Vectorized predicate kernels for every heap scan (kTableScan serial
+  /// and parallel, kClusteredRange); off = the page step's row-at-a-time
+  /// oracle.
   bool vectorized_scan = true;
 };
 
 /// Lowers an access-path descriptor to an operator tree over `table`.
 /// `projection` lists emitted columns; scan monitors come from `requests`.
-/// `parallel.num_threads > 1` lowers kTableScan to a morsel-parallel scan;
-/// all other access kinds ignore it.
+/// kTableScan and kClusteredRange both lower to TableScanOp (the latter
+/// with a ClusteredRange). `parallel.num_threads > 1` lowers kTableScan to
+/// a morsel-parallel scan; `parallel.vectorized` applies to both heap
+/// scans, and the index access kinds ignore `parallel`.
 Result<OperatorPtr> BuildAccessPathOp(
     const AccessPathPlan& path, const std::vector<int>& projection,
     const std::vector<ScanExprRequest>& scan_requests,

@@ -2,6 +2,9 @@
 // operator reuse, tiny buffer pools, determinism, and SQL-to-result
 // end-to-end checks against brute force.
 
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/feedback_driver.h"
@@ -17,7 +20,24 @@ namespace {
 
 using dpcf::testing::SyntheticDbTest;
 
-class ExecEdgeTest : public SyntheticDbTest {};
+// The two heap-scan modes: a full scan, and a clustered range over keys
+// [1, 25] (it ends inside the first page, so the scan stops at a cut page).
+// Range scans carry their range atoms in the pushed conjunction.
+class ExecEdgeTest : public SyntheticDbTest {
+ protected:
+  std::vector<std::optional<ClusteredRange>> Modes() const {
+    return {std::nullopt, ClusteredRange{db_->GetIndex("T_c1"), 1, 25}};
+  }
+
+  static Predicate WithRange(Predicate pred,
+                             const std::optional<ClusteredRange>& range) {
+    if (range.has_value()) {
+      pred.Add(PredicateAtom::Int64(kC1, CmpOp::kGe, range->lo));
+      pred.Add(PredicateAtom::Int64(kC1, CmpOp::kLe, range->hi));
+    }
+    return pred;
+  }
+};
 
 TEST_F(ExecEdgeTest, EmptyTableScansCleanly) {
   Schema schema({Column::Int64("x")});
@@ -53,13 +73,52 @@ TEST_F(ExecEdgeTest, EmptyTableWithMonitorsReportsZeroDpc) {
 }
 
 TEST_F(ExecEdgeTest, OperatorsAreReusableAfterClose) {
-  Predicate pred({PredicateAtom::Int64(kC2, CmpOp::kLt, 50)});
-  TableScanOp scan(t_, pred, {kC1});
-  ExecContext ctx(db_->buffer_pool());
-  ASSERT_OK_AND_ASSIGN(RunResult first, ExecutePlan(&scan, &ctx));
-  ASSERT_OK_AND_ASSIGN(RunResult second, ExecutePlan(&scan, &ctx));
-  EXPECT_EQ(first.output.size(), second.output.size());
-  EXPECT_EQ(first.output.size(), 49u);
+  const Predicate pred({PredicateAtom::Int64(kC2, CmpOp::kLt, 50)});
+  for (const std::optional<ClusteredRange>& range : Modes()) {
+    SCOPED_TRACE(range.has_value() ? "clustered range" : "full scan");
+    TableScanOp scan(t_, WithRange(pred, range), {kC1}, nullptr, true,
+                     range);
+    ExecContext ctx(db_->buffer_pool());
+    ASSERT_OK_AND_ASSIGN(RunResult first, ExecutePlan(&scan, &ctx));
+    ASSERT_OK_AND_ASSIGN(RunResult second, ExecutePlan(&scan, &ctx));
+    EXPECT_EQ(first.output.size(), second.output.size());
+    EXPECT_EQ(first.output.size(), range.has_value() ? 25u : 49u);
+  }
+}
+
+TEST_F(ExecEdgeTest, AbandonedScanObservesItsOpenPageOnce) {
+  // A consumer that stops after one row (a LIMIT 1) closes the scan with
+  // its first page still open: Close must observe that page exactly once
+  // and leave no page open in the bundle.
+  const Predicate pred({PredicateAtom::Int64(kC2, CmpOp::kGt, 0)});
+  for (const std::optional<ClusteredRange>& range : Modes()) {
+    for (bool vectorized : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (range.has_value() ? "clustered range" : "full scan")
+                   << (vectorized ? ", batch" : ", row oracle"));
+      const Predicate pushed = WithRange(pred, range);
+      auto bundle = std::make_unique<ScanMonitorBundle>(
+          pushed, &t_->schema(), /*f=*/1.0, /*seed=*/1);
+      ScanExprRequest req;
+      req.label = "all";
+      req.expr = pushed;
+      ASSERT_OK(bundle->AddRequest(req));
+      TableScanOp scan(t_, pushed, {kC1}, std::move(bundle), vectorized,
+                       range);
+      ExecContext ctx(db_->buffer_pool());
+      ASSERT_OK(scan.Open(&ctx));
+      Tuple row;
+      ASSERT_OK_AND_ASSIGN(bool more, scan.Next(&ctx, &row));
+      ASSERT_TRUE(more);
+      ASSERT_OK(scan.Close(&ctx));
+
+      const std::vector<ScanExprResult> results = scan.monitors()->Finish();
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].pages_seen, 1);
+      // MergeFrom refuses a bundle with a page still open.
+      EXPECT_OK(scan.monitors()->Clone()->MergeFrom(*scan.monitors()));
+    }
+  }
 }
 
 TEST_F(ExecEdgeTest, SeekWithEmptyRangeYieldsNothing) {

@@ -87,8 +87,8 @@ TEST_F(ExecOpsTest, ClusteredRangeScanMatchesReference) {
   Predicate pred({PredicateAtom::Int64(kC1, CmpOp::kGe, 5000),
                   PredicateAtom::Int64(kC1, CmpOp::kLe, 5999),
                   PredicateAtom::Int64(kC5, CmpOp::kLt, 15'000)});
-  ClusteredRangeScanOp scan(t_, db_->GetIndex("T_c1"), 5000, 5999, pred,
-                            {kC1});
+  TableScanOp scan(t_, pred, {kC1}, nullptr, true,
+                   ClusteredRange{db_->GetIndex("T_c1"), 5000, 5999});
   EXPECT_EQ(Drain(&scan), Reference(pred));
 }
 
@@ -97,8 +97,8 @@ TEST_F(ExecOpsTest, ClusteredRangeScanTouchesOnlyRangePages) {
   ExecContext ctx(db_->buffer_pool());
   Predicate pred({PredicateAtom::Int64(kC1, CmpOp::kGe, 5000),
                   PredicateAtom::Int64(kC1, CmpOp::kLe, 5999)});
-  ClusteredRangeScanOp scan(t_, db_->GetIndex("T_c1"), 5000, 5999, pred,
-                            {});
+  TableScanOp scan(t_, pred, {}, nullptr, true,
+                   ClusteredRange{db_->GetIndex("T_c1"), 5000, 5999});
   auto result = ExecutePlan(&scan, &ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output.size(), 1000u);
@@ -108,8 +108,8 @@ TEST_F(ExecOpsTest, ClusteredRangeScanTouchesOnlyRangePages) {
 
 TEST_F(ExecOpsTest, ClusteredRangeScanEmptyRange) {
   Predicate pred({PredicateAtom::Int64(kC1, CmpOp::kGt, 100'000)});
-  ClusteredRangeScanOp scan(t_, db_->GetIndex("T_c1"), 100'001, INT64_MAX,
-                            pred, {kC1});
+  TableScanOp scan(t_, pred, {kC1}, nullptr, true,
+                   ClusteredRange{db_->GetIndex("T_c1"), 100'001, INT64_MAX});
   EXPECT_TRUE(Drain(&scan).empty());
 }
 

@@ -73,9 +73,15 @@ class MergeJoinMonitorTest : public ::testing::Test {
     return static_cast<double>(pages.size());
   }
 
+  struct MergeRun {
+    int64_t rows = -1;
+    double dpc = -1;          // the join record's DPC, -1 without one
+    double cardinality = -1;  // the join record's row count
+  };
+
   // Finds (or builds) the MergeJoin plan for q and runs it monitored with
-  // full-page sampling; returns (rows, measured join DPC or -1).
-  std::pair<int64_t, double> RunMergeMonitored(const JoinQuery& q) {
+  // full-page sampling, on the batch or the row-oracle scan evaluator.
+  MergeRun RunMergeMonitored(const JoinQuery& q, bool vectorized = true) {
     OptimizerHints hints;
     Optimizer opt(db_.get(), &stats_, &hints);
     auto plans = opt.EnumerateJoinPlans(q);
@@ -89,6 +95,7 @@ class MergeJoinMonitorTest : public ::testing::Test {
     MonitorOptions mopts;
     mopts.scan_sample_fraction = 1.0;  // exact page counting
     mopts.min_sampled_pages = 0;
+    mopts.vectorized_scan = vectorized;
     MonitorManager mm(db_.get(), mopts);
     EXPECT_OK(db_->ColdCache());
     ExecContext ctx(db_->buffer_pool());
@@ -99,16 +106,18 @@ class MergeJoinMonitorTest : public ::testing::Test {
     auto result = ExecutePlan(root->get(), &ctx);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
 
-    double dpc = -1;
+    MergeRun run;
+    if (!result->output.empty()) run.rows = result->output[0][0].AsInt64();
     std::string join_label =
         JoinPredKey(*q.outer_table, q.outer_col, *q.inner_table,
                     q.inner_col);
     for (const MonitorRecord& m : result->stats.monitors) {
-      if (m.label == join_label) dpc = m.actual_dpc;
+      if (m.label == join_label) {
+        run.dpc = m.actual_dpc;
+        run.cardinality = m.actual_cardinality;
+      }
     }
-    return {result->output.empty() ? -1
-                                   : result->output[0][0].AsInt64(),
-            dpc};
+    return run;
   }
 
   std::unique_ptr<Database> db_;
@@ -128,11 +137,20 @@ TEST_F(MergeJoinMonitorTest, PartialFilterCountsExactlyWhenBothClustered) {
   q.count_star = true;
   q.inner_count_col = kPadding;
 
-  auto [rows, dpc] = RunMergeMonitored(q);
-  EXPECT_EQ(rows, 1000);
-  ASSERT_GE(dpc, 0) << "partial-filter monitoring must be active";
-  // Matching inner rows are the first 1000 of T: ceil(1000/81) = 13 pages.
-  EXPECT_NEAR(dpc, ExactJoinDpc(q), 1.0);
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "batch scan" : "row-oracle scan");
+    const MergeRun run = RunMergeMonitored(q, vectorized);
+    EXPECT_EQ(run.rows, 1000);
+    ASSERT_GE(run.dpc, 0) << "partial-filter monitoring must be active";
+    // Matching inner rows are the first 1000 of T: ceil(1000/81) = 13
+    // pages.
+    EXPECT_NEAR(run.dpc, ExactJoinDpc(q), 1.0);
+    // f = 1 makes the record exact. Its row count reaches the join
+    // cardinality hint, so each inner page must be probed against a filter
+    // holding every outer key up to that page (observed when the scan
+    // leaves the page, not when it opens it).
+    EXPECT_EQ(run.cardinality, 1000);
+  }
 }
 
 TEST_F(MergeJoinMonitorTest, PrebuiltFilterWhenOuterSorts) {
@@ -159,10 +177,10 @@ TEST_F(MergeJoinMonitorTest, PrebuiltFilterWhenOuterSorts) {
   EXPECT_TRUE(merge->sort_outer);
   EXPECT_FALSE(merge->sort_inner);
 
-  auto [rows, dpc] = RunMergeMonitored(q);
-  EXPECT_EQ(rows, 800) << "800 outer C5 values, each matching one T.C1";
-  ASSERT_GE(dpc, 0);
-  EXPECT_NEAR(dpc, ExactJoinDpc(q), 0.05 * ExactJoinDpc(q) + 2);
+  const MergeRun run = RunMergeMonitored(q);
+  EXPECT_EQ(run.rows, 800) << "800 outer C5 values, each matching one T.C1";
+  ASSERT_GE(run.dpc, 0);
+  EXPECT_NEAR(run.dpc, ExactJoinDpc(q), 0.05 * ExactJoinDpc(q) + 2);
 }
 
 TEST_F(MergeJoinMonitorTest, NoFilterWhenInnerSorts) {
@@ -177,9 +195,9 @@ TEST_F(MergeJoinMonitorTest, NoFilterWhenInnerSorts) {
   q.count_star = true;
   q.inner_count_col = kPadding;
 
-  auto [rows, dpc] = RunMergeMonitored(q);
-  EXPECT_EQ(rows, 500);
-  EXPECT_EQ(dpc, -1) << "no join DPC record expected";
+  const MergeRun run = RunMergeMonitored(q);
+  EXPECT_EQ(run.rows, 500);
+  EXPECT_EQ(run.dpc, -1) << "no join DPC record expected";
 }
 
 TEST_F(MergeJoinMonitorTest, PartialAndPrebuiltAgreeWithHashJoin) {
@@ -194,7 +212,7 @@ TEST_F(MergeJoinMonitorTest, PartialAndPrebuiltAgreeWithHashJoin) {
   q.count_star = true;
   q.inner_count_col = kPadding;
 
-  auto [merge_rows, merge_dpc] = RunMergeMonitored(q);
+  const MergeRun merge = RunMergeMonitored(q);
 
   OptimizerHints hints;
   Optimizer opt(db_.get(), &stats_, &hints);
@@ -219,8 +237,8 @@ TEST_F(MergeJoinMonitorTest, PartialAndPrebuiltAgreeWithHashJoin) {
   for (const MonitorRecord& m : result.stats.monitors) {
     if (m.label == JoinPredKey(*t1_, kC1, *t_, kC1)) hash_dpc = m.actual_dpc;
   }
-  EXPECT_EQ(result.output[0][0].AsInt64(), merge_rows);
-  EXPECT_NEAR(hash_dpc, merge_dpc, 1.0);
+  EXPECT_EQ(result.output[0][0].AsInt64(), merge.rows);
+  EXPECT_NEAR(hash_dpc, merge.dpc, 1.0);
 }
 
 }  // namespace

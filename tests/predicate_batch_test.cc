@@ -1,7 +1,8 @@
 // Property sweep for the vectorized predicate path (DESIGN.md section 12):
 // the batch kernel and the batch-fed monitors must be indistinguishable —
 // tuples, CpuStats charges, and monitor feedback bit for bit — from the
-// row-at-a-time oracle they replace.
+// row-at-a-time oracle. Both are the two evaluators of one HeapPageStep
+// (exec/scan_ops.h), selected by the scan's `vectorized` flag.
 //
 //  * kernel level: EvalBatch vs Predicate::EvalLeading and EvalBatchDense
 //    vs Predicate::EvalNoShortCircuit over every page of the synthetic
@@ -10,6 +11,8 @@
 //  * scan level: TableScanOp(vectorized) vs TableScanOp(oracle) with
 //    prefix-exact, sampled (f < 1) and bitvector monitor requests;
 //  * parallel level: ParallelTableScanOp(vectorized) vs the serial oracle.
+//    Its 4-thread runs share one const step between workers that each own
+//    a Scratch, so the suite also runs under ThreadSanitizer.
 //
 // The engine has no SQL NULLs — rows are fixed-width and every column is
 // populated — so the "NULL handling" corner of the sweep is covered by its

@@ -6,10 +6,10 @@
 //    EvalBatchDense pass bitmaps, and predicate_atom_evals charges;
 //  * scan level: monitored TableScanOp feedback (prefix-exact, sampled
 //    DPSample draws, bitvector) under each ISA vs the row-wise oracle;
-//  * clustered level: ClusteredRangeScanOp's batch path vs its
-//    row-at-a-time oracle, including the sorted-key early-exit boundary
-//    (range ends mid-page / at a page edge / past the table) and empty
-//    runs;
+//  * clustered level: TableScanOp over a ClusteredRange, the page step's
+//    batch evaluator under each ISA vs its row-at-a-time oracle, including
+//    the sorted-key early-exit boundary (range ends mid-page / at a page
+//    edge / past the table) and empty ranges;
 //  * leaf runs: BtreeIterator::NextRun vs per-entry Next().
 
 #include <memory>
@@ -337,9 +337,8 @@ class ClusteredBatchSweep : public SyntheticDbTest {
     pushed.Add(PredicateAtom::Int64(kC1, CmpOp::kGe, lo));
     pushed.Add(PredicateAtom::Int64(kC1, CmpOp::kLe, hi));
     for (const PredicateAtom& a : extra.atoms()) pushed.Add(a);
-    ClusteredRangeScanOp scan(t_, db_->GetIndex("T_c1"), lo, hi, pushed,
-                              {kC1, kC3}, MakeBundle(pushed, seed),
-                              vectorized);
+    TableScanOp scan(t_, pushed, {kC1, kC3}, MakeBundle(pushed, seed),
+                     vectorized, ClusteredRange{db_->GetIndex("T_c1"), lo, hi});
     EXPECT_EQ(scan.vectorized(), vectorized);
     auto run = ExecutePlan(&scan, &ctx);
     EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -373,11 +372,16 @@ TEST_F(ClusteredBatchSweep, BatchMatchesRowOracleIncludingEarlyExit) {
   Predicate extra({PredicateAtom::Int64(kC3, CmpOp::kGt, n / 4)});
   for (const Range& r : ranges) {
     const uint64_t seed = static_cast<uint64_t>(r.lo * 31 + r.hi) + 5;
-    RunResult row = RunClustered(r.lo, r.hi, extra, seed, false);
-    RunResult batch = RunClustered(r.lo, r.hi, extra, seed, true);
     SCOPED_TRACE(::testing::Message() << "range [" << r.lo << "," << r.hi
                                       << "]");
-    ExpectRunsIdentical(batch, row, "clustered");
+    // The row oracle peeks each key in scalar code; the batch cutoff runs
+    // on the pinned ISA's int64_leading_le.
+    RunResult row = RunClustered(r.lo, r.hi, extra, seed, false);
+    for (SimdIsa isa : AvailableSimdIsas()) {
+      ScopedSimd pin(isa);
+      RunResult batch = RunClustered(r.lo, r.hi, extra, seed, true);
+      ExpectRunsIdentical(batch, row, SimdIsaName(isa));
+    }
   }
 }
 
@@ -391,16 +395,16 @@ TEST_F(ClusteredBatchSweep, BatchIdenticalAcrossIsasAndRecordsHistogram) {
     ExpectRunsIdentical(batch, oracle, SimdIsaName(isa));
   }
 
-  // Satellite: the clustered batch path must feed dpcf_scan_batch_rows
-  // (it recorded nothing before the batch path existed).
+  // A clustered range scan feeds dpcf_scan_batch_rows like every batch
+  // scan: one sample per (cut) page.
   MetricsRegistry registry;
   ExecContext ctx(db_->buffer_pool());
   ctx.set_metrics(&registry);
   Predicate pushed;
   pushed.Add(PredicateAtom::Int64(kC1, CmpOp::kGe, 1));
   pushed.Add(PredicateAtom::Int64(kC1, CmpOp::kLe, n / 2));
-  ClusteredRangeScanOp scan(t_, db_->GetIndex("T_c1"), 1, n / 2, pushed,
-                            {kC1}, nullptr, /*vectorized=*/true);
+  TableScanOp scan(t_, pushed, {kC1}, nullptr, /*vectorized=*/true,
+                   ClusteredRange{db_->GetIndex("T_c1"), 1, n / 2});
   ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
   EXPECT_GT(run.output.size(), 0u);
   LogHistogram* hist = registry.GetHistogram(

@@ -149,6 +149,8 @@ def check_naming(types):
             fail(f"metric '{name}' is not snake_case")
         elif kind == "counter" and not base.endswith("_total"):
             fail(f"counter '{name}' must end in _total")
+        elif kind == "gauge" and base.endswith("_info"):
+            continue  # info metric: a constant gauge carrying a label
         elif kind in ("gauge", "histogram") and not base.endswith(
                 UNIT_SUFFIXES):
             fail(f"{kind} '{name}' must end in a unit suffix")
