@@ -38,9 +38,7 @@ void BM_LinearCounterAdd(benchmark::State& state) {
 BENCHMARK(BM_LinearCounterAdd)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_BitvectorProbe(benchmark::State& state) {
-  BitvectorFilter filter(1 << 20, 0,
-                         state.range(0) ? BitvectorMode::kHashed
-                                        : BitvectorMode::kDirect);
+  BitvectorFilter filter(1 << 20);
   for (int64_t k = 0; k < 10'000; ++k) filter.AddKey(k * 3);
   int64_t probe = 0;
   bool acc = false;
@@ -49,7 +47,7 @@ void BM_BitvectorProbe(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(acc);
 }
-BENCHMARK(BM_BitvectorProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_BitvectorProbe);
 
 class ScanFixture : public benchmark::Fixture {
  public:

@@ -5,12 +5,9 @@
 
 namespace dpcf {
 
-BitvectorFilter::BitvectorFilter(uint32_t numbits, uint64_t seed,
-                                 BitvectorMode mode, int64_t base)
-    : seed_(seed), mode_(mode), base_(base) {
-  numbits_ = std::max<uint32_t>(64, (numbits + 63) & ~63u);
-  words_.assign(numbits_ / 64, 0);
-}
+BitvectorFilter::BitvectorFilter(uint32_t numbits)
+    : numbits_(std::max<uint32_t>(64, (numbits + 63) & ~63u)),
+      words_(numbits_ / 64, 0) {}
 
 uint32_t BitvectorFilter::BitsSet() const {
   uint32_t n = 0;

@@ -1,45 +1,35 @@
 // Bit vector filters for join page counting (paper Section IV, Fig 5).
 //
 // During the build phase of a Hash Join (or while consuming the outer of a
-// Merge Join), the join-column value of every outer row is hashed into this
-// bitmap. The probe-side table scan then uses MayContain() as a *derived
-// semi-join predicate*: a probe row whose bit is set belongs to a page that
-// an Index-Nested-Loops join would have fetched. With at least as many bits
-// as outer distinct values the page count is exact; with fewer bits,
-// collisions can only overestimate (no false negatives).
+// Merge Join), the join-column value of every outer row sets its bit in
+// this bitmap. The probe-side table scan then uses MayContain() as a
+// *derived semi-join predicate*: a probe row whose bit is set belongs to a
+// page that an Index-Nested-Loops join would have fetched.
+//
+// Addressing is direct: key k sets bit k mod numbits. When the key domain
+// has at most numbits values this is collision-free, which is exactly the
+// paper's exactness condition ("at least as many bits as distinct values
+// of the outer join column ⇒ no false positives"); with fewer bits the
+// modulo folds the domain, and collisions can only overestimate the page
+// count (no false negatives). There is no hashed mode: a hashed filter's
+// per-row false positives are amplified per page and ruin low page counts
+// (DESIGN.md section 7).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/hash.h"
-
 namespace dpcf {
-
-/// Bit addressing scheme.
-///
-/// kDirect maps a key to bit (key − base) mod numbits: when the key domain
-/// has at most `numbits` values this is collision-free, which is exactly
-/// the paper's exactness condition ("at least as many bits as distinct
-/// values of the outer join column ⇒ no false positives"); with fewer bits
-/// the modulo folds the domain and the page count can only be
-/// overestimated. kHashed uses a seeded 64-bit mix for sparse or unknown
-/// domains.
-enum class BitvectorMode : uint8_t { kDirect, kHashed };
 
 /// Single-probe membership bitmap over int64 join keys.
 class BitvectorFilter {
  public:
-  explicit BitvectorFilter(uint32_t numbits, uint64_t seed = 0,
-                           BitvectorMode mode = BitvectorMode::kDirect,
-                           int64_t base = 0);
+  explicit BitvectorFilter(uint32_t numbits);
 
   uint64_t BitFor(int64_t key) const {
-    if (mode_ == BitvectorMode::kDirect) {
-      return static_cast<uint64_t>(key - base_) % numbits_;
-    }
-    return Mix64Seeded(static_cast<uint64_t>(key), seed_) % numbits_;
+    return static_cast<uint64_t>(key) % numbits_;
   }
 
   void AddKey(int64_t key) {
@@ -53,7 +43,6 @@ class BitvectorFilter {
   }
 
   uint32_t numbits() const { return numbits_; }
-  BitvectorMode mode() const { return mode_; }
   uint32_t BitsSet() const;
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
   int64_t keys_added() const { return keys_added_; }
@@ -68,9 +57,6 @@ class BitvectorFilter {
 
  private:
   uint32_t numbits_;
-  uint64_t seed_;
-  BitvectorMode mode_;
-  int64_t base_;
   int64_t keys_added_ = 0;
   std::vector<uint64_t> words_;
 };

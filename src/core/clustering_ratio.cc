@@ -8,28 +8,14 @@ Result<ClusteringRatioResult> ComputeClusteringRatio(DiskManager* disk,
                                                      const Table& table,
                                                      const Predicate& pred) {
   ClusteringRatioResult r;
-  const HeapFile* file = table.file();
-  const Schema* schema = &table.schema();
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = disk->RawPage(PageId{file->segment(), p});
-    uint32_t n = HeapFile::PageRowCount(page);
-    bool page_hit = false;
-    for (uint16_t s = 0; s < n; ++s) {
-      RowView row(file->RowInPage(page, s), schema);
-      bool pass = true;
-      for (const PredicateAtom& a : pred.atoms()) {
-        if (!a.Eval(row)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        ++r.qualifying_rows;
-        page_hit = true;
-      }
-    }
-    if (page_hit) ++r.actual_pages;
-  }
+  PageNo last_hit = kInvalidPageNo;
+  table.file()->ForEachRawRow(disk, [&](PageNo p, uint16_t,
+                                        const RowView& row) {
+    if (!pred.Matches(row)) return;
+    ++r.qualifying_rows;
+    if (p != last_hit) ++r.actual_pages;  // pages arrive in order
+    last_hit = p;
+  });
   r.lower_bound =
       PageCountLowerBound(table.rows_per_page(), r.qualifying_rows);
   r.upper_bound = PageCountUpperBound(table.page_count(), r.qualifying_rows);

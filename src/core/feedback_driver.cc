@@ -23,23 +23,9 @@ FeedbackDriver::FeedbackDriver(Database* db, StatisticsCatalog* stats,
 int64_t ExactCardinality(DiskManager* disk, const Table& table,
                          const Predicate& pred) {
   int64_t count = 0;
-  const HeapFile* file = table.file();
-  const Schema* schema = &table.schema();
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = disk->RawPage(PageId{file->segment(), p});
-    uint32_t n = HeapFile::PageRowCount(page);
-    for (uint16_t s = 0; s < n; ++s) {
-      RowView row(file->RowInPage(page, s), schema);
-      bool pass = true;
-      for (const PredicateAtom& a : pred.atoms()) {
-        if (!a.Eval(row)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) ++count;
-    }
-  }
+  table.file()->ForEachRawRow(disk, [&](PageNo, uint16_t, const RowView& row) {
+    if (pred.Matches(row)) ++count;
+  });
   return count;
 }
 
@@ -48,50 +34,20 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
   ExactJoinCardinalities out;
   // Multiset of filtered outer keys.
   std::unordered_map<int64_t, int64_t> outer_keys;
-  {
-    const Table& t = *query.outer_table;
-    const HeapFile* file = t.file();
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = disk->RawPage(PageId{file->segment(), p});
-      uint32_t n = HeapFile::PageRowCount(page);
-      for (uint16_t s = 0; s < n; ++s) {
-        RowView row(file->RowInPage(page, s), &t.schema());
-        bool pass = true;
-        for (const PredicateAtom& a : query.outer_pred.atoms()) {
-          if (!a.Eval(row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) {
-          ++outer_keys[row.GetInt64(static_cast<size_t>(query.outer_col))];
-        }
-      }
-    }
-  }
-  {
-    const Table& t = *query.inner_table;
-    const HeapFile* file = t.file();
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = disk->RawPage(PageId{file->segment(), p});
-      uint32_t n = HeapFile::PageRowCount(page);
-      for (uint16_t s = 0; s < n; ++s) {
-        RowView row(file->RowInPage(page, s), &t.schema());
-        auto it = outer_keys.find(
-            row.GetInt64(static_cast<size_t>(query.inner_col)));
-        if (it == outer_keys.end()) continue;
+  const auto outer_col = static_cast<size_t>(query.outer_col);
+  query.outer_table->file()->ForEachRawRow(
+      disk, [&](PageNo, uint16_t, const RowView& row) {
+        if (!query.outer_pred.Matches(row)) return;
+        ++outer_keys[row.GetInt64(outer_col)];
+      });
+  const auto inner_col = static_cast<size_t>(query.inner_col);
+  query.inner_table->file()->ForEachRawRow(
+      disk, [&](PageNo, uint16_t, const RowView& row) {
+        auto it = outer_keys.find(row.GetInt64(inner_col));
+        if (it == outer_keys.end()) return;
         ++out.semi_join_rows;
-        bool pass = true;
-        for (const PredicateAtom& a : query.inner_pred.atoms()) {
-          if (!a.Eval(row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.join_rows += it->second;
-      }
-    }
-  }
+        if (query.inner_pred.Matches(row)) out.join_rows += it->second;
+      });
   return out;
 }
 
@@ -99,45 +55,41 @@ Status FeedbackDriver::InjectSelectionCardinalities(Table* table,
                                                     const Predicate& pred) {
   if (pred.empty()) return Status::OK();
   DiskManager* disk = db_->disk();
-  // Full conjunction…
-  hints_.SetCardinality(
-      SelPredKey(*table, pred),
-      static_cast<double>(ExactCardinality(disk, *table, pred)));
-  // …and the sargable expression of every index the optimizer could seek.
-  for (Index* index : db_->catalog().IndexesForTable(table)) {
-    if (auto range = BuildIndexRange(pred, index)) {
-      std::string key = SelPredKey(*table, range->sargable);
-      if (!hints_.Cardinality(key).has_value()) {
-        hints_.SetCardinality(
-            key, static_cast<double>(
-                     ExactCardinality(disk, *table, range->sargable)));
-      }
+  auto exact = [&](const Predicate& expr) {
+    return static_cast<double>(ExactCardinality(disk, *table, expr));
+  };
+  auto inject_once = [&](const Predicate& expr) {
+    std::string key = SelPredKey(*table, expr);
+    if (!hints_.Cardinality(key).has_value()) {
+      hints_.SetCardinality(key, exact(expr));
     }
-  }
-  // Pairwise sargable combinations (index intersections).
+  };
+  // Full conjunction…
+  hints_.SetCardinality(SelPredKey(*table, pred), exact(pred));
+  // …the sargable expression of every index the optimizer could seek…
   std::vector<Predicate> sargables;
   for (Index* index : db_->catalog().IndexesForTable(table)) {
-    if (index->is_clustered_key()) continue;
-    if (auto range = BuildIndexRange(pred, index)) {
-      sargables.push_back(range->sargable);
-    }
+    auto range = BuildIndexRange(pred, index);
+    if (!range.has_value()) continue;
+    inject_once(range->sargable);
+    if (!index->is_clustered_key()) sargables.push_back(range->sargable);
   }
+  // …and their pairwise combinations (index intersections).
   for (size_t i = 0; i < sargables.size(); ++i) {
     for (size_t j = i + 1; j < sargables.size(); ++j) {
       Predicate combined = sargables[i];
       for (const PredicateAtom& a : sargables[j].atoms()) combined.Add(a);
-      std::string key = SelPredKey(*table, combined);
-      if (!hints_.Cardinality(key).has_value()) {
-        hints_.SetCardinality(
-            key, static_cast<double>(
-                     ExactCardinality(disk, *table, combined)));
-      }
+      inject_once(combined);
     }
   }
   return Status::OK();
 }
 
-Status FeedbackDriver::InjectJoinCardinalities(const JoinQuery& query) {
+Status FeedbackDriver::InjectCardinalities(const SingleTableQuery& query) {
+  return InjectSelectionCardinalities(query.table, query.pred);
+}
+
+Status FeedbackDriver::InjectCardinalities(const JoinQuery& query) {
   DPCF_RETURN_IF_ERROR(
       InjectSelectionCardinalities(query.outer_table, query.outer_pred));
   DPCF_RETURN_IF_ERROR(
@@ -152,13 +104,6 @@ Status FeedbackDriver::InjectJoinCardinalities(const JoinQuery& query) {
 }
 
 namespace {
-void ExtractCount(const RunResult& result, int64_t* count_result) {
-  if (count_result == nullptr) return;
-  *count_result = result.output.empty() || result.output[0].empty()
-                      ? -1
-                      : result.output[0][0].AsInt64();
-}
-
 // Process-wide query-id sequence for trace-span tagging: concurrent
 // sessions (multiple drivers on one Database) must never share an id. Ids
 // only label trace output — feedback never reads them — so a process-global
@@ -173,36 +118,47 @@ void AttachObservability(ExecContext* ctx, Database* db,
   if (db->options().observability.metrics) ctx->set_metrics(db->metrics());
   ctx->set_journal(db->journal());
 }
-}  // namespace
 
-Result<RunStatistics> FeedbackDriver::ExecuteSingle(
-    const AccessPathPlan& path, const SingleTableQuery& query,
-    bool monitored, std::vector<MonitoredExpr>* entries,
-    int64_t* count_result) {
-  DPCF_RETURN_IF_ERROR(db_->ColdCache());
-  ExecContext ctx(db_->buffer_pool(), options_.exec_seed);
-  AttachObservability(&ctx, db_, options_);
-  PlanMonitorHooks hooks;
-  hooks.scan_sample_fraction = options_.monitor.scan_sample_fraction;
-  hooks.seed = options_.monitor.seed;
-  hooks.vectorized_scan = options_.monitor.vectorized_scan;
-  if (monitored) {
-    MonitorManager mm(db_, options_.monitor);
-    DPCF_ASSIGN_OR_RETURN(InstrumentedHooks ih,
-                          mm.ForSingleTable(path, query));
-    hooks = std::move(ih.hooks);
-    if (entries != nullptr) *entries = std::move(ih.entries);
-  }
-  DPCF_ASSIGN_OR_RETURN(OperatorPtr root,
-                        BuildSingleTableExec(path, query, hooks));
-  DPCF_ASSIGN_OR_RETURN(RunResult result,
-                        ExecutePlan(root.get(), &ctx, options_.cost_params));
-  ExtractCount(result, count_result);
-  return result.stats;
+// The loop's per-kind steps, one overload per query kind.
+Result<AccessPathPlan> Optimize(const Optimizer& opt,
+                                const SingleTableQuery& query) {
+  return opt.OptimizeSingleTable(query);
+}
+Result<JoinPlan> Optimize(const Optimizer& opt, const JoinQuery& query) {
+  return opt.OptimizeJoin(query);
 }
 
-Result<RunStatistics> FeedbackDriver::ExecuteJoin(
-    const JoinPlan& plan, const JoinQuery& query, bool monitored,
+Result<InstrumentedHooks> Instrument(const MonitorManager& mm,
+                                     const AccessPathPlan& path,
+                                     const SingleTableQuery& query,
+                                     ExecContext*) {
+  return mm.ForSingleTable(path, query);
+}
+Result<InstrumentedHooks> Instrument(const MonitorManager& mm,
+                                     const JoinPlan& plan,
+                                     const JoinQuery& query,
+                                     ExecContext* ctx) {
+  return mm.ForJoin(plan, query, ctx);
+}
+
+Result<OperatorPtr> Lower(const AccessPathPlan& path,
+                          const SingleTableQuery& query,
+                          const PlanMonitorHooks& hooks) {
+  return BuildSingleTableExec(path, query, hooks);
+}
+Result<OperatorPtr> Lower(const JoinPlan& plan, const JoinQuery& query,
+                          const PlanMonitorHooks& hooks) {
+  return BuildJoinExec(plan, query, hooks);
+}
+
+/// The join whose monitored expression AttachEstimates re-estimates.
+const JoinQuery* JoinOf(const SingleTableQuery&) { return nullptr; }
+const JoinQuery* JoinOf(const JoinQuery& query) { return &query; }
+}  // namespace
+
+template <typename Plan, typename Query>
+Result<RunStatistics> FeedbackDriver::Execute(
+    const Plan& plan, const Query& query,
     std::vector<MonitoredExpr>* entries, int64_t* count_result) {
   DPCF_RETURN_IF_ERROR(db_->ColdCache());
   ExecContext ctx(db_->buffer_pool(), options_.exec_seed);
@@ -211,18 +167,21 @@ Result<RunStatistics> FeedbackDriver::ExecuteJoin(
   hooks.scan_sample_fraction = options_.monitor.scan_sample_fraction;
   hooks.seed = options_.monitor.seed;
   hooks.vectorized_scan = options_.monitor.vectorized_scan;
-  if (monitored) {
+  if (entries != nullptr) {
     MonitorManager mm(db_, options_.monitor);
     DPCF_ASSIGN_OR_RETURN(InstrumentedHooks ih,
-                          mm.ForJoin(plan, query, &ctx));
+                          Instrument(mm, plan, query, &ctx));
     hooks = std::move(ih.hooks);
-    if (entries != nullptr) *entries = std::move(ih.entries);
+    *entries = std::move(ih.entries);
   }
-  DPCF_ASSIGN_OR_RETURN(OperatorPtr root,
-                        BuildJoinExec(plan, query, hooks));
+  DPCF_ASSIGN_OR_RETURN(OperatorPtr root, Lower(plan, query, hooks));
   DPCF_ASSIGN_OR_RETURN(RunResult result,
                         ExecutePlan(root.get(), &ctx, options_.cost_params));
-  ExtractCount(result, count_result);
+  if (count_result != nullptr) {
+    *count_result = result.output.empty() || result.output[0].empty()
+                        ? -1
+                        : result.output[0][0].AsInt64();
+  }
   return result.stats;
 }
 
@@ -277,27 +236,23 @@ void FeedbackDriver::LearnDpcHistograms(
   }
 }
 
-Result<FeedbackOutcome> FeedbackDriver::RunSingleTable(
-    const SingleTableQuery& query) {
+template <typename Query>
+Result<FeedbackOutcome> FeedbackDriver::Run(const Query& query) {
   FeedbackOutcome out;
   if (options_.inject_accurate_cardinalities) {
-    DPCF_RETURN_IF_ERROR(
-        InjectSelectionCardinalities(query.table, query.pred));
+    DPCF_RETURN_IF_ERROR(InjectCardinalities(query));
   }
   Optimizer opt(db_, stats_, &hints_, options_.cost_params,
                 options_.learn_dpc_histograms ? &dpc_histograms_ : nullptr);
 
-  DPCF_ASSIGN_OR_RETURN(AccessPathPlan before,
-                        opt.OptimizeSingleTable(query));
+  DPCF_ASSIGN_OR_RETURN(auto before, Optimize(opt, query));
   out.plan_before = before.Describe();
 
   DPCF_ASSIGN_OR_RETURN(out.baseline_run,
-                        ExecuteSingle(before, query, false, nullptr,
-                                      &out.count_result));
+                        Execute(before, query, nullptr, &out.count_result));
   std::vector<MonitoredExpr> entries;
-  DPCF_ASSIGN_OR_RETURN(out.monitored_run,
-                        ExecuteSingle(before, query, true, &entries));
-  AttachEstimates(opt, entries, nullptr, &out.monitored_run);
+  DPCF_ASSIGN_OR_RETURN(out.monitored_run, Execute(before, query, &entries));
+  AttachEstimates(opt, entries, JoinOf(query), &out.monitored_run);
   out.feedback = out.monitored_run.monitors;
   error_tracker_.RecordAll(out.feedback);
   out.reoptimization_advised = drift_monitor_.ObserveAll(out.feedback);
@@ -312,13 +267,11 @@ Result<FeedbackOutcome> FeedbackDriver::RunSingleTable(
     LearnDpcHistograms(entries, out.monitored_run);
   }
 
-  DPCF_ASSIGN_OR_RETURN(AccessPathPlan after,
-                        opt.OptimizeSingleTable(query));
+  DPCF_ASSIGN_OR_RETURN(auto after, Optimize(opt, query));
   out.plan_after = after.Describe();
   out.plan_changed = after.Signature() != before.Signature();
 
-  DPCF_ASSIGN_OR_RETURN(out.improved_run,
-                        ExecuteSingle(after, query, false, nullptr));
+  DPCF_ASSIGN_OR_RETURN(out.improved_run, Execute(after, query, nullptr));
 
   out.time_before_ms = out.baseline_run.simulated_ms;
   out.time_after_ms = out.improved_run.simulated_ms;
@@ -332,55 +285,13 @@ Result<FeedbackOutcome> FeedbackDriver::RunSingleTable(
   return out;
 }
 
+Result<FeedbackOutcome> FeedbackDriver::RunSingleTable(
+    const SingleTableQuery& query) {
+  return Run(query);
+}
+
 Result<FeedbackOutcome> FeedbackDriver::RunJoin(const JoinQuery& query) {
-  FeedbackOutcome out;
-  if (options_.inject_accurate_cardinalities) {
-    DPCF_RETURN_IF_ERROR(InjectJoinCardinalities(query));
-  }
-  Optimizer opt(db_, stats_, &hints_, options_.cost_params,
-                options_.learn_dpc_histograms ? &dpc_histograms_ : nullptr);
-
-  DPCF_ASSIGN_OR_RETURN(JoinPlan before, opt.OptimizeJoin(query));
-  out.plan_before = before.Describe();
-
-  DPCF_ASSIGN_OR_RETURN(out.baseline_run,
-                        ExecuteJoin(before, query, false, nullptr,
-                                    &out.count_result));
-  std::vector<MonitoredExpr> entries;
-  DPCF_ASSIGN_OR_RETURN(out.monitored_run,
-                        ExecuteJoin(before, query, true, &entries));
-  AttachEstimates(opt, entries, &query, &out.monitored_run);
-  out.feedback = out.monitored_run.monitors;
-  error_tracker_.RecordAll(out.feedback);
-  out.reoptimization_advised = drift_monitor_.ObserveAll(out.feedback);
-  if (out.monitored_run.profile != nullptr) {
-    out.annotated_plan = RenderAnnotatedPlan(
-        *out.monitored_run.profile, out.feedback, options_.cost_params);
-  }
-
-  store_.RecordRun(out.monitored_run);
-  store_.ApplyToHints(&hints_);
-  if (options_.learn_dpc_histograms) {
-    LearnDpcHistograms(entries, out.monitored_run);
-  }
-
-  DPCF_ASSIGN_OR_RETURN(JoinPlan after, opt.OptimizeJoin(query));
-  out.plan_after = after.Describe();
-  out.plan_changed = after.Signature() != before.Signature();
-
-  DPCF_ASSIGN_OR_RETURN(out.improved_run,
-                        ExecuteJoin(after, query, false, nullptr));
-
-  out.time_before_ms = out.baseline_run.simulated_ms;
-  out.time_after_ms = out.improved_run.simulated_ms;
-  if (out.time_before_ms > 0) {
-    out.speedup =
-        (out.time_before_ms - out.time_after_ms) / out.time_before_ms;
-    out.monitor_overhead =
-        (out.monitored_run.simulated_ms - out.time_before_ms) /
-        out.time_before_ms;
-  }
-  return out;
+  return Run(query);
 }
 
 }  // namespace dpcf

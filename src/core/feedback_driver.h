@@ -12,6 +12,12 @@
 //
 // Times are simulated milliseconds from the deterministic device model;
 // wall-clock times are recorded alongside for the overhead experiments.
+//
+// RunSingleTable and RunJoin are one loop: both call the same templated
+// body, and each step that differs by query kind (inject, optimize,
+// instrument, lower) is an overload pair. A change to the methodology is
+// made once. The exact oracles below walk the tables' raw page images
+// (HeapFile::ForEachRawRow): diagnostic-time work, charged to no run.
 
 #pragma once
 
@@ -122,18 +128,22 @@ class FeedbackDriver {
   const FeedbackRunOptions& options() const { return options_; }
 
  private:
-  Status InjectSelectionCardinalities(Table* table, const Predicate& pred);
-  Status InjectJoinCardinalities(const JoinQuery& query);
+  /// The methodology above, written once for both query kinds; the
+  /// per-kind steps are overloads in the .cc.
+  template <typename Query>
+  Result<FeedbackOutcome> Run(const Query& query);
 
-  Result<RunStatistics> ExecuteSingle(const AccessPathPlan& path,
-                                      const SingleTableQuery& query,
-                                      bool monitored,
-                                      std::vector<MonitoredExpr>* entries,
-                                      int64_t* count_result = nullptr);
-  Result<RunStatistics> ExecuteJoin(const JoinPlan& plan,
-                                    const JoinQuery& query, bool monitored,
-                                    std::vector<MonitoredExpr>* entries,
-                                    int64_t* count_result = nullptr);
+  /// Cold-cache run of `plan`. A non-null `entries` runs it monitored and
+  /// receives what the monitors measure.
+  template <typename Plan, typename Query>
+  Result<RunStatistics> Execute(const Plan& plan, const Query& query,
+                                std::vector<MonitoredExpr>* entries,
+                                int64_t* count_result = nullptr);
+
+  /// Step 1: exact cardinalities of every expression the optimizer costs.
+  Status InjectCardinalities(const SingleTableQuery& query);
+  Status InjectCardinalities(const JoinQuery& query);
+  Status InjectSelectionCardinalities(Table* table, const Predicate& pred);
 
   void AttachEstimates(const Optimizer& opt,
                        const std::vector<MonitoredExpr>& entries,

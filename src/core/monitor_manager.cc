@@ -38,6 +38,21 @@ double EffectiveFraction(const MonitorOptions& options, const Table& table) {
   }
   return std::min(1.0, f);
 }
+
+/// A monitor on a fetch stream (index plans, the INL join's inner). Only
+/// the mechanism is configurable; the benches never varied the sizes.
+FetchMonitorRequest FetchRequest(std::string label, bool residual_only,
+                                 const MonitorOptions& options,
+                                 uint64_t seed) {
+  FetchMonitorRequest req;
+  req.label = std::move(label);
+  req.passing_residual_only = residual_only;
+  req.mechanism = options.fetch_mechanism;
+  req.numbits = 1 << 14;
+  req.reservoir_capacity = 1 << 10;
+  req.seed = seed;
+  return req;
+}
 }  // namespace
 
 void MonitorManager::SelectionRequests(
@@ -80,7 +95,6 @@ Result<InstrumentedHooks> MonitorManager::ForSingleTable(
   out.hooks.morsel_pages = options_.morsel_pages;
   out.hooks.prefetch_pages = options_.prefetch_pages;
   out.hooks.vectorized_scan = options_.vectorized_scan;
-  if (!options_.enabled) return out;
 
   switch (path.kind) {
     case AccessKind::kTableScan:
@@ -98,30 +112,16 @@ Result<InstrumentedHooks> MonitorManager::ForSingleTable(
           seek_expr.Add(a);
         }
       }
-      FetchMonitorRequest seek_req;
-      seek_req.label = SelPredKey(*query.table, seek_expr);
-      seek_req.passing_residual_only = false;
-      seek_req.mechanism = options_.fetch_mechanism;
-      seek_req.numbits = options_.linear_counter_bits;
-      seek_req.reservoir_capacity = options_.reservoir_capacity;
-      seek_req.seed = options_.seed;
-      out.hooks.fetch_requests.push_back(seek_req);
-      out.entries.push_back(MonitoredExpr{seek_req.label, query.table,
-                                          seek_expr, false, -1, -1,
-                                          nullptr});
-      if (!path.residual.empty()) {
-        FetchMonitorRequest full_req;
-        full_req.label = SelPredKey(*query.table, query.pred);
-        full_req.passing_residual_only = true;
-        full_req.mechanism = options_.fetch_mechanism;
-        full_req.numbits = options_.linear_counter_bits;
-        full_req.reservoir_capacity = options_.reservoir_capacity;
-        full_req.seed = options_.seed + 1;
-        out.hooks.fetch_requests.push_back(full_req);
-        out.entries.push_back(MonitoredExpr{full_req.label, query.table,
-                                            query.pred, false, -1, -1,
-                                            nullptr});
-      }
+      auto add = [&](const Predicate& expr, bool residual_only,
+                     uint64_t seed) {
+        std::string label = SelPredKey(*query.table, expr);
+        out.entries.push_back(MonitoredExpr{label, query.table, expr, false,
+                                            -1, -1, nullptr});
+        out.hooks.fetch_requests.push_back(
+            FetchRequest(std::move(label), residual_only, options_, seed));
+      };
+      add(seek_expr, false, options_.seed);
+      if (!path.residual.empty()) add(query.pred, true, options_.seed + 1);
       break;
     }
     case AccessKind::kCoveringScan:
@@ -143,7 +143,6 @@ Result<InstrumentedHooks> MonitorManager::ForJoin(const JoinPlan& plan,
       EffectiveFraction(options_, *query.inner_table);
   out.hooks.seed = options_.seed;
   out.hooks.vectorized_scan = options_.vectorized_scan;
-  if (!options_.enabled) return out;
 
   const std::string join_label =
       JoinPredKey(*query.outer_table, query.outer_col, *query.inner_table,
@@ -164,18 +163,11 @@ Result<InstrumentedHooks> MonitorManager::ForJoin(const JoinPlan& plan,
   }
 
   switch (plan.method) {
-    case JoinMethod::kIndexNestedLoops: {
-      FetchMonitorRequest req;
-      req.label = join_label;
-      req.passing_residual_only = false;
-      req.mechanism = options_.fetch_mechanism;
-      req.numbits = options_.linear_counter_bits;
-      req.reservoir_capacity = options_.reservoir_capacity;
-      req.seed = options_.seed;
-      out.hooks.fetch_requests.push_back(req);
+    case JoinMethod::kIndexNestedLoops:
+      out.hooks.fetch_requests.push_back(
+          FetchRequest(join_label, false, options_, options_.seed));
       out.entries.push_back(join_entry);
       break;
-    }
     case JoinMethod::kHashJoin:
     case JoinMethod::kMergeJoin: {
       const bool scan_probe =
@@ -194,8 +186,6 @@ Result<InstrumentedHooks> MonitorManager::ForJoin(const JoinPlan& plan,
         BitvectorSpec spec;
         spec.slot = ctx->AllocateFilterSlot();
         spec.numbits = options_.bitvector_bits;
-        spec.seed = options_.seed;
-        spec.mode = options_.bitvector_mode;
         out.hooks.bitvector = spec;
         ScanExprRequest req;
         req.label = join_label;

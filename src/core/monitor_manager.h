@@ -11,6 +11,11 @@
 //    in the Fetch operator by linear counting;
 //  * for joins, DPC(inner, join-pred): linear counting when the plan is
 //    INL, bitvector filtering + DPSample when it is Hash or Merge.
+//
+// An unmonitored run lowers the plan with default hooks. Fetch-stream
+// monitors have fixed sizes (a 16K-bit linear counter, a 1K-slot
+// reservoir); MonitorOptions holds only what the driver and the benches
+// set.
 
 #pragma once
 
@@ -26,7 +31,6 @@
 namespace dpcf {
 
 struct MonitorOptions {
-  bool enabled = true;
   /// DPSample f for non-prefix scan expressions.
   double scan_sample_fraction = 0.01;
   /// Floor on expected sampled pages: on small tables the fraction is
@@ -38,13 +42,10 @@ struct MonitorOptions {
   /// bench_ablation_estimators).
   DistinctCountMechanism fetch_mechanism =
       DistinctCountMechanism::kLinearCounting;
-  uint32_t linear_counter_bits = 1 << 14;
-  uint32_t reservoir_capacity = 1 << 10;
+  /// Join bitvector size. Direct bit addressing is exact while the
+  /// join-key domain fits (paper's exactness condition); fewer bits fold
+  /// the domain and can only overestimate (bench_ablation_bitvector).
   uint32_t bitvector_bits = 1 << 20;
-  /// Direct bit addressing is exact while the join-key domain fits in
-  /// bitvector_bits (paper's exactness condition); kHashed for sparse
-  /// domains.
-  BitvectorMode bitvector_mode = BitvectorMode::kDirect;
   uint64_t seed = 0x5eed;
   /// Worker threads for full table scans (forwarded into
   /// PlanMonitorHooks::scan_threads; > 1 enables morsel parallelism on the

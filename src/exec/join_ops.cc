@@ -35,9 +35,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   // the probe side opens — the probe scan's monitor sees a complete filter.
   std::unique_ptr<BitvectorFilter> filter;
   if (filter_spec_.has_value()) {
-    filter = std::make_unique<BitvectorFilter>(
-        filter_spec_->numbits, filter_spec_->seed, filter_spec_->mode,
-        filter_spec_->base);
+    filter = std::make_unique<BitvectorFilter>(filter_spec_->numbits);
   }
   DPCF_RETURN_IF_ERROR(build_->Open(ctx));
   Tuple t;
@@ -122,9 +120,7 @@ Status MergeJoinOp::OpenImpl(ExecContext* ctx) {
     // The outer child is blocking (e.g. a Sort): its first GetNext already
     // implies full consumption of its input. Drain it here, building the
     // complete filter before the inner side produces anything.
-    auto filter = std::make_unique<BitvectorFilter>(
-        filter_spec_->numbits, filter_spec_->seed, filter_spec_->mode,
-        filter_spec_->base);
+    auto filter = std::make_unique<BitvectorFilter>(filter_spec_->numbits);
     Tuple t;
     while (true) {
       auto more = outer_->Next(ctx, &t);
@@ -142,10 +138,7 @@ Status MergeJoinOp::OpenImpl(ExecContext* ctx) {
     // Register an empty filter immediately; AdvanceOuter grows it.
     DPCF_RETURN_IF_ERROR(ctx->SetFilter(
         filter_spec_->slot,
-        std::make_unique<BitvectorFilter>(filter_spec_->numbits,
-                                          filter_spec_->seed,
-                                          filter_spec_->mode,
-                                          filter_spec_->base)));
+        std::make_unique<BitvectorFilter>(filter_spec_->numbits)));
   }
   DPCF_RETURN_IF_ERROR(inner_->Open(ctx));
 

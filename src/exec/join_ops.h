@@ -29,12 +29,8 @@ namespace dpcf {
 /// How a join publishes its bitvector filter for probe-side monitoring.
 struct BitvectorSpec {
   int slot = -1;  // ExecContext slot pre-allocated at plan build time
+  /// Exact while the join-key domain fits (paper Section IV).
   uint32_t numbits = 1 << 20;
-  uint64_t seed = 0;
-  /// Direct addressing is exact when the key domain fits in numbits
-  /// (paper Section IV); hashed handles sparse domains.
-  BitvectorMode mode = BitvectorMode::kDirect;
-  int64_t base = 0;
 };
 
 /// In-memory hash join; build side is drained at Open. Output tuples are

@@ -22,98 +22,75 @@ IoStats SnapshotIo(ExecContext* ctx) {
   return *ctx->pool()->disk()->io_stats();
 }
 
-}  // namespace
+// Runs `call` inside an "op" span named "<verb><Describe()>". The name is
+// formatted only while the collector is enabled, so a disabled one costs
+// one relaxed load.
+template <typename Call>
+auto Traced(ExecContext* ctx, const char* verb, const Operator& op,
+            Call&& call) {
+  TraceCollector* trace = ctx->trace();
+  if (trace == nullptr || !trace->enabled()) return call();
+  ScopedSpan span(trace, "op", verb + op.Describe());
+  return call();
+}
 
-Status Operator::Open(ExecContext* ctx) {
-  if (!ctx->profiling()) {
-    if (ctx->trace() != nullptr) {
-      ScopedSpan span(ctx->trace(), "op", "open " + Describe());
-      return OpenImpl(ctx);
-    }
-    return OpenImpl(ctx);
-  }
-  // Profiled path. A fresh Open starts a fresh profile — the same plan can
-  // be executed repeatedly (cold-cache methodology) without bleed-over.
-  profile_ = OpProfile{};
+// Runs `call`, adding its wall time to *wall_ms and its inclusive
+// IoStats/CpuStats/StallStats deltas to *profile. Workers (if any) are
+// joined inside the call, so the quiescent-point contract of cpu_stats()
+// holds at both snapshots.
+template <typename Call>
+auto Profiled(ExecContext* ctx, OpProfile* profile, double* wall_ms,
+              Call&& call) {
   const IoStats io_before = SnapshotIo(ctx);
   const CpuStats cpu_before = ctx->cpu_stats();
   const StallStats stall_before = ctx->stall_stats();
-  // Wall-time profiling timestamp (OpProfile::open_wall_ms), not feedback.
+  // Wall-time profiling timestamp (OpProfile::*_wall_ms), not feedback.
   // NOLINTNEXTLINE(dpcf-nondeterminism)
   const auto t0 = SteadyClock::now();
-  Status st;
-  {
-    ScopedSpan span(ctx->trace(), "op", "open " + Describe());
-    st = OpenImpl(ctx);
-  }
-  profile_.open_wall_ms += MsSince(t0);
+  auto result = call();
+  *wall_ms += MsSince(t0);
+  IoStats io_delta = SnapshotIo(ctx);
+  io_delta -= io_before;
+  profile->io += io_delta;
+  CpuStats cpu_delta = ctx->cpu_stats();
+  cpu_delta -= cpu_before;
+  profile->cpu += cpu_delta;
+  StallStats stall_delta = ctx->stall_stats();
+  stall_delta -= stall_before;
+  profile->stall += stall_delta;
+  return result;
+}
+
+}  // namespace
+
+Status Operator::Open(ExecContext* ctx) {
+  auto open = [&] {
+    return Traced(ctx, "open ", *this, [&] { return OpenImpl(ctx); });
+  };
+  if (!ctx->profiling()) return open();
+  // A fresh Open starts a fresh profile — the same plan can be executed
+  // repeatedly (cold-cache methodology) without bleed-over.
+  profile_ = OpProfile{};
   ++profile_.open_calls;
-  profile_.io = SnapshotIo(ctx);
-  profile_.io -= io_before;
-  // Workers (if any) were joined inside OpenImpl, so the quiescent-point
-  // contract of cpu_stats() holds here.
-  profile_.cpu = ctx->cpu_stats();
-  profile_.cpu -= cpu_before;
-  profile_.stall = ctx->stall_stats();
-  profile_.stall -= stall_before;
-  return st;
+  return Profiled(ctx, &profile_, &profile_.open_wall_ms, open);
 }
 
 Result<bool> Operator::Next(ExecContext* ctx, Tuple* out) {
   if (!ctx->profiling()) return NextImpl(ctx, out);
-  const IoStats io_before = SnapshotIo(ctx);
-  const CpuStats cpu_before = ctx->cpu_stats();
-  const StallStats stall_before = ctx->stall_stats();
-  // Wall-time profiling timestamp (OpProfile::next_wall_ms), not feedback.
-  // NOLINTNEXTLINE(dpcf-nondeterminism)
-  const auto t0 = SteadyClock::now();
-  Result<bool> more = NextImpl(ctx, out);
-  profile_.next_wall_ms += MsSince(t0);
   ++profile_.next_calls;
+  Result<bool> more = Profiled(ctx, &profile_, &profile_.next_wall_ms,
+                               [&] { return NextImpl(ctx, out); });
   if (more.ok() && *more) ++profile_.rows;
-  IoStats io_delta = SnapshotIo(ctx);
-  io_delta -= io_before;
-  profile_.io += io_delta;
-  CpuStats cpu_delta = ctx->cpu_stats();
-  cpu_delta -= cpu_before;
-  profile_.cpu += cpu_delta;
-  StallStats stall_delta = ctx->stall_stats();
-  stall_delta -= stall_before;
-  profile_.stall += stall_delta;
   return more;
 }
 
 Status Operator::Close(ExecContext* ctx) {
-  if (!ctx->profiling()) {
-    if (ctx->trace() != nullptr) {
-      ScopedSpan span(ctx->trace(), "op", "close " + Describe());
-      return CloseImpl(ctx);
-    }
-    return CloseImpl(ctx);
-  }
-  const IoStats io_before = SnapshotIo(ctx);
-  const CpuStats cpu_before = ctx->cpu_stats();
-  const StallStats stall_before = ctx->stall_stats();
-  // Wall-time profiling timestamp (OpProfile::close_wall_ms), not feedback.
-  // NOLINTNEXTLINE(dpcf-nondeterminism)
-  const auto t0 = SteadyClock::now();
-  Status st;
-  {
-    ScopedSpan span(ctx->trace(), "op", "close " + Describe());
-    st = CloseImpl(ctx);
-  }
-  profile_.close_wall_ms += MsSince(t0);
+  auto close = [&] {
+    return Traced(ctx, "close ", *this, [&] { return CloseImpl(ctx); });
+  };
+  if (!ctx->profiling()) return close();
   ++profile_.close_calls;
-  IoStats io_delta = SnapshotIo(ctx);
-  io_delta -= io_before;
-  profile_.io += io_delta;
-  CpuStats cpu_delta = ctx->cpu_stats();
-  cpu_delta -= cpu_before;
-  profile_.cpu += cpu_delta;
-  StallStats stall_delta = ctx->stall_stats();
-  stall_delta -= stall_before;
-  profile_.stall += stall_delta;
-  return st;
+  return Profiled(ctx, &profile_, &profile_.close_wall_ms, close);
 }
 
 void Operator::CollectMonitorRecords(std::vector<MonitorRecord>* out) const {

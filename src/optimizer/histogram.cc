@@ -16,15 +16,9 @@ Result<Histogram> Histogram::Build(DiskManager* disk, const Table& table,
   }
   std::vector<int64_t> values;
   values.reserve(static_cast<size_t>(table.row_count()));
-  const HeapFile* file = table.file();
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = disk->RawPage(PageId{file->segment(), p});
-    uint32_t n = HeapFile::PageRowCount(page);
-    for (uint16_t s = 0; s < n; ++s) {
-      RowView row(file->RowInPage(page, s), &table.schema());
-      values.push_back(row.GetInt64(static_cast<size_t>(col)));
-    }
-  }
+  table.file()->ForEachRawRow(disk, [&](PageNo, uint16_t, const RowView& row) {
+    values.push_back(row.GetInt64(static_cast<size_t>(col)));
+  });
   return FromValues(std::move(values), num_buckets);
 }
 

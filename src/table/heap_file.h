@@ -44,7 +44,8 @@ struct Rid {
 /// Fixed-width-row page store over one segment.
 ///
 /// Appends keep the tail page pinned until the file is Sealed; reads go
-/// through the buffer pool so physical I/O is charged to the run.
+/// through the buffer pool so physical I/O is charged to the run. Offline
+/// readers walk the raw page images with ForEachRawRow instead.
 class HeapFile {
  public:
   HeapFile(BufferPool* pool, SegmentId segment, const Schema* schema);
@@ -89,6 +90,22 @@ class HeapFile {
   }
 
   BufferPool* buffer_pool() const { return pool_; }
+
+  /// Calls fn(page_no, slot, row) for every row, in page then slot order,
+  /// reading page images straight off the disk: DiskManager::RawPage
+  /// bypasses the buffer pool and counts each page in
+  /// IoStats::raw_page_reads. The one raw walk behind every offline table
+  /// read: exact-cardinality oracles, statistics, index bulk builds.
+  template <typename Fn>
+  void ForEachRawRow(DiskManager* disk, Fn&& fn) const {
+    for (PageNo p = 0; p < page_count_; ++p) {
+      const char* page = disk->RawPage(PageId{segment_, p});
+      const uint32_t n = PageRowCount(page);
+      for (uint16_t s = 0; s < n; ++s) {
+        fn(p, s, RowView(RowInPage(page, s), schema_));
+      }
+    }
+  }
 
  private:
   BufferPool* pool_;

@@ -104,15 +104,9 @@ namespace {
 std::map<int64_t, int64_t> ColumnFrequencies(DiskManager* disk,
                                              const Table& t, int col) {
   std::map<int64_t, int64_t> freq;
-  const HeapFile* file = t.file();
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = disk->RawPage(PageId{file->segment(), p});
-    uint32_t rows = HeapFile::PageRowCount(page);
-    for (uint16_t s = 0; s < rows; ++s) {
-      RowView row(file->RowInPage(page, s), &t.schema());
-      ++freq[row.GetInt64(static_cast<size_t>(col))];
-    }
-  }
+  t.file()->ForEachRawRow(disk, [&](PageNo, uint16_t, const RowView& row) {
+    ++freq[row.GetInt64(static_cast<size_t>(col))];
+  });
   return freq;
 }
 }  // namespace

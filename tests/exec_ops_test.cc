@@ -24,21 +24,10 @@ class ExecOpsTest : public SyntheticDbTest {
   // Brute-force reference: ids (C1 values) of rows satisfying pred.
   std::vector<int64_t> Reference(const Predicate& pred) {
     std::vector<int64_t> out;
-    const HeapFile* file = t_->file();
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{file->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(file->RowInPage(page, s), &t_->schema());
-        bool pass = true;
-        for (const PredicateAtom& a : pred.atoms()) {
-          if (!a.Eval(row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.push_back(row.GetInt64(kC1));
-      }
-    }
+    t_->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+          if (pred.Matches(row)) out.push_back(row.GetInt64(kC1));
+        });
     std::sort(out.begin(), out.end());
     return out;
   }

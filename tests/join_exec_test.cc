@@ -144,27 +144,15 @@ TEST_F(JoinTest, InlJoinLinearCountingIsAccurate) {
   // Ground truth: distinct T pages holding a row whose C5 value appears
   // among the filtered T1 rows' C5 values — by brute-force raw walk.
   std::set<int64_t> keys;
-  {
-    const HeapFile* f1 = t1_->file();
-    for (PageNo p = 0; p < f1->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{f1->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(f1->RowInPage(page, s), &t1_->schema());
+  t1_->file()->ForEachRawRow(
+      db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
         if (row.GetInt64(kC1) < 2001) keys.insert(row.GetInt64(kC5));
-      }
-    }
-  }
+      });
   std::set<PageNo> pages;
-  {
-    const HeapFile* f = t_->file();
-    for (PageNo p = 0; p < f->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{f->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(f->RowInPage(page, s), &t_->schema());
+  t_->file()->ForEachRawRow(
+      db_->disk(), [&](PageNo p, uint16_t, const RowView& row) {
         if (keys.count(row.GetInt64(kC5)) != 0) pages.insert(p);
-      }
-    }
-  }
+      });
   const double truth = static_cast<double>(pages.size());
   bool found = false;
   for (const MonitorRecord& m : records) {

@@ -44,32 +44,19 @@ class MergeJoinMonitorTest : public ::testing::Test {
   // Exact DPC(T, join-pred) by brute force.
   double ExactJoinDpc(const JoinQuery& q) {
     std::set<int64_t> keys;
-    const HeapFile* f1 = q.outer_table->file();
-    for (PageNo p = 0; p < f1->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{f1->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(f1->RowInPage(page, s), &q.outer_table->schema());
-        bool pass = true;
-        for (const PredicateAtom& a : q.outer_pred.atoms()) {
-          pass = pass && a.Eval(row);
-        }
-        if (pass) {
-          keys.insert(row.GetInt64(static_cast<size_t>(q.outer_col)));
-        }
-      }
-    }
+    q.outer_table->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+          if (q.outer_pred.Matches(row)) {
+            keys.insert(row.GetInt64(static_cast<size_t>(q.outer_col)));
+          }
+        });
     std::set<PageNo> pages;
-    const HeapFile* f = q.inner_table->file();
-    for (PageNo p = 0; p < f->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{f->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(f->RowInPage(page, s), &q.inner_table->schema());
-        if (keys.count(
-                row.GetInt64(static_cast<size_t>(q.inner_col))) != 0) {
-          pages.insert(p);
-        }
-      }
-    }
+    q.inner_table->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo p, uint16_t, const RowView& row) {
+          if (keys.count(row.GetInt64(static_cast<size_t>(q.inner_col)))) {
+            pages.insert(p);
+          }
+        });
     return static_cast<double>(pages.size());
   }
 

@@ -234,6 +234,47 @@ TEST(TraceCollectorTest, CapDropsAndCounts) {
   EXPECT_EQ(trace.dropped_events(), 0u);
 }
 
+// An operator that counts how often its plan string is formatted.
+class DescribeCountingOp : public Operator {
+ public:
+  std::string Describe() const override {
+    ++describe_calls;
+    return "Counting";
+  }
+  mutable int describe_calls = 0;
+
+ protected:
+  Status OpenImpl(ExecContext*) override { return Status::OK(); }
+  Result<bool> NextImpl(ExecContext*, Tuple*) override { return false; }
+  Status CloseImpl(ExecContext*) override { return Status::OK(); }
+};
+
+TEST(TraceCollectorTest, OperatorSpansFormatNamesOnlyWhenEnabled) {
+  DatabaseOptions opts;
+  opts.buffer_pool_pages = 16;
+  Database db(opts);
+  TraceCollector trace(/*enabled=*/false);
+  ExecContext ctx(db.buffer_pool());
+  ctx.set_trace(&trace);
+  DescribeCountingOp op;
+  Tuple row;
+  ASSERT_OK(op.Open(&ctx));
+  ASSERT_OK_AND_ASSIGN(bool more, op.Next(&ctx, &row));
+  EXPECT_FALSE(more);
+  ASSERT_OK(op.Close(&ctx));
+  EXPECT_EQ(op.describe_calls, 0) << "a disabled collector formats nothing";
+  EXPECT_EQ(trace.event_count(), 0u);
+
+  trace.set_enabled(true);
+  ASSERT_OK(op.Open(&ctx));
+  ASSERT_OK(op.Close(&ctx));
+  EXPECT_EQ(op.describe_calls, 2);
+  EXPECT_EQ(trace.event_count(), 2u);
+  const std::string json = trace.ToJson();
+  EXPECT_NE(json.find("open Counting"), std::string::npos) << json;
+  EXPECT_NE(json.find("close Counting"), std::string::npos) << json;
+}
+
 // --------------------------------------------------- EstimationErrorTracker
 
 TEST(QErrorHistogramTest, ObserveAndQuantile) {

@@ -268,8 +268,8 @@ class VectorizedScanSweep : public SyntheticDbTest,
     EXPECT_TRUE(db_->ColdCache().ok());
     ExecContext ctx(db_->buffer_pool());
     const int slot = ctx.AllocateFilterSlot();
-    auto filter = std::make_unique<BitvectorFilter>(
-        1 << 12, /*seed=*/0, BitvectorMode::kHashed);
+    // The C2 domain fits the bits, so the filter passes one key in three.
+    auto filter = std::make_unique<BitvectorFilter>(1 << 15);
     for (int64_t k = 1; k <= t_->row_count(); k += 3) filter->AddKey(k);
     EXPECT_TRUE(ctx.SetFilter(slot, std::move(filter)).ok());
     TableScanOp scan(t_, pushed, {kC1, kC5, kPadding},

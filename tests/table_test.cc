@@ -176,17 +176,16 @@ TEST(TableBuilderTest, ClusteredTableIsSortedByKey) {
   const HeapFile* file = (*table)->file();
   int64_t prev = INT64_MIN;
   int64_t rows_seen = 0;
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = db.disk()->RawPage(PageId{file->segment(), p});
-    uint32_t n = HeapFile::PageRowCount(page);
-    for (uint16_t s = 0; s < n; ++s) {
-      RowView row(file->RowInPage(page, s), &(*table)->schema());
-      EXPECT_GE(row.GetInt64(0), prev);
-      prev = row.GetInt64(0);
-      ++rows_seen;
-    }
-  }
+  const int64_t raw_before = db.disk()->io_stats()->raw_page_reads;
+  file->ForEachRawRow(db.disk(), [&](PageNo, uint16_t, const RowView& row) {
+    EXPECT_GE(row.GetInt64(0), prev);
+    prev = row.GetInt64(0);
+    ++rows_seen;
+  });
   EXPECT_EQ(rows_seen, 500);
+  // The walk reads each page image once, through the counted RawPage.
+  EXPECT_EQ(db.disk()->io_stats()->raw_page_reads - raw_before,
+            static_cast<int64_t>(file->page_count()));
 }
 
 TEST(TableBuilderTest, HeapPreservesInsertionOrder) {

@@ -30,16 +30,12 @@ TEST_F(SyntheticWorkloadTest, SchemaAndShapeMatchThePaper) {
 }
 
 TEST_F(SyntheticWorkloadTest, ColumnsArePermutationsOfOneToN) {
-  const HeapFile* file = t_->file();
   for (int col : {kC1, kC2, kC3, kC4, kC5}) {
     std::set<int64_t> seen;
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = db_->disk()->RawPage(PageId{file->segment(), p});
-      for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-        RowView row(file->RowInPage(page, s), &t_->schema());
-        seen.insert(row.GetInt64(static_cast<size_t>(col)));
-      }
-    }
+    t_->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+          seen.insert(row.GetInt64(static_cast<size_t>(col)));
+        });
     EXPECT_EQ(seen.size(), 20'000u) << "col " << col;
     EXPECT_EQ(*seen.begin(), 1) << "col " << col;
     EXPECT_EQ(*seen.rbegin(), 20'000) << "col " << col;
@@ -237,14 +233,10 @@ TEST(TpchLikeTest, SuppKeyIsSkewed) {
   auto tables = BuildTpchLike(&db, opts);
   ASSERT_TRUE(tables.ok());
   std::map<int64_t, int64_t> freq;
-  const HeapFile* file = tables->lineitem->file();
-  for (PageNo p = 0; p < file->page_count(); ++p) {
-    const char* page = db.disk()->RawPage(PageId{file->segment(), p});
-    for (uint16_t s = 0; s < HeapFile::PageRowCount(page); ++s) {
-      RowView row(file->RowInPage(page, s), &tables->lineitem->schema());
-      ++freq[row.GetInt64(kLSuppKey)];
-    }
-  }
+  tables->lineitem->file()->ForEachRawRow(
+      db.disk(), [&](PageNo, uint16_t, const RowView& row) {
+        ++freq[row.GetInt64(kLSuppKey)];
+      });
   int64_t max_freq = 0, total = 0;
   for (auto& [v, c] : freq) {
     max_freq = std::max(max_freq, c);
