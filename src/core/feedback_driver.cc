@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "common/string_util.h"
+#include "exec/join_hash_table.h"
 #include "obs/op_profile.h"
 
 namespace dpcf {
@@ -32,21 +32,26 @@ int64_t ExactCardinality(DiskManager* disk, const Table& table,
 Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                                     const JoinQuery& query) {
   ExactJoinCardinalities out;
-  // Multiset of filtered outer keys.
-  std::unordered_map<int64_t, int64_t> outer_keys;
+  // Multiset of filtered outer keys: a key's run length is its count.
+  std::vector<int64_t> outer_keys;
   const auto outer_col = static_cast<size_t>(query.outer_col);
   query.outer_table->file()->ForEachRawRow(
       disk, [&](PageNo, uint16_t, const RowView& row) {
-        if (!query.outer_pred.Matches(row)) return;
-        ++outer_keys[row.GetInt64(outer_col)];
+        if (query.outer_pred.Matches(row)) {
+          outer_keys.push_back(row.GetInt64(outer_col));
+        }
       });
+  JoinHashTable table;
+  DPCF_RETURN_IF_ERROR(table.Build(outer_keys));
   const auto inner_col = static_cast<size_t>(query.inner_col);
   query.inner_table->file()->ForEachRawRow(
       disk, [&](PageNo, uint16_t, const RowView& row) {
-        auto it = outer_keys.find(row.GetInt64(inner_col));
-        if (it == outer_keys.end()) return;
+        const size_t matches = table.Find(row.GetInt64(inner_col)).size();
+        if (matches == 0) return;
         ++out.semi_join_rows;
-        if (query.inner_pred.Matches(row)) out.join_rows += it->second;
+        if (query.inner_pred.Matches(row)) {
+          out.join_rows += static_cast<int64_t>(matches);
+        }
       });
   return out;
 }

@@ -102,6 +102,11 @@ struct ExactJoinCardinalities {
   /// selection — the fetch stream of an INL join (paper Section IV).
   int64_t semi_join_rows = 0;
 };
+/// Both counts by raw table walk: the filtered outer keys go into one
+/// JoinHashTable (exec/join_hash_table.h), and each inner row adds its
+/// key's run length to join_rows when the inner predicate passes, and 1
+/// to semi_join_rows when the run is non-empty. Fails only if the outer
+/// side has more rows than a 32-bit row index holds.
 Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                                     const JoinQuery& query);
 

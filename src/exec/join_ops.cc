@@ -26,9 +26,9 @@ HashJoinOp::HashJoinOp(OperatorPtr build, int build_key_idx,
       filter_spec_(filter_spec) {}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
-  table_.clear();
-  bucket_ = nullptr;
-  bucket_pos_ = 0;
+  build_rows_.clear();
+  matches_ = {};
+  match_pos_ = 0;
 
   // Build phase: drain the build child. The bitvector filter is computed
   // here (one hash per build row) and registered with the context BEFORE
@@ -38,6 +38,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
     filter = std::make_unique<BitvectorFilter>(filter_spec_->numbits);
   }
   DPCF_RETURN_IF_ERROR(build_->Open(ctx));
+  std::vector<int64_t> keys;
   Tuple t;
   while (true) {
     auto more = build_->Next(ctx, &t);
@@ -49,9 +50,11 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       ++ctx->cpu()->monitor_hash_ops;
       filter->AddKeyCounted(key);
     }
-    table_[key].push_back(t);
+    keys.push_back(key);
+    build_rows_.push_back(std::move(t));
   }
   DPCF_RETURN_IF_ERROR(build_->Close(ctx));
+  DPCF_RETURN_IF_ERROR(table_.Build(keys));
   if (filter != nullptr) {
     DPCF_RETURN_IF_ERROR(ctx->SetFilter(filter_spec_->slot,
                                         std::move(filter)));
@@ -61,26 +64,24 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
 
 Result<bool> HashJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
   while (true) {
-    if (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-      *out = Concat(probe_tuple_, (*bucket_)[bucket_pos_++]);
+    if (match_pos_ < matches_.size()) {
+      *out = Concat(probe_tuple_, build_rows_[matches_[match_pos_++]]);
       return true;
     }
-    bucket_ = nullptr;
     auto more = probe_->Next(ctx, &probe_tuple_);
     if (!more.ok()) return more.status();
     if (!*more) return false;
     ++ctx->cpu()->hash_table_ops;
-    auto it = table_.find(
+    matches_ = table_.Find(
         probe_tuple_[static_cast<size_t>(probe_key_idx_)].AsInt64());
-    if (it != table_.end()) {
-      bucket_ = &it->second;
-      bucket_pos_ = 0;
-    }
+    match_pos_ = 0;
   }
 }
 
 Status HashJoinOp::CloseImpl(ExecContext* ctx) {
-  table_.clear();
+  matches_ = {};
+  build_rows_.clear();
+  table_ = {};
   return probe_->Close(ctx);
 }
 

@@ -8,7 +8,9 @@
 //  * Hash Join: the build phase materializes a BitvectorFilter over the
 //    outer join keys and registers it in an ExecContext slot; the
 //    probe-side *scan* then counts pages via the derived semi-join
-//    predicate (Fig 5) — PIDs never cross into the relational engine;
+//    predicate (Fig 5) — PIDs never cross into the relational engine.
+//    Its key lookups go through the flat JoinHashTable
+//    (exec/join_hash_table.h), the map the exact join oracle uses too;
 //  * Merge Join: same bitvector idea, prebuilt when the outer child is a
 //    blocking Sort, or grown incrementally ("partial bitvector") when both
 //    inputs arrive clustered on the join column.
@@ -17,10 +19,11 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 
 #include "core/pid_monitor.h"
 #include "exec/index_ops.h"
+#include "exec/join_hash_table.h"
 #include "exec/operator.h"
 #include "index/secondary_index.h"
 
@@ -33,8 +36,11 @@ struct BitvectorSpec {
   uint32_t numbits = 1 << 20;
 };
 
-/// In-memory hash join; build side is drained at Open. Output tuples are
-/// the probe tuple followed by the build tuple.
+/// In-memory hash join. Open drains the build side into a row vector and
+/// builds a JoinHashTable over its keys once. Output tuples are the probe
+/// tuple followed by the build tuple, in probe order and then the build
+/// side's order within a key. Charges one hash_table_ops per build row and
+/// per probe row.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, int build_key_idx, OperatorPtr probe,
@@ -56,10 +62,11 @@ class HashJoinOp : public Operator {
   int probe_key_idx_;
   std::optional<BitvectorSpec> filter_spec_;
 
-  std::unordered_map<int64_t, std::vector<Tuple>> table_;
+  std::vector<Tuple> build_rows_;
+  JoinHashTable table_;  // build key -> indexes into build_rows_
   Tuple probe_tuple_;
-  const std::vector<Tuple>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  std::span<const uint32_t> matches_;  // probe_tuple_'s build rows
+  size_t match_pos_ = 0;
 };
 
 enum class MergeBitvectorMode {

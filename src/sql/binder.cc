@@ -123,6 +123,18 @@ Result<BoundQuery> BindQuery(const Database& db, const ParsedQuery& parsed) {
   if (left.table == right.table) {
     return Status::NotSupported("join condition must reference both tables");
   }
+  // Every join operator, the join oracle and the bitvector monitor key on
+  // int64 values.
+  for (const ResolvedColumn* rc : {&left, &right}) {
+    const Column& col =
+        rc->table->schema().column(static_cast<size_t>(rc->col));
+    if (col.type != ValueType::kInt64) {
+      return Status::NotSupported(
+          StrFormat("join column %s.%s is %s; joins need INT64 keys",
+                    rc->table->name().c_str(), col.name.c_str(),
+                    ValueTypeName(col.type)));
+    }
+  }
   if (!parsed.count) {
     return Status::NotSupported("join queries must be COUNT aggregates");
   }

@@ -3,12 +3,20 @@
 // and accounting behaviour.
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <map>
+#include <optional>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "common/random.h"
 #include "exec/executor.h"
 #include "exec/index_ops.h"
+#include "exec/join_hash_table.h"
 #include "exec/join_ops.h"
 #include "exec/rel_ops.h"
 #include "exec/scan_ops.h"
@@ -45,6 +53,31 @@ class ExecOpsTest : public SyntheticDbTest {
   Predicate TwoAtomPred() {
     return Predicate({PredicateAtom::Int64(kC3, CmpOp::kLt, 4000),
                       PredicateAtom::Int64(kC5, CmpOp::kGe, 10'000)});
+  }
+
+  // A tiny heap table (k, id): row i holds (keys[i], i), so rows that
+  // share a join key stay distinguishable in join output.
+  Table* MakeKeyTable(const char* name, const std::vector<int64_t>& keys) {
+    Schema schema({Column::Int64("k"), Column::Int64("id")});
+    auto t = db_->CreateTable(name, schema, TableOrganization::kHeap);
+    EXPECT_TRUE(t.ok());
+    TableBuilder b(*t);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_OK(b.AddRow(
+          {Value::Int64(keys[i]), Value::Int64(static_cast<int64_t>(i))}));
+    }
+    EXPECT_OK(b.Finish());
+    return *t;
+  }
+
+  // Every row of `t`, all columns, in scan order.
+  std::vector<Tuple> RawRows(const Table& t) {
+    std::vector<Tuple> out;
+    t.file()->ForEachRawRow(db_->disk(),
+                            [&](PageNo, uint16_t, const RowView& row) {
+                              out.push_back(row.Materialize());
+                            });
+    return out;
   }
 };
 
@@ -272,18 +305,8 @@ TEST_F(ExecOpsTest, MergeJoinWithSortedInputsMatchesHash) {
 TEST_F(ExecOpsTest, MergeJoinHandlesDuplicateKeys) {
   // Build tiny heap tables with duplicate join keys: outer keys
   // {1,1,2,3}, inner keys {1,2,2,5} => 2*1 + 1*2 = 4 result rows.
-  Schema schema({Column::Int64("k")});
-  auto mk = [&](const char* name,
-                std::vector<int64_t> keys) -> Table* {
-    auto t = db_->CreateTable(name, schema, TableOrganization::kHeap);
-    EXPECT_TRUE(t.ok());
-    TableBuilder b(*t);
-    for (int64_t k : keys) EXPECT_OK(b.AddRow({Value::Int64(k)}));
-    EXPECT_OK(b.Finish());
-    return *t;
-  };
-  Table* lhs = mk("dupL", {1, 1, 2, 3});
-  Table* rhs = mk("dupR", {1, 2, 2, 5});
+  Table* lhs = MakeKeyTable("dupL", {1, 1, 2, 3});
+  Table* rhs = MakeKeyTable("dupR", {1, 2, 2, 5});
   auto outer = std::make_unique<TableScanOp>(lhs, Predicate(),
                                              std::vector<int>{0});
   auto inner = std::make_unique<TableScanOp>(rhs, Predicate(),
@@ -293,6 +316,138 @@ TEST_F(ExecOpsTest, MergeJoinHandlesDuplicateKeys) {
   auto result = ExecutePlan(&merge, &ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output.size(), 4u);
+}
+
+TEST_F(ExecOpsTest, HashJoinDuplicateKeysMatchNestedLoop) {
+  // The {1,1,2,3} x {1,2,2,5} tables above, as build and probe side. The
+  // output order is part of the contract: probe order, then the build
+  // side's insertion order within a key.
+  Table* build = MakeKeyTable("hjBuild", {1, 1, 2, 3});
+  Table* probe = MakeKeyTable("hjProbe", {1, 2, 2, 5});
+  const std::vector<Tuple> build_rows = RawRows(*build);
+  const std::vector<Tuple> probe_rows = RawRows(*probe);
+  std::vector<Tuple> expected;
+  for (const Tuple& p : probe_rows) {
+    for (const Tuple& b : build_rows) {
+      if (p[0].AsInt64() != b[0].AsInt64()) continue;
+      Tuple row = p;
+      row.insert(row.end(), b.begin(), b.end());
+      expected.push_back(std::move(row));
+    }
+  }
+  ASSERT_EQ(expected.size(), 4u);
+  const auto build_n = static_cast<int64_t>(build_rows.size());
+  const auto probe_n = static_cast<int64_t>(probe_rows.size());
+
+  for (bool with_filter : {false, true}) {
+    SCOPED_TRACE(with_filter ? "bitvector" : "no bitvector");
+    ExecContext ctx(db_->buffer_pool());
+    std::optional<BitvectorSpec> spec;
+    if (with_filter) spec = BitvectorSpec{ctx.AllocateFilterSlot(), 1 << 10};
+    HashJoinOp hash(
+        std::make_unique<TableScanOp>(build, Predicate(),
+                                      std::vector<int>{0, 1}),
+        0,
+        std::make_unique<TableScanOp>(probe, Predicate(),
+                                      std::vector<int>{0, 1}),
+        0, spec);
+    // Re-opening the same operator must rebuild the same table.
+    for (int run = 0; run < 2; ++run) {
+      ASSERT_OK_AND_ASSIGN(RunResult result, ExecutePlan(&hash, &ctx));
+      EXPECT_EQ(result.output, expected) << "run " << run;
+      // One table op per build row and per probe row, hit or miss.
+      EXPECT_EQ(result.stats.cpu.hash_table_ops, build_n + probe_n);
+      EXPECT_EQ(result.stats.cpu.monitor_hash_ops, with_filter ? build_n : 0);
+    }
+  }
+}
+
+// ------------------------------------------------------------ JoinHashTable
+
+// Checks `table` against a key -> row-indexes reference over `keys`, and
+// that every key in `absent` (not in `keys`) finds nothing.
+void ExpectMatchesReference(const JoinHashTable& table,
+                            const std::vector<int64_t>& keys,
+                            const std::vector<int64_t>& absent) {
+  std::map<int64_t, std::vector<uint32_t>> ref;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ref[keys[i]].push_back(static_cast<uint32_t>(i));
+  }
+  for (const auto& [key, rows] : ref) {
+    std::span<const uint32_t> found = table.Find(key);
+    EXPECT_EQ(std::vector<uint32_t>(found.begin(), found.end()), rows)
+        << "key " << key;
+  }
+  for (int64_t key : absent) {
+    ASSERT_EQ(ref.count(key), 0u) << "key " << key;
+    EXPECT_TRUE(table.Find(key).empty()) << "key " << key;
+  }
+  EXPECT_TRUE(std::has_single_bit(table.slot_count()));
+  EXPECT_GE(table.slot_count(), 2 * keys.size());
+}
+
+TEST(JoinHashTableTest, MatchesOrderedMapReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(2024);
+  for (size_t n : {0, 1, 17, 5000}) {
+    // A 50-value domain (heavy duplication), then the full int64 range
+    // with its edge values mixed in.
+    for (bool full_range : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << (full_range ? " full" : " dup"));
+      std::vector<int64_t> keys(n);
+      for (int64_t& k : keys) {
+        k = full_range ? static_cast<int64_t>(rng.Next())
+                       : rng.NextInt(0, 49);
+      }
+      const std::vector<int64_t> edges = {kMin, kMax, 0, -1};
+      if (full_range) {
+        for (size_t i = 0; i < n; i += 3) keys[i] = edges[i % edges.size()];
+      }
+      // Misses: the edge values and random keys, wherever not inserted.
+      std::vector<int64_t> candidates = {kMin, kMax, 0, -1, 50, -50};
+      for (int i = 0; i < 64; ++i) {
+        candidates.push_back(static_cast<int64_t>(rng.Next()));
+      }
+      std::vector<int64_t> absent;
+      for (int64_t k : candidates) {
+        if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
+          absent.push_back(k);
+        }
+      }
+      JoinHashTable table;
+      ASSERT_OK(table.Build(keys));
+      ExpectMatchesReference(table, keys, absent);
+    }
+  }
+}
+
+TEST(JoinHashTableTest, ProbeRunWrapsPastLastSlot) {
+  // Keys whose Mix64 home is the last slot fill it and wrap to slots
+  // 0, 1, ...: every key, and a miss homed there, must walk the wrap.
+  constexpr size_t kRows = 8;
+  JoinHashTable sizing;
+  ASSERT_OK(sizing.Build(std::vector<int64_t>(kRows)));
+  const size_t slots = sizing.slot_count();
+  const size_t last = slots - 1;
+  std::vector<int64_t> homed_last;
+  for (int64_t k = 0; homed_last.size() < 6; ++k) {
+    if ((Mix64(static_cast<uint64_t>(k)) & last) == last) {
+      homed_last.push_back(k);
+    }
+  }
+  // Five distinct keys, three repeated: the runs wrap and carry
+  // duplicates; homed_last[5] is the miss.
+  const std::vector<int64_t> keys = {homed_last[0], homed_last[1],
+                                     homed_last[2], homed_last[0],
+                                     homed_last[3], homed_last[4],
+                                     homed_last[2], homed_last[4]};
+  ASSERT_EQ(keys.size(), kRows);
+  JoinHashTable table;
+  ASSERT_OK(table.Build(keys));
+  ASSERT_EQ(table.slot_count(), slots);
+  ExpectMatchesReference(table, keys, {homed_last[5]});
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Feedback-layer tests: MonitorManager request selection, FeedbackStore,
 // RunStatistics XML output, ClusteringRatio, exact-cardinality helpers.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/clustering_ratio.h"
 #include "core/feedback_driver.h"
 #include "core/feedback_store.h"
@@ -300,6 +303,52 @@ TEST_F(ExactCardTest, JoinCardinalitiesOnPermutations) {
   EXPECT_EQ(filtered.semi_join_rows, 500);
   EXPECT_LT(filtered.join_rows, 500);
   EXPECT_GT(filtered.join_rows, 100);
+}
+
+TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
+  // Keys drawn from a 40-value domain repeat on both sides, so the oracle
+  // must count the filtered outer keys as a multiset.
+  Schema schema({Column::Int64("k"), Column::Int64("v")});
+  Rng rng(11);
+  auto make = [&](const char* name, int rows) -> Table* {
+    auto t = db_->CreateTable(name, schema, TableOrganization::kHeap);
+    EXPECT_TRUE(t.ok());
+    TableBuilder b(*t);
+    for (int i = 0; i < rows; ++i) {
+      EXPECT_OK(b.AddRow({Value::Int64(rng.NextInt(0, 39)), Value::Int64(i)}));
+    }
+    EXPECT_OK(b.Finish());
+    return *t;
+  };
+  JoinQuery q;
+  q.outer_table = make("dupOuter", 300);
+  q.outer_pred.Add(PredicateAtom::Int64(1, CmpOp::kLt, 200));
+  q.outer_col = 0;
+  q.inner_table = make("dupInner", 500);
+  q.inner_pred.Add(PredicateAtom::Int64(1, CmpOp::kGe, 100));
+  q.inner_col = 0;
+
+  // Brute-force nested loop over the raw rows.
+  std::vector<int64_t> outer_keys;
+  q.outer_table->file()->ForEachRawRow(
+      db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+        if (q.outer_pred.Matches(row)) outer_keys.push_back(row.GetInt64(0));
+      });
+  ExactJoinCardinalities expected;
+  q.inner_table->file()->ForEachRawRow(
+      db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+        const int64_t matches = std::count(
+            outer_keys.begin(), outer_keys.end(), row.GetInt64(0));
+        if (matches > 0) ++expected.semi_join_rows;
+        if (q.inner_pred.Matches(row)) expected.join_rows += matches;
+      });
+  // Multiplicity > 1 is what this test is about.
+  ASSERT_GT(expected.join_rows, expected.semi_join_rows);
+
+  ASSERT_OK_AND_ASSIGN(ExactJoinCardinalities exact,
+                       ExactJoinCardinality(db_->disk(), q));
+  EXPECT_EQ(exact.join_rows, expected.join_rows);
+  EXPECT_EQ(exact.semi_join_rows, expected.semi_join_rows);
 }
 
 // --------------------------------------------------------- FeedbackDriver

@@ -236,6 +236,34 @@ TEST_F(BinderTest, JoinConditionMustSpanBothTables) {
                    .ok());
 }
 
+TEST_F(BinderTest, JoinOnNonInt64ColumnsRejected) {
+  // Every join operator and the join oracle key on int64 values, so a join
+  // over a CHAR column would compare garbage keys: reject it at bind time.
+  Schema schema({Column::Int64("k"), Column::Char("name", 12)});
+  for (const char* name : {"A", "B"}) {
+    ASSERT_OK_AND_ASSIGN(
+        Table * t, db_->CreateTable(name, schema, TableOrganization::kHeap));
+    TableBuilder b(t);
+    int64_t k = 0;
+    for (const char* s : {"ann", "bob", "cat", "dan"}) {
+      ASSERT_OK(b.AddRow({Value::Int64(k++), Value::String(s)}));
+    }
+    ASSERT_OK(b.Finish());
+  }
+  SyntheticOptions s1;
+  s1.num_rows = 1000;
+  s1.seed = 99;
+  s1.build_indexes = false;
+  ASSERT_TRUE(BuildSyntheticTable(db_.get(), "T1", s1).ok());
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM A JOIN B ON A.name = B.name WHERE A.k < 100",
+        "SELECT COUNT(*) FROM T1 JOIN T ON T1.C2 = T.padding"}) {
+    EXPECT_EQ(BindSql(*db_, sql).status().code(), StatusCode::kNotSupported)
+        << sql;
+  }
+  EXPECT_TRUE(BindSql(*db_, "SELECT COUNT(*) FROM A JOIN B ON A.k = B.k").ok());
+}
+
 TEST_F(BinderTest, StringPredicateBindsWithColumnWidth) {
   ASSERT_OK_AND_ASSIGN(
       BoundQuery q,
