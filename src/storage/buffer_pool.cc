@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -86,13 +88,20 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
     auto shard = std::make_unique<Shard>(disk_);
     const size_t frames = base + (si < rem ? 1 : 0);
     MutexLock lock(&shard->mu);  // ctor-private; satisfies TSA, uncontended
+    // Every frame is fully written (demand read, readahead copy or
+    // NewPage's memset) before anything reads it, so the arena is left
+    // unwritten: a small working set keeps the rest of it non-resident.
+    shard->arena =
+        std::make_unique_for_overwrite<char[]>(frames * disk_->page_size());
     shard->frames.resize(frames);
     shard->free_frames.reserve(frames);
     for (size_t i = 0; i < frames; ++i) {
-      shard->frames[i].data = std::make_unique<char[]>(disk_->page_size());
-      shard->frames[i].lru_pos = shard->lru.end();
+      shard->frames[i].data = shard->arena.get() + i * disk_->page_size();
       shard->free_frames.push_back(static_cast<int32_t>(frames - 1 - i));
     }
+    const size_t slots = std::bit_ceil(2 * frames);
+    shard->slots.assign(slots, -1);
+    shard->slot_bits = std::countr_zero(slots);
     shards_.push_back(std::move(shard));
   }
 }
@@ -135,6 +144,85 @@ void BufferPool::AttachObservability(MetricsRegistry* registry,
   }
 }
 
+namespace {
+
+// Home slot of `pid` in a table of 2^bits slots: the hash's top bits, since
+// its low bits picked the shard and so are the same for every page in it.
+// bits >= 1 (a shard has at least one frame, so at least two slots).
+size_t HomeSlot(PageId pid, int bits) {
+  return static_cast<size_t>(static_cast<uint64_t>(PageIdHash{}(pid)) >>
+                             (64 - bits));
+}
+
+}  // namespace
+
+int32_t BufferPool::Shard::Find(PageId pid) const {
+  const size_t mask = slots.size() - 1;
+  for (size_t i = HomeSlot(pid, slot_bits);; i = (i + 1) & mask) {
+    const int32_t f = slots[i];
+    if (f < 0 || frames[static_cast<size_t>(f)].pid == pid) return f;
+  }
+}
+
+void BufferPool::Shard::Insert(int32_t f) {
+  const size_t mask = slots.size() - 1;
+  size_t i = HomeSlot(frames[static_cast<size_t>(f)].pid, slot_bits);
+  while (slots[i] >= 0) i = (i + 1) & mask;
+  slots[i] = f;
+  ++cached;
+}
+
+void BufferPool::Shard::Erase(PageId pid) {
+  const size_t mask = slots.size() - 1;
+  size_t hole = HomeSlot(pid, slot_bits);
+  for (;; hole = (hole + 1) & mask) {
+    assert(slots[hole] >= 0);  // `pid` is published, so its run reaches it
+    if (frames[static_cast<size_t>(slots[hole])].pid == pid) break;
+  }
+  // Backward shift: walk the rest of the probe run and move back into the
+  // hole every entry whose home slot does not lie in (hole, j] cyclically,
+  // i.e. every entry the hole would otherwise cut off from its home.
+  for (size_t j = (hole + 1) & mask; slots[j] >= 0; j = (j + 1) & mask) {
+    const size_t home =
+        HomeSlot(frames[static_cast<size_t>(slots[j])].pid, slot_bits);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots[hole] = slots[j];
+      hole = j;
+    }
+  }
+  slots[hole] = -1;
+  --cached;
+}
+
+void BufferPool::Shard::LruPushFront(int32_t f) {
+  Frame& fr = frames[static_cast<size_t>(f)];
+  fr.lru_prev = -1;
+  fr.lru_next = lru_head;
+  if (lru_head >= 0) {
+    frames[static_cast<size_t>(lru_head)].lru_prev = f;
+  } else {
+    lru_tail = f;
+  }
+  lru_head = f;
+  fr.in_lru = true;
+}
+
+void BufferPool::Shard::LruRemove(int32_t f) {
+  Frame& fr = frames[static_cast<size_t>(f)];
+  if (fr.lru_prev >= 0) {
+    frames[static_cast<size_t>(fr.lru_prev)].lru_next = fr.lru_next;
+  } else {
+    lru_head = fr.lru_next;
+  }
+  if (fr.lru_next >= 0) {
+    frames[static_cast<size_t>(fr.lru_next)].lru_prev = fr.lru_prev;
+  } else {
+    lru_tail = fr.lru_prev;
+  }
+  fr.lru_prev = fr.lru_next = -1;
+  fr.in_lru = false;
+}
+
 size_t BufferPool::shard_capacity(size_t s) const {
   MutexLock lock(&shards_[s]->mu);
   return shards_[s]->frames.size();
@@ -146,16 +234,15 @@ int32_t BufferPool::AcquireFrameLocked(Shard* s, Status* status) {
     s->free_frames.pop_back();
     return f;
   }
-  if (s->lru.empty()) {
+  if (s->lru_tail < 0) {
     *status = Status::ResourceExhausted(
         "all frames of the page's buffer-pool shard are pinned or loading");
     return -1;
   }
-  int32_t victim = s->lru.back();
-  s->lru.pop_back();
+  const int32_t victim = s->lru_tail;
+  s->LruRemove(victim);
   Frame& fr = s->frames[static_cast<size_t>(victim)];
-  fr.in_lru = false;
-  s->table.erase(fr.pid);
+  s->Erase(fr.pid);
   if (journal_ != nullptr) {
     journal_->Record(JournalEvent::kEviction, fr.pid.page_no,
                      fr.dirty ? 1 : 0);
@@ -163,7 +250,7 @@ int32_t BufferPool::AcquireFrameLocked(Shard* s, Status* status) {
   if (fr.dirty) {
     // Writeback stays under the shard latch: a concurrent miss of fr.pid
     // must not read the page from disk until these bytes have landed.
-    Status st = disk_->WritePage(fr.pid, fr.data.get());
+    Status st = disk_->WritePage(fr.pid, fr.data);
     if (!st.ok()) {
       fr.state = FrameState::kFree;
       s->free_frames.push_back(victim);  // contents lost, frame reusable
@@ -181,9 +268,9 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
   IoStats* io = disk_->io_stats();
   s.mu.lock();
   for (;;) {
-    auto it = s.table.find(pid);
-    if (it != s.table.end()) {
-      Frame& fr = s.frames[static_cast<size_t>(it->second)];
+    const int32_t hit = s.Find(pid);
+    if (hit >= 0) {
+      Frame& fr = s.frames[static_cast<size_t>(hit)];
       if (fr.state == FrameState::kLoading) {
         // Another fetcher, or a readahead completion, is reading this page
         // off disk. Wait (the latch is released inside the wait) until the
@@ -213,11 +300,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
         }
         continue;
       }
-      if (fr.in_lru) {
-        s.lru.erase(fr.lru_pos);
-        fr.in_lru = false;
-        fr.lru_pos = s.lru.end();
-      }
+      if (fr.in_lru) s.LruRemove(hit);
       ++fr.pin_count;
       ++io->logical_reads;
       ++io->buffer_hits;
@@ -230,7 +313,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       }
       if (s.m_hits != nullptr) s.m_hits->Increment();
       if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
-      PageGuard guard(this, si, it->second, fr.data.get());
+      PageGuard guard(this, si, hit, fr.data);
       s.mu.unlock();
       return guard;
     }
@@ -248,8 +331,8 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     fr.pin_count = 1;  // loading frames are never victims
     fr.dirty = false;
     fr.prefetched = false;
-    s.table[pid] = f;
-    char* dst = fr.data.get();
+    s.Insert(f);
+    char* dst = fr.data;
     if (s.m_misses != nullptr) s.m_misses->Increment();
     const bool traced = trace_ != nullptr && trace_->enabled();
     const bool timed = traced || m_miss_read_us_ != nullptr ||
@@ -282,7 +365,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       }
     }
     if (!st.ok()) {
-      s.table.erase(pid);
+      s.Erase(pid);
       fr.state = FrameState::kFree;
       fr.pin_count = 0;
       s.free_frames.push_back(f);
@@ -304,10 +387,9 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
 }
 
 bool BufferPool::PageLoadingLocked(const Shard* s, PageId pid) {
-  auto it = s->table.find(pid);
-  return it != s->table.end() &&
-         s->frames[static_cast<size_t>(it->second)].state ==
-             FrameState::kLoading;
+  const int32_t f = s->Find(pid);
+  return f >= 0 &&
+         s->frames[static_cast<size_t>(f)].state == FrameState::kLoading;
 }
 
 void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
@@ -323,7 +405,7 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     const uint32_t si = static_cast<uint32_t>(shard_index(pid));
     Shard& s = *shards_[si];
     MutexLock lock(&s.mu);
-    if (s.table.find(pid) != s.table.end()) continue;
+    if (s.Find(pid) >= 0) continue;
     Status status = Status::OK();
     int32_t f = AcquireFrameLocked(&s, &status);
     if (f < 0) {
@@ -339,9 +421,9 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     fr.pin_count = 1;
     fr.dirty = false;
     fr.prefetched = false;
-    s.table[pid] = f;
+    s.Insert(f);
     batch.push_back(ReadRequest{
-        pid, fr.data.get(), [this, si, f](const Status& read) {
+        pid, fr.data, [this, si, f](const Status& read) {
           Shard& sh = *shards_[si];
           {
             MutexLock relock(&sh.mu);
@@ -353,14 +435,12 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
               loaded.state = FrameState::kReady;
               loaded.prefetched = true;
               loaded.pin_count = 0;
-              sh.lru.push_front(f);
-              loaded.lru_pos = sh.lru.begin();
-              loaded.in_lru = true;
+              sh.LruPushFront(f);
             } else {
               // Disk error or CancelPending: nothing was read, nothing
               // was charged; give the frame back. Demand fetches of the
               // page will surface a persistent error themselves.
-              sh.table.erase(loaded.pid);
+              sh.Erase(loaded.pid);
               loaded.state = FrameState::kFree;
               loaded.pin_count = 0;
               sh.free_frames.push_back(f);
@@ -384,22 +464,21 @@ Result<PageGuard> BufferPool::NewPage(SegmentId segment, PageId* out_pid) {
   int32_t f = AcquireFrameLocked(&s, &status);
   if (f < 0) return status;
   Frame& fr = s.frames[static_cast<size_t>(f)];
-  std::memset(fr.data.get(), 0, disk_->page_size());
+  std::memset(fr.data, 0, disk_->page_size());
   fr.pid = pid;
   fr.state = FrameState::kReady;
   fr.pin_count = 1;
   fr.dirty = true;
   fr.prefetched = false;
-  s.table[pid] = f;
+  s.Insert(f);
   *out_pid = pid;
-  return PageGuard(this, si, f, fr.data.get());
+  return PageGuard(this, si, f, fr.data);
 }
 
 Status BufferPool::FlushShardLocked(Shard* s) {
-  for (auto& [pid, f] : s->table) {
-    Frame& fr = s->frames[static_cast<size_t>(f)];
+  for (Frame& fr : s->frames) {
     if (fr.state == FrameState::kReady && fr.dirty) {
-      DPCF_RETURN_IF_ERROR(disk_->WritePage(fr.pid, fr.data.get()));
+      DPCF_RETURN_IF_ERROR(disk_->WritePage(fr.pid, fr.data));
       fr.dirty = false;
     }
   }
@@ -429,28 +508,31 @@ Status BufferPool::ColdReset() {
   // bug — ColdReset's contract requires a quiescent pool, as before.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    for (auto& [pid, f] : shard->table) {
-      const Frame& fr = shard->frames[static_cast<size_t>(f)];
+    for (const Frame& fr : shard->frames) {
       if (fr.pin_count > 0 || fr.state == FrameState::kLoading) {
         return Status::InvalidArgument(StrFormat(
-            "ColdReset with pinned page %s", pid.ToString().c_str()));
+            "ColdReset with pinned page %s", fr.pid.ToString().c_str()));
       }
     }
   }
-  // Pass 2: flush and clear, same order.
+  // Pass 2: flush and clear, same order. Every frame ends free, in the
+  // constructor's free-list order; nothing is allocated or freed.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     DPCF_RETURN_IF_ERROR(FlushShardLocked(shard.get()));
-    for (auto& [pid, f] : shard->table) {
-      Frame& fr = shard->frames[static_cast<size_t>(f)];
+    const size_t frames = shard->frames.size();
+    shard->free_frames.clear();
+    for (size_t i = 0; i < frames; ++i) {
+      Frame& fr = shard->frames[i];
       fr.state = FrameState::kFree;
       fr.in_lru = false;
       fr.prefetched = false;
-      fr.lru_pos = shard->lru.end();
-      shard->free_frames.push_back(f);
+      fr.lru_prev = fr.lru_next = -1;
+      shard->free_frames.push_back(static_cast<int32_t>(frames - 1 - i));
     }
-    shard->table.clear();
-    shard->lru.clear();
+    std::fill(shard->slots.begin(), shard->slots.end(), -1);
+    shard->cached = 0;
+    shard->lru_head = shard->lru_tail = -1;
   }
   disk_->ResetReadHead();
   return Status::OK();
@@ -460,7 +542,7 @@ size_t BufferPool::cached_pages() const {
   size_t total = 0;
   for (auto& shard : shards_) {  // one latch at a time, index order
     MutexLock lock(&shard->mu);
-    total += shard->table.size();
+    total += shard->cached;
   }
   return total;
 }
@@ -470,11 +552,7 @@ void BufferPool::Unpin(uint32_t shard, int32_t frame) {
   MutexLock lock(&s.mu);
   Frame& fr = s.frames[static_cast<size_t>(frame)];
   assert(fr.pin_count > 0);
-  if (--fr.pin_count == 0) {
-    s.lru.push_front(frame);
-    fr.lru_pos = s.lru.begin();
-    fr.in_lru = true;
-  }
+  if (--fr.pin_count == 0) s.LruPushFront(frame);
 }
 
 void BufferPool::MarkDirty(uint32_t shard, int32_t frame) {

@@ -12,6 +12,15 @@
 // latch, page table, free list and LRU list, so concurrent fetches of pages
 // in different shards never touch the same latch.
 //
+// Shard layout is flat (DESIGN.md section 10): the page table is one
+// open-addressed slot array of frame indexes, probed linearly from the
+// *high* bits of PageIdHash (the low bits chose the shard and are equal
+// across it), with backward-shift deletion; the LRU is a doubly linked
+// list threaded through the frames by index; the frames' bytes are one
+// arena per shard, left unwritten until a frame is first loaded. So a hit,
+// an unpin, a miss that evicts and a ColdReset allocate nothing, and
+// ColdReset walks the frames, O(capacity), not a node per cached page.
+//
 // Miss protocol (LOADING): on a miss the fetching thread claims a frame,
 // publishes it in the shard's page table in the kLoading state, and *drops
 // the shard latch for the disk read*. A second fetcher of the same page
@@ -54,9 +63,7 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -113,8 +120,9 @@ struct BufferPoolOptions {
 /// counts.
 class BufferPool {
  public:
-  /// `capacity_pages` frames are preallocated eagerly and split as evenly
-  /// as possible across the shards (earlier shards get the remainder).
+  /// `capacity_pages` frames are allocated up front (one arena per shard,
+  /// not written until a frame is first loaded) and split as evenly as
+  /// possible across the shards (earlier shards get the remainder).
   BufferPool(DiskManager* disk, size_t capacity_pages,
              BufferPoolOptions options = BufferPoolOptions{});
 
@@ -202,17 +210,20 @@ class BufferPool {
 
   struct Frame {
     PageId pid;
-    std::unique_ptr<char[]> data;
+    char* data = nullptr;  // page_size bytes of the shard's arena
     FrameState state = FrameState::kFree;
     int32_t pin_count = 0;
     bool dirty = false;
-    // Position in the shard lru when pin_count == 0; lru.end() otherwise.
-    std::list<int32_t>::iterator lru_pos;
+    // On the shard LRU (pin_count == 0 and kReady); lru_prev/lru_next are
+    // the neighbouring frame indexes toward the head (most recent) and the
+    // tail (the next victim), -1 at either end.
     bool in_lru = false;
     // Loaded by a kPrefetch read and not yet demanded: the first demand hit
     // charges IoStats::prefetch_hits and clears this (so one prefetched
     // load is one potential hit). Cleared whenever the frame is reclaimed.
     bool prefetched = false;
+    int32_t lru_prev = -1;
+    int32_t lru_next = -1;
   };
 
   /// One latch domain. `disk` duplicates the pool's pointer so the
@@ -230,10 +241,29 @@ class BufferPool {
     /// Signaled whenever a kLoading frame resolves (to kReady or back to
     /// the free list on error); waiters re-check the page table.
     std::condition_variable_any cv;
+    /// Page bytes of every frame, frames.size() * page_size, written only
+    /// by a frame's own load (so an unused frame is never touched).
+    std::unique_ptr<char[]> arena;
     std::vector<Frame> frames GUARDED_BY(mu);
     std::vector<int32_t> free_frames GUARDED_BY(mu);
-    std::list<int32_t> lru GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<PageId, int32_t, PageIdHash> table GUARDED_BY(mu);
+    // Page table: frame index per slot, -1 empty, keyed by frames[f].pid.
+    // Power-of-two size >= 2 * frames; a page's home slot is the top
+    // `slot_bits` bits of its hash.
+    std::vector<int32_t> slots GUARDED_BY(mu);
+    int slot_bits GUARDED_BY(mu) = 0;  // log2(slots.size())
+    size_t cached GUARDED_BY(mu) = 0;  // published (loading or ready) frames
+    int32_t lru_head GUARDED_BY(mu) = -1;  // most recently unpinned
+    int32_t lru_tail GUARDED_BY(mu) = -1;  // the next victim
+
+    /// Frame holding `pid`, or -1.
+    int32_t Find(PageId pid) const REQUIRES(mu);
+    /// Publishes frame `f` under frames[f].pid (which must be absent).
+    void Insert(int32_t f) REQUIRES(mu);
+    /// Unpublishes `pid` (which must be present), closing the probe run's
+    /// gap by shifting later entries back toward their home slots.
+    void Erase(PageId pid) REQUIRES(mu);
+    void LruPushFront(int32_t f) REQUIRES(mu);
+    void LruRemove(int32_t f) REQUIRES(mu);
     // Metric handles, null until AttachObservability. Set once at a
     // quiescent point; the Counter itself is a relaxed atomic, so no
     // GUARDED_BY (same contract as IoStats::AtomicCounter).

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/string_util.h"
@@ -347,10 +348,15 @@ void DiskManager::IoWorkerLoop() {
 }
 
 void DiskManager::CancelPending() {
-  std::deque<ReadRequest> cancelled;
+  // Moved out into a vector, which allocates nothing when the ring is empty
+  // (a default-constructed std::deque allocates): BufferPool::ColdReset
+  // calls this on every cold run and allocates nothing itself.
+  std::vector<ReadRequest> cancelled;
   {
     MutexLock lock(&submit_mu_);
-    cancelled.swap(queue_);
+    cancelled.assign(std::make_move_iterator(queue_.begin()),
+                     std::make_move_iterator(queue_.end()));
+    queue_.clear();
     if (m_queue_depth_ != nullptr) m_queue_depth_->Set(0.0);
   }
   // Producers blocked on a full ring can proceed now.

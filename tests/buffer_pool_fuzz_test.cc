@@ -1,12 +1,15 @@
 // Buffer-pool model check: a random access pattern against a reference LRU
 // simulation must produce identical hit/miss behaviour — per shard, for 1,
 // 2 and 8 shards (1 shard must match the historical monolithic pool move
-// for move) — and random pin/unpin interleavings must never corrupt
-// accounting.
+// for move), on a small pool and on one whose page table churns through
+// thousands of evictions, across a mid-run ColdReset — and random pin/unpin
+// interleavings must never corrupt accounting.
 
+#include <cstring>
 #include <list>
+#include <set>
 #include <tuple>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,34 +59,67 @@ class BufferPoolFuzz
 };
 
 TEST_P(BufferPoolFuzz, MatchesReferenceLruWithoutPins) {
-  DiskManager disk(256);
-  SegmentId seg = disk.CreateSegment("t");
-  const PageNo kPages = 64;
-  for (PageNo p = 0; p < kPages; ++p) disk.AllocatePage(seg);
-  const size_t kCapacity = 8;
-  BufferPool pool(&disk, kCapacity, BufferPoolOptions{shards()});
-  ASSERT_EQ(pool.num_shards(), shards());
-  // One reference LRU per shard, sized from the pool's own split, indexed
-  // through the pool's own page-to-shard map: with 1 shard this is exactly
-  // the historical monolithic model.
-  std::vector<ReferenceLru> reference;
-  for (size_t s = 0; s < pool.num_shards(); ++s) {
-    reference.emplace_back(pool.shard_capacity(s));
-  }
-
-  Rng rng(static_cast<uint64_t>(seed()) * 31 + 1);
-  for (int step = 0; step < 5000; ++step) {
-    // Zipf-flavoured skew keeps hot pages hot.
-    PageNo p = static_cast<PageNo>(rng.NextBounded(kPages));
-    if (rng.NextBernoulli(0.5)) p %= 8;
-    int64_t phys_before = disk.io_stats()->physical_reads();
-    {
-      auto g = pool.Fetch(PageId{seg, p});
-      ASSERT_TRUE(g.ok());
+  // Capacity dimension: a small pool that is mostly hits, and a larger one
+  // over many more pages whose page table churns (thousands of evictions,
+  // i.e. deletions from the middle of probe runs, some of them wrapping).
+  struct Geometry {
+    size_t frames;
+    PageNo pages;
+  };
+  for (const Geometry geo : {Geometry{8, 64}, Geometry{96, 1000}}) {
+    SCOPED_TRACE(::testing::Message() << geo.frames << " frames over "
+                                      << geo.pages << " pages");
+    DiskManager disk(256);
+    SegmentId seg = disk.CreateSegment("t");
+    for (PageNo p = 0; p < geo.pages; ++p) {
+      disk.AllocatePage(seg);
+      // Each page carries its own number, so a fetch that lands on the
+      // wrong frame's bytes shows up as a mismatch, not just a wrong count.
+      std::memcpy(disk.RawPage(PageId{seg, p}), &p, sizeof(p));
     }
-    bool pool_hit = disk.io_stats()->physical_reads() == phys_before;
-    bool model_hit = reference[pool.shard_index(PageId{seg, p})].Touch(p);
-    ASSERT_EQ(pool_hit, model_hit) << "step " << step << " page " << p;
+    BufferPool pool(&disk, geo.frames, BufferPoolOptions{shards()});
+    ASSERT_EQ(pool.num_shards(), shards());
+    // One reference LRU per shard, sized from the pool's own split, indexed
+    // through the pool's own page-to-shard map: with 1 shard this is
+    // exactly the historical monolithic model.
+    std::vector<ReferenceLru> reference;
+    auto fresh_reference = [&] {
+      reference.clear();
+      for (size_t s = 0; s < pool.num_shards(); ++s) {
+        reference.emplace_back(pool.shard_capacity(s));
+      }
+    };
+    fresh_reference();
+
+    Rng rng(static_cast<uint64_t>(seed()) * 31 + 1);
+    PageNo last = 0;
+    for (int step = 0; step < 5000; ++step) {
+      // Zipf-flavoured skew keeps hot pages hot.
+      PageNo p = static_cast<PageNo>(rng.NextBounded(geo.pages));
+      if (rng.NextBernoulli(0.5)) p %= 8;
+      if (step == 2500) {
+        // A reset must leave no slot or LRU link behind: afterwards the
+        // pool behaves exactly like an empty reference again, starting
+        // with a miss on the page fetched just before it.
+        ASSERT_OK(pool.ColdReset());
+        ASSERT_EQ(pool.cached_pages(), 0u);
+        fresh_reference();
+        p = last;
+      }
+      last = p;
+      int64_t phys_before = disk.io_stats()->physical_reads();
+      {
+        auto g = pool.Fetch(PageId{seg, p});
+        ASSERT_TRUE(g.ok());
+        PageNo stamped = kInvalidPageNo;
+        std::memcpy(&stamped, g->data(), sizeof(stamped));
+        ASSERT_EQ(stamped, p) << "step " << step;
+      }
+      bool pool_hit = disk.io_stats()->physical_reads() == phys_before;
+      bool model_hit = reference[pool.shard_index(PageId{seg, p})].Touch(p);
+      ASSERT_EQ(pool_hit, model_hit) << "step " << step << " page " << p;
+    }
+    ASSERT_LE(pool.cached_pages(), pool.capacity());
   }
 }
 

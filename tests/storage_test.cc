@@ -1,13 +1,42 @@
 // Unit tests for storage/: disk manager I/O classification, buffer pool
-// (LRU, pinning, dirty write-back, cold reset), simulated cost model.
+// (LRU, pinning, dirty write-back, failed reads, cold reset, allocation-free
+// steady state), simulated cost model.
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "tests/test_util.h"
+
+// Every heap allocation this test binary makes is counted, so a test can
+// assert that a code path allocates nothing. The nothrow forms forward to
+// these in libstdc++; the aligned forms are left alone (nothing here uses
+// them, and they pair with their own deletes). The deletes stay out of
+// line: inlined, GCC would see free() meet a pointer from operator new and
+// warn (-Wmismatched-new-delete).
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dpcf {
 namespace {
@@ -183,6 +212,36 @@ TEST_F(BufferPoolTest, ColdResetEmptiesPool) {
   EXPECT_EQ(disk_.io_stats()->physical_reads(), before + 1);
 }
 
+TEST_F(BufferPoolTest, FailedDemandReadLeavesNoTrace) {
+  for (PageNo p = 0; p < 3; ++p) {
+    auto g = pool_.Fetch(PageId{seg_, p});
+    ASSERT_TRUE(g.ok());
+  }
+  const IoStats& io = *disk_.io_stats();
+  const int64_t logical = io.logical_reads;
+  const int64_t seq = io.physical_seq_reads;
+  const int64_t rand = io.physical_rand_reads;
+  // Page 16 lies past the segment's end. Each miss claims the free frame
+  // and publishes it as loading before the read fails; the failure must
+  // unpublish it, so the second attempt is a fresh miss, not a stale hit.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto bad = pool_.Fetch(PageId{seg_, 16});
+    EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(io.logical_reads, logical);
+  EXPECT_EQ(io.physical_seq_reads, seq);
+  EXPECT_EQ(io.physical_rand_reads, rand);
+  EXPECT_EQ(pool_.cached_pages(), 3u);
+  for (PageNo p = 0; p < 3; ++p) {
+    auto g = pool_.Fetch(PageId{seg_, p});
+    ASSERT_TRUE(g.ok());
+  }
+  EXPECT_EQ(io.physical_reads(), seq + rand);  // all three hit
+  EXPECT_EQ(io.buffer_hits, 3);
+  ASSERT_OK(pool_.ColdReset());
+  EXPECT_EQ(pool_.cached_pages(), 0u);
+}
+
 TEST_F(BufferPoolTest, ColdResetRefusesPinnedPages) {
   auto g = pool_.Fetch(PageId{seg_, 2});
   ASSERT_TRUE(g.ok());
@@ -201,6 +260,71 @@ TEST_F(BufferPoolTest, GuardMoveTransfersPin) {
   EXPECT_TRUE(g3.valid());
   g3.Release();
   EXPECT_OK(pool_.ColdReset());  // nothing pinned anymore
+}
+
+TEST(BufferPoolAllocTest, SteadyStatePathAllocatesNothing) {
+  {  // The counting operator new is the one linked in.
+    const int64_t before = g_allocations.load();
+    void* volatile probe = ::operator new(16);
+    ::operator delete(probe);
+    ASSERT_EQ(g_allocations.load(), before + 1);
+  }
+  DiskManager disk(256);
+  SegmentId seg = disk.CreateSegment("t");
+  constexpr PageNo kPages = 256;
+  for (PageNo p = 0; p < kPages; ++p) disk.AllocatePage(seg);
+  BufferPool pool(&disk, 64, BufferPoolOptions{8});
+  ASSERT_EQ(pool.num_shards(), 8u);
+  const IoStats& io = *disk.io_stats();
+  constexpr int kN = 2000;
+  // A cyclic sweep over four times the pool misses on every fetch once the
+  // pool is full (every shard holds fewer frames than it has pages), and
+  // each of those misses evicts the shard's LRU page.
+  PageNo next = 0;
+  auto sweep = [&](int n) {
+    int failed = 0;
+    for (int i = 0; i < n; ++i) {
+      if (!pool.Fetch(PageId{seg, next}).ok()) ++failed;
+      next = (next + 1) % kPages;
+    }
+    return failed;
+  };
+  // The sweep's last four pages are still resident when it stops.
+  auto hits = [&](int n) {
+    int failed = 0;
+    for (int i = 0; i < n; ++i) {
+      const PageNo p = (next + kPages - 1 - static_cast<PageNo>(i % 4)) %
+                       kPages;
+      if (!pool.Fetch(PageId{seg, p}).ok()) ++failed;
+    }
+    return failed;
+  };
+  // Warm-up round: fill, hit, reset, refill.
+  ASSERT_EQ(sweep(static_cast<int>(kPages)), 0);
+  ASSERT_EQ(hits(kN), 0);
+  ASSERT_OK(pool.ColdReset());
+  ASSERT_EQ(sweep(static_cast<int>(kPages)), 0);
+  ASSERT_EQ(pool.cached_pages(), pool.capacity());
+
+  const int64_t hits_before = io.buffer_hits;
+  const int64_t allocs_before = g_allocations.load();
+  const int failed_hits = hits(kN);
+  const int64_t hits_after = io.buffer_hits;
+  const int64_t phys_before = io.physical_reads();
+  const int failed_misses = sweep(kN);
+  const int64_t phys_after = io.physical_reads();
+  const size_t cached_before_reset = pool.cached_pages();
+  const Status reset = pool.ColdReset();
+  const int64_t allocs = g_allocations.load() - allocs_before;
+
+  EXPECT_EQ(allocs, 0);
+  EXPECT_EQ(failed_hits, 0);
+  EXPECT_EQ(failed_misses, 0);
+  EXPECT_EQ(hits_after - hits_before, kN);
+  EXPECT_EQ(phys_after - phys_before, kN);
+  EXPECT_EQ(cached_before_reset, pool.capacity());
+  EXPECT_OK(reset);
+  EXPECT_EQ(pool.cached_pages(), 0u);
 }
 
 TEST(SimCostTest, TimeIsLinearInCounters) {
