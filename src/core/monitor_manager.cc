@@ -92,7 +92,6 @@ Result<InstrumentedHooks> MonitorManager::ForSingleTable(
   out.hooks.inner_scan_sample_fraction = out.hooks.scan_sample_fraction;
   out.hooks.seed = options_.seed;
   out.hooks.scan_threads = options_.scan_threads;
-  out.hooks.morsel_pages = options_.morsel_pages;
   out.hooks.prefetch_pages = options_.prefetch_pages;
   out.hooks.vectorized_scan = options_.vectorized_scan;
 

@@ -52,8 +52,6 @@ struct MonitorOptions {
   /// single-table scan path). Monitor feedback is identical at any thread
   /// count — the bundles are mergeable sketches.
   int scan_threads = 1;
-  /// Pages per morsel for the parallel dispatch.
-  uint32_t morsel_pages = 32;
   /// Readahead window for parallel scans (forwarded into
   /// PlanMonitorHooks::prefetch_pages); 0 disables readahead. Readahead
   /// only changes *when* pages enter the buffer pool, never the monitor

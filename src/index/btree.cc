@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -165,7 +164,8 @@ Result<BtreeIterator> Btree::Begin() {
 }
 
 Status BtreeIterator::LoadCurrent() {
-  // Skip trailing positions and (possibly lazily emptied) leaves.
+  // Step past the end of the current leaf onto the next one. Bulk-loaded
+  // leaves are never empty, so this takes at most one step.
   while (idx_ >= leaf_count_) {
     PageNo next = Header(guard_.data())->next;
     if (next == kInvalidPageNo) {
@@ -212,205 +212,7 @@ Status BtreeIterator::NextRun(const BtreeKey& hi,
   return LoadCurrent();
 }
 
-Status Btree::Insert(const BtreeEntry& entry) {
-  std::optional<SplitResult> split;
-  DPCF_RETURN_IF_ERROR(InsertRec(root_, height_ - 1, entry, &split));
-  if (split.has_value()) {
-    DPCF_RETURN_IF_ERROR(GrowRoot(*split));
-  }
-  ++entry_count_;
-  return Status::OK();
-}
-
-Status Btree::InsertRec(PageNo node, uint32_t level, const BtreeEntry& entry,
-                        std::optional<SplitResult>* split) {
-  split->reset();
-  auto guard_r = pool_->Fetch(PageId{segment_, node});
-  if (!guard_r.ok()) return guard_r.status();
-  PageGuard guard = std::move(guard_r).value();
-
-  if (level == 0) {
-    char* page = guard.mutable_data();
-    NodeHeader* h = Header(page);
-    LeafEntry* es = LeafEntries(page);
-    uint32_t pos = LeafLowerBound(page, entry);
-    if (pos < h->count && ToEntry(es[pos]) == entry) {
-      return Status::AlreadyExists("duplicate btree entry " +
-                                   entry.key.ToString());
-    }
-    if (h->count < leaf_capacity_) {
-      std::memmove(es + pos + 1, es + pos,
-                   sizeof(LeafEntry) * (h->count - pos));
-      es[pos] = LeafEntry{entry.key.k1, entry.key.k2, entry.aux};
-      ++h->count;
-      return Status::OK();
-    }
-    // Split the leaf: upper half moves to a new right sibling.
-    PageId right_pid;
-    auto right_r = pool_->NewPage(segment_, &right_pid);
-    if (!right_r.ok()) return right_r.status();
-    PageGuard right_guard = std::move(right_r).value();
-    char* rpage = right_guard.mutable_data();
-    NodeHeader* rh = Header(rpage);
-    LeafEntry* res = LeafEntries(rpage);
-    uint32_t mid = h->count / 2;
-    rh->is_leaf = 1;
-    rh->level = 0;
-    rh->count = h->count - mid;
-    rh->next = h->next;
-    rh->prev = node;
-    std::memcpy(res, es + mid, sizeof(LeafEntry) * rh->count);
-    h->count = mid;
-    if (rh->next != kInvalidPageNo) {
-      auto nbr = pool_->Fetch(PageId{segment_, rh->next});
-      if (!nbr.ok()) return nbr.status();
-      Header(nbr->mutable_data())->prev = right_pid.page_no;
-    }
-    h->next = right_pid.page_no;
-    // Insert into whichever half owns the entry.
-    if (entry < ToEntry(res[0])) {
-      uint32_t p = LeafLowerBound(page, entry);
-      std::memmove(es + p + 1, es + p, sizeof(LeafEntry) * (h->count - p));
-      es[p] = LeafEntry{entry.key.k1, entry.key.k2, entry.aux};
-      ++h->count;
-    } else {
-      uint32_t p = LeafLowerBound(rpage, entry);
-      std::memmove(res + p + 1, res + p, sizeof(LeafEntry) * (rh->count - p));
-      res[p] = LeafEntry{entry.key.k1, entry.key.k2, entry.aux};
-      ++rh->count;
-    }
-    *split = SplitResult{ToEntry(res[0]), right_pid.page_no};
-    return Status::OK();
-  }
-
-  // Internal node: descend, then absorb a child split if one happened.
-  uint32_t slot = InternalChildSlot(guard.data(), entry);
-  if (slot == 0 && entry < ToEntry(InternalEntries(guard.data())[0])) {
-    // Keep separators exact lower bounds of their subtrees: an insert
-    // below the leftmost separator lowers it, so separators emitted by
-    // later child-0 splits can never sort before slot 0.
-    InternalEntry* es0 = InternalEntries(guard.mutable_data());
-    es0[0].k1 = entry.key.k1;
-    es0[0].k2 = entry.key.k2;
-    es0[0].aux = entry.aux;
-  }
-  PageNo child = InternalEntries(guard.data())[slot].child;
-  std::optional<SplitResult> child_split;
-  DPCF_RETURN_IF_ERROR(InsertRec(child, level - 1, entry, &child_split));
-  if (!child_split.has_value()) return Status::OK();
-
-  char* page = guard.mutable_data();
-  NodeHeader* h = Header(page);
-  InternalEntry* es = InternalEntries(page);
-  InternalEntry sep{child_split->separator.key.k1,
-                    child_split->separator.key.k2, child_split->separator.aux,
-                    child_split->right, 0};
-  uint32_t pos = slot + 1;
-  if (h->count < internal_capacity_) {
-    std::memmove(es + pos + 1, es + pos,
-                 sizeof(InternalEntry) * (h->count - pos));
-    es[pos] = sep;
-    ++h->count;
-    return Status::OK();
-  }
-  // Split this internal node the same way (first-key separators: no key is
-  // pushed up and removed; the right node's first separator is copied up).
-  PageId right_pid;
-  auto right_r = pool_->NewPage(segment_, &right_pid);
-  if (!right_r.ok()) return right_r.status();
-  PageGuard right_guard = std::move(right_r).value();
-  char* rpage = right_guard.mutable_data();
-  NodeHeader* rh = Header(rpage);
-  InternalEntry* res = InternalEntries(rpage);
-  uint32_t mid = h->count / 2;
-  rh->is_leaf = 0;
-  rh->level = static_cast<uint16_t>(level);
-  rh->count = h->count - mid;
-  rh->next = kInvalidPageNo;
-  rh->prev = kInvalidPageNo;
-  std::memcpy(res, es + mid, sizeof(InternalEntry) * rh->count);
-  h->count = mid;
-  if (BtreeEntry{{sep.k1, sep.k2}, sep.aux} < ToEntry(res[0])) {
-    uint32_t p = pos;  // still valid: pos <= mid here
-    assert(p <= h->count);
-    std::memmove(es + p + 1, es + p, sizeof(InternalEntry) * (h->count - p));
-    es[p] = sep;
-    ++h->count;
-  } else {
-    uint32_t p = pos - mid;
-    assert(p <= rh->count);
-    std::memmove(res + p + 1, res + p,
-                 sizeof(InternalEntry) * (rh->count - p));
-    res[p] = sep;
-    ++rh->count;
-  }
-  *split = SplitResult{ToEntry(res[0]), right_pid.page_no};
-  return Status::OK();
-}
-
-Status Btree::GrowRoot(const SplitResult& split) {
-  // Fetch the old root's first entry to build the left separator.
-  BtreeEntry left_sep;
-  {
-    auto guard = pool_->Fetch(PageId{segment_, root_});
-    if (!guard.ok()) return guard.status();
-    const char* page = guard->data();
-    const NodeHeader* h = Header(page);
-    assert(h->count > 0);
-    left_sep = h->is_leaf ? ToEntry(LeafEntries(page)[0])
-                          : ToEntry(InternalEntries(page)[0]);
-  }
-  PageId pid;
-  auto guard = pool_->NewPage(segment_, &pid);
-  if (!guard.ok()) return guard.status();
-  char* page = guard->mutable_data();
-  NodeHeader* h = Header(page);
-  h->is_leaf = 0;
-  h->level = static_cast<uint16_t>(height_);
-  h->count = 2;
-  h->next = kInvalidPageNo;
-  h->prev = kInvalidPageNo;
-  InternalEntry* es = InternalEntries(page);
-  es[0] = InternalEntry{left_sep.key.k1, left_sep.key.k2, left_sep.aux,
-                        root_, 0};
-  es[1] = InternalEntry{split.separator.key.k1, split.separator.key.k2,
-                        split.separator.aux, split.right, 0};
-  root_ = pid.page_no;
-  ++height_;
-  return Status::OK();
-}
-
-Status Btree::Delete(const BtreeEntry& entry) {
-  PageNo leaf;
-  DPCF_RETURN_IF_ERROR(FindLeaf(entry.key, &leaf));
-  // Walk the leaf chain while the key could still be present (duplicates of
-  // a key never span a separator gap, but equal keys may span leaves).
-  while (leaf != kInvalidPageNo) {
-    auto guard = pool_->Fetch(PageId{segment_, leaf});
-    if (!guard.ok()) return guard.status();
-    const char* cpage = guard->data();
-    const NodeHeader* ch = Header(cpage);
-    uint32_t pos = LeafLowerBound(cpage, entry);
-    if (pos < ch->count) {
-      if (ToEntry(LeafEntries(cpage)[pos]) == entry) {
-        char* page = guard->mutable_data();
-        NodeHeader* h = Header(page);
-        LeafEntry* es = LeafEntries(page);
-        std::memmove(es + pos, es + pos + 1,
-                     sizeof(LeafEntry) * (h->count - pos - 1));
-        --h->count;
-        --entry_count_;
-        return Status::OK();
-      }
-      break;  // positioned at an entry > target: not present
-    }
-    leaf = ch->next;
-  }
-  return Status::NotFound("btree entry " + entry.key.ToString());
-}
-
-Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted,
-                       double fill_fraction) {
+Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
   if (entry_count_ != 0) {
     return Status::InvalidArgument("BulkLoad requires an empty tree");
   }
@@ -421,15 +223,6 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted,
     }
   }
   if (sorted.empty()) return Status::OK();
-
-  uint32_t leaf_fill = std::max<uint32_t>(
-      1, std::min<uint32_t>(
-             leaf_capacity_,
-             static_cast<uint32_t>(leaf_capacity_ * fill_fraction)));
-  uint32_t internal_fill = std::max<uint32_t>(
-      2, std::min<uint32_t>(
-             internal_capacity_,
-             static_cast<uint32_t>(internal_capacity_ * fill_fraction)));
 
   // Level 0: fill leaves left to right, chaining them.
   struct NodeRef {
@@ -443,7 +236,7 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted,
     size_t i = 0;
     while (i < sorted.size()) {
       uint32_t n = static_cast<uint32_t>(
-          std::min<size_t>(leaf_fill, sorted.size() - i));
+          std::min<size_t>(leaf_capacity_, sorted.size() - i));
       PageId pid;
       auto guard_r = pool_->NewPage(segment_, &pid);
       if (!guard_r.ok()) return guard_r.status();
@@ -477,7 +270,7 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted,
     size_t i = 0;
     while (i < level_nodes.size()) {
       uint32_t n = static_cast<uint32_t>(
-          std::min<size_t>(internal_fill, level_nodes.size() - i));
+          std::min<size_t>(internal_capacity_, level_nodes.size() - i));
       // Avoid a trailing single-child node: borrow one from this node.
       if (level_nodes.size() - i - n == 1) n -= 1;
       PageId pid;
@@ -582,12 +375,8 @@ Status Btree::CheckNode(PageNo node, uint32_t level,
     std::optional<BtreeEntry> child_upper =
         (i + 1 < h->count) ? std::optional<BtreeEntry>(ToEntry(es[i + 1]))
                            : upper;
-    PageNo leftmost = (leftmost_leaf != nullptr && i == 0)
-                          ? *leftmost_leaf
-                          : kInvalidPageNo;
     PageNo* lm = (leftmost_leaf != nullptr && i == 0) ? leftmost_leaf
                                                       : nullptr;
-    (void)leftmost;
     DPCF_RETURN_IF_ERROR(CheckNode(es[i].child, level - 1, child_lower,
                                    child_upper, entries_seen, lm));
   }

@@ -11,11 +11,10 @@
 // supported by treating the stored (k1, k2, aux) triple as the full
 // comparison key (aux carries the packed Rid, which is unique per row).
 //
-// Supported operations: point/range seek via iterators, single insert with
-// node splits, lazy leaf delete (no rebalancing — the workloads are
-// read-mostly; underfull leaves merely waste space), and linear bulk load
-// for initial index build. CheckInvariants() validates ordering, separator
-// and leaf-chain invariants for the test suite.
+// Build-once: a tree is created empty and filled exactly once by a linear
+// bulk load of sorted entries (the index build); after that it is only
+// read — point/range seeks via iterators. CheckInvariants() validates
+// ordering, separator and leaf-chain invariants for the test suite.
 
 #pragma once
 
@@ -104,18 +103,10 @@ class Btree {
   /// Creates an empty tree (root = empty leaf) in a fresh segment.
   static Result<Btree> Create(BufferPool* pool, std::string name);
 
-  /// Inserts one entry. Duplicate full (key, aux) triples are rejected
-  /// with AlreadyExists.
-  Status Insert(const BtreeEntry& entry);
-
-  /// Removes the exact (key, aux) entry from its leaf (lazy delete: no
-  /// rebalancing). NotFound if absent.
-  Status Delete(const BtreeEntry& entry);
-
-  /// Bulk-loads entries into an empty tree. `sorted` must be strictly
-  /// ascending by (key, aux). `fill_fraction` controls leaf occupancy.
-  Status BulkLoad(const std::vector<BtreeEntry>& sorted,
-                  double fill_fraction = 1.0);
+  /// Fills the empty tree, once. `sorted` must be strictly ascending by
+  /// (key, aux). Each level is filled left to right, nodes to capacity;
+  /// the tail of a level takes the remainder.
+  Status BulkLoad(const std::vector<BtreeEntry>& sorted);
 
   /// Positions an iterator at the first entry with key >= lo.
   Result<BtreeIterator> SeekFirst(const BtreeKey& lo);
@@ -145,14 +136,6 @@ class Btree {
  private:
   Btree(BufferPool* pool, SegmentId segment, std::string name);
 
-  struct SplitResult {
-    BtreeEntry separator;  // first entry of the new right sibling
-    PageNo right;
-  };
-
-  Status InsertRec(PageNo node, uint32_t level, const BtreeEntry& entry,
-                   std::optional<SplitResult>* split);
-  Status GrowRoot(const SplitResult& split);
   Status FindLeaf(const BtreeKey& lo, PageNo* leaf) const;
 
   Status CheckNode(PageNo node, uint32_t level,

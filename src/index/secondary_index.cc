@@ -68,12 +68,4 @@ Result<std::unique_ptr<Index>> Index::Build(BufferPool* pool, Table* table,
   return index;
 }
 
-Status Index::InsertRow(const RowView& row, Rid rid) {
-  return tree_->Insert(BtreeEntry{KeyForRow(row), rid.Pack()});
-}
-
-Status Index::DeleteRow(const RowView& row, Rid rid) {
-  return tree_->Delete(BtreeEntry{KeyForRow(row), rid.Pack()});
-}
-
 }  // namespace dpcf

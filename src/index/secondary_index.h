@@ -5,7 +5,8 @@
 // Intersection / Index Nested Loops plans — the plans whose costing depends
 // on the distinct page count the paper's monitors measure. The clustered-key
 // index (is_clustered_key()) locates the first data page of a clustering-key
-// range for clustered range scans.
+// range for clustered range scans. An index is built once over a loaded
+// table and never maintained: tables take no writes after load.
 
 #pragma once
 
@@ -47,10 +48,6 @@ class Index {
 
   /// Pages in the index (tree pages; used by the optimizer's cost model).
   uint32_t page_count() const { return tree_->page_count(); }
-
-  /// Inserts/removes the entry for a row (maintenance path).
-  Status InsertRow(const RowView& row, Rid rid);
-  Status DeleteRow(const RowView& row, Rid rid);
 
  private:
   Index(Table* table, std::string name, std::vector<int> key_cols,

@@ -250,10 +250,10 @@ Result<OperatorPtr> BuildSingleTableExec(const AccessPathPlan& path,
       BuildAccessPathOp(path, projection, hooks.outer_scan_requests,
                         hooks.fetch_requests, hooks.scan_sample_fraction,
                         hooks.seed,
-                        ParallelScanOptions{hooks.scan_threads,
-                                            hooks.morsel_pages,
-                                            hooks.prefetch_pages,
-                                            hooks.vectorized_scan}));
+                        ParallelScanOptions{
+                            .num_threads = hooks.scan_threads,
+                            .prefetch_pages = hooks.prefetch_pages,
+                            .vectorized = hooks.vectorized_scan}));
   if (query.count_star) {
     op = OperatorPtr(std::make_unique<AggregateCountOp>(std::move(op)));
   }

@@ -157,8 +157,6 @@ struct PlanMonitorHooks {
   /// serial because a partial merge-join bitvector is built concurrently
   /// with the probe scan that observes it.
   int scan_threads = 1;
-  /// Pages per morsel for the parallel scan dispatch.
-  uint32_t morsel_pages = 32;
   /// Readahead window for the parallel scan (see
   /// ParallelScanOptions::prefetch_pages). 0 disables readahead.
   uint32_t prefetch_pages = 0;

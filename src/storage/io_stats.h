@@ -5,7 +5,7 @@
 // page read is classified as *sequential* (the page immediately following the
 // previously read page of the same segment — a streaming scan) or *random*
 // (anything else — a disk seek). Simulated elapsed time is derived from these
-// counters by SimCostModel (storage/cost_params.h).
+// counters by SimulatedMillis (below), priced with SimCostParams.
 
 #pragma once
 

@@ -1,7 +1,5 @@
 #include "table/catalog.h"
 
-#include <cstring>
-
 #include "common/string_util.h"
 #include "exec/simd.h"
 
@@ -58,11 +56,9 @@ std::vector<Index*> Catalog::Indexes() const {
 Database::Database(DatabaseOptions options)
     : options_(options),
       trace_(options.observability.tracing),
-      journal_(options.observability.journal_events_per_thread),
       disk_(DiskManagerOptions{options.page_size, options.io_threads,
                                /*queue_depth=*/256}),
-      pool_(&disk_, options.buffer_pool_pages,
-            BufferPoolOptions{options.buffer_pool_shards}) {
+      pool_(&disk_, options.buffer_pool_pages) {
   MetricsRegistry* registry =
       options_.observability.metrics ? &metrics_ : nullptr;
   disk_.AttachMetrics(registry, &trace_, journal());
@@ -140,81 +136,6 @@ Result<Index*> Database::CreateIndex(
 Status Database::ColdCache() {
   DPCF_RETURN_IF_ERROR(pool_.ColdReset());
   disk_.io_stats()->Reset();
-  return Status::OK();
-}
-
-Result<Rid> Database::InsertRow(const std::string& table_name,
-                                const Tuple& row) {
-  Table* table = catalog_.GetTable(table_name);
-  if (table == nullptr) return Status::NotFound("table " + table_name);
-
-  RowCodec codec(&table->schema());
-  std::string encoded(table->schema().row_size(), '\0');
-  DPCF_RETURN_IF_ERROR(codec.Encode(row, encoded.data()));
-  RowView view(encoded.data(), &table->schema());
-
-  if (table->organization() == TableOrganization::kClustered &&
-      table->row_count() > 0) {
-    // Load-ordered clustering: only appends in key order preserve the
-    // physical sortedness range scans depend on.
-    const char* last = nullptr;
-    HeapFile* file = table->file();
-    uint32_t last_page = file->page_count() - 1;
-    auto guard = pool_.Fetch(PageId{table->segment(), last_page});
-    if (!guard.ok()) return guard.status();
-    uint32_t n = HeapFile::PageRowCount(guard->data());
-    last = file->RowInPage(guard->data(), static_cast<uint16_t>(n - 1));
-    RowView last_row(last, &table->schema());
-    size_t key = static_cast<size_t>(table->cluster_key_col());
-    if (view.GetInt64(key) < last_row.GetInt64(key)) {
-      return Status::NotSupported(
-          StrFormat("clustered table %s is load-ordered: insert key must "
-                    "be >= current maximum",
-                    table_name.c_str()));
-    }
-  }
-
-  DPCF_ASSIGN_OR_RETURN(Rid rid, table->file()->AppendEncoded(encoded.data()));
-  table->file()->Seal();
-  for (Index* index : catalog_.IndexesForTable(table)) {
-    DPCF_RETURN_IF_ERROR(index->InsertRow(view, rid));
-  }
-  return rid;
-}
-
-Status Database::UpdateRow(const std::string& table_name, Rid rid,
-                           const Tuple& row) {
-  Table* table = catalog_.GetTable(table_name);
-  if (table == nullptr) return Status::NotFound("table " + table_name);
-
-  RowCodec codec(&table->schema());
-  std::string encoded(table->schema().row_size(), '\0');
-  DPCF_RETURN_IF_ERROR(codec.Encode(row, encoded.data()));
-  RowView new_view(encoded.data(), &table->schema());
-
-  const char* old_bytes = nullptr;
-  DPCF_ASSIGN_OR_RETURN(PageGuard guard,
-                        table->file()->FetchRow(rid, &old_bytes));
-  RowView old_view(old_bytes, &table->schema());
-  if (table->cluster_key_col() >= 0) {
-    size_t key = static_cast<size_t>(table->cluster_key_col());
-    if (old_view.GetInt64(key) != new_view.GetInt64(key)) {
-      return Status::NotSupported(
-          "updates must preserve the clustering key");
-    }
-  }
-  // Re-key indexes whose key columns changed.
-  for (Index* index : catalog_.IndexesForTable(table)) {
-    if (index->KeyForRow(old_view) == index->KeyForRow(new_view)) continue;
-    DPCF_RETURN_IF_ERROR(index->DeleteRow(old_view, rid));
-    DPCF_RETURN_IF_ERROR(index->InsertRow(new_view, rid));
-  }
-  // Overwrite in place (same fixed width). old_bytes points into the
-  // pinned page; recover the mutable pointer via the guard.
-  const char* page_base = guard.data();
-  size_t offset = static_cast<size_t>(old_bytes - page_base);
-  std::memcpy(guard.mutable_data() + offset, encoded.data(),
-              table->schema().row_size());
   return Status::OK();
 }
 

@@ -4,6 +4,11 @@
 // tables and indexes, and is the entry point a library user touches first
 // (see examples/quickstart.cc). ColdCache() reproduces the paper's
 // cold-cache measurement setup between runs.
+//
+// Tables and indexes are build-once: a table is loaded through a
+// TableBuilder, its indexes are then bulk-built by CreateIndex, and nothing
+// writes to either afterwards, so statistics, feedback and learned DPC
+// histograms never go stale.
 
 #pragma once
 
@@ -58,22 +63,15 @@ struct ObservabilityOptions {
   /// storage layer. On by default: recording is a lock-free ring append,
   /// cheap enough to leave on in production (bench_obs_overhead gates it).
   bool journal = true;
-  /// Per-thread journal ring capacity, in events.
-  size_t journal_events_per_thread = 4096;
 };
 
 struct DatabaseOptions {
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_pages = 4096;
-  /// Buffer-pool shards (see BufferPoolOptions::num_shards); 0 picks the
-  /// capacity-scaled default.
-  size_t buffer_pool_shards = 0;
   /// Completion workers for the readahead submission ring — the simulated
   /// device queue depth (DiskManagerOptions::io_threads). Demand misses are
   /// read inline by the fetching thread and never use them.
   int io_threads = 2;
-  /// Simulated device/CPU cost constants used when deriving run times.
-  SimCostParams cost_params;
   ObservabilityOptions observability;
 };
 
@@ -129,22 +127,6 @@ class Database {
   /// Empties the buffer pool and zeroes the I/O counters — the state in
   /// which the paper times every plan.
   Status ColdCache();
-
-  /// Runtime DML: appends a row, maintaining every index on the table.
-  /// Clustered tables are load-ordered (the physical order IS the
-  /// clustering the paper studies), so the key must be >= the current
-  /// maximum; arbitrary-position inserts are NotSupported.
-  Result<Rid> InsertRow(const std::string& table_name, const Tuple& row);
-
-  /// Overwrites the row at `rid` in place (fixed-width rows), updating
-  /// index entries whose keys changed. A clustered table's key column
-  /// must keep its value.
-  Status UpdateRow(const std::string& table_name, Rid rid,
-                   const Tuple& row);
-
-  /// Writes all dirty buffer-pool pages back to the disk image so raw
-  /// walkers (statistics build, diagnostics) observe DML effects.
-  Status Checkpoint() { return pool_.FlushAll(); }
 
  private:
   DatabaseOptions options_;

@@ -27,18 +27,6 @@ void HeapFile::SetPageRowCount(char* page_data, uint32_t n) {
 }
 
 Result<Rid> HeapFile::AppendEncoded(const char* row) {
-  if (!tail_guard_.valid() && page_count_ > 0) {
-    // Re-open the last page (runtime inserts after a Seal): it may still
-    // have free slots.
-    auto guard = pool_->Fetch(PageId{segment_, page_count_ - 1});
-    if (!guard.ok()) return guard.status();
-    uint32_t used = PageRowCount(guard->data());
-    if (used < rows_per_page_) {
-      tail_guard_ = std::move(guard).value();
-      tail_pid_ = PageId{segment_, page_count_ - 1};
-      tail_rows_ = used;
-    }
-  }
   if (!tail_guard_.valid() || tail_rows_ == rows_per_page_) {
     tail_guard_.Release();
     auto guard = pool_->NewPage(segment_, &tail_pid_);

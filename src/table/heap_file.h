@@ -43,9 +43,10 @@ struct Rid {
 
 /// Fixed-width-row page store over one segment.
 ///
-/// Appends keep the tail page pinned until the file is Sealed; reads go
-/// through the buffer pool so physical I/O is charged to the run. Offline
-/// readers walk the raw page images with ForEachRawRow instead.
+/// Build-once: appends keep the tail page pinned until the load ends with
+/// Seal, and the file is only read after that. Reads go through the buffer
+/// pool so physical I/O is charged to the run. Offline readers walk the raw
+/// page images with ForEachRawRow instead.
 class HeapFile {
  public:
   HeapFile(BufferPool* pool, SegmentId segment, const Schema* schema);
@@ -66,7 +67,8 @@ class HeapFile {
   /// Encodes and appends a tuple.
   Result<Rid> Append(const Tuple& tuple);
 
-  /// Unpins the tail page; call when loading is done.
+  /// Unpins the tail page; call once, when loading is done. Nothing
+  /// appends afterwards.
   void Seal();
 
   /// Pins the page holding `rid` and returns the guard; `out_row` points at

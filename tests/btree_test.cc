@@ -1,9 +1,11 @@
-// B+-tree tests: bulk load, random insert with splits, duplicates, seeks,
-// lazy delete, structural invariants — parameterized across page sizes so
-// both shallow and multi-level trees are exercised.
+// B+-tree tests: every tree is built the one way the engine builds one —
+// Create, then a single BulkLoad of sorted entries — and then only read:
+// sorted drains, lower-bound seeks, composite-key ranges, duplicate keys
+// spanning leaves, height, iterator I/O, rejected loads, and a randomized
+// check against a std::set. Parameterized across page sizes so both
+// shallow and multi-level trees are exercised.
 
-#include <algorithm>
-#include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,17 @@
 namespace dpcf {
 namespace {
 
+// n entries with keys 0, step, 2 * step, ...; entry i carries aux
+// i * aux_step.
+std::vector<BtreeEntry> Sequential(int64_t n, int64_t step = 1,
+                                   uint64_t aux_step = 0) {
+  std::vector<BtreeEntry> out;
+  for (int64_t i = 0; i < n; ++i) {
+    out.push_back({{i * step, 0}, static_cast<uint64_t>(i) * aux_step});
+  }
+  return out;
+}
+
 class BtreeTest : public ::testing::TestWithParam<size_t> {
  protected:
   BtreeTest() : disk_(GetParam()), pool_(&disk_, 256) {}
@@ -23,6 +36,15 @@ class BtreeTest : public ::testing::TestWithParam<size_t> {
     auto t = Btree::Create(&pool_, "t");
     EXPECT_TRUE(t.ok());
     return std::move(t).value();
+  }
+
+  // Create + BulkLoad, with the structural invariants checked.
+  Btree Load(const std::vector<BtreeEntry>& sorted) {
+    Btree tree = MakeTree();
+    EXPECT_OK(tree.BulkLoad(sorted));
+    EXPECT_OK(tree.CheckInvariants());
+    EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(sorted.size()));
+    return tree;
   }
 
   std::vector<BtreeEntry> Drain(Btree* tree) {
@@ -45,63 +67,25 @@ TEST_P(BtreeTest, EmptyTreeIteratesNothing) {
   EXPECT_EQ(tree.entry_count(), 0);
   EXPECT_TRUE(Drain(&tree).empty());
   ASSERT_OK(tree.CheckInvariants());
+  Btree loaded = Load({});
+  EXPECT_TRUE(Drain(&loaded).empty());
 }
 
-TEST_P(BtreeTest, SequentialInsertsStaySorted) {
-  Btree tree = MakeTree();
-  const int64_t n = 2000;
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_OK(tree.Insert({{i, 0}, static_cast<uint64_t>(i * 10)}));
-  }
-  ASSERT_OK(tree.CheckInvariants());
-  auto all = Drain(&tree);
-  ASSERT_EQ(all.size(), static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(all[static_cast<size_t>(i)].key.k1, i);
-    EXPECT_EQ(all[static_cast<size_t>(i)].aux,
-              static_cast<uint64_t>(i * 10));
-  }
-}
-
-TEST_P(BtreeTest, RandomInsertsMatchReferenceMap) {
-  Btree tree = MakeTree();
-  std::map<std::pair<int64_t, uint64_t>, bool> reference;
-  Rng rng(11);
-  for (int i = 0; i < 3000; ++i) {
-    int64_t k = rng.NextInt(0, 500);  // plenty of duplicate keys
-    uint64_t aux = static_cast<uint64_t>(i);
-    ASSERT_OK(tree.Insert({{k, 0}, aux}));
-    reference[{k, aux}] = true;
-  }
-  ASSERT_OK(tree.CheckInvariants());
-  auto all = Drain(&tree);
-  ASSERT_EQ(all.size(), reference.size());
-  size_t i = 0;
-  for (const auto& [key, unused] : reference) {
-    EXPECT_EQ(all[i].key.k1, key.first);
-    EXPECT_EQ(all[i].aux, key.second);
-    ++i;
-  }
-}
-
-TEST_P(BtreeTest, DuplicateFullEntryRejected) {
-  Btree tree = MakeTree();
-  ASSERT_OK(tree.Insert({{5, 0}, 1}));
-  EXPECT_EQ(tree.Insert({{5, 0}, 1}).code(), StatusCode::kAlreadyExists);
-  ASSERT_OK(tree.Insert({{5, 0}, 2}));  // same key, different rid: fine
-  EXPECT_EQ(tree.entry_count(), 2);
+TEST_P(BtreeTest, BulkLoadDrainsSorted) {
+  const std::vector<BtreeEntry> entries = Sequential(2000, 1, 10);
+  Btree tree = Load(entries);
+  EXPECT_EQ(Drain(&tree), entries);
 }
 
 TEST_P(BtreeTest, SeekFirstFindsLowerBound) {
-  Btree tree = MakeTree();
-  for (int64_t i = 0; i < 1000; i += 2) {  // even keys only
-    ASSERT_OK(tree.Insert({{i, 0}, static_cast<uint64_t>(i)}));
-  }
-  for (int64_t probe : {0, 1, 2, 499, 500, 997, 998}) {
+  Btree tree = Load(Sequential(500, 2, 2));  // even keys 0..998
+  for (int64_t probe : {-5, 0, 1, 2, 499, 500, 997, 998}) {
     auto it = tree.SeekFirst(BtreeKey{probe, INT64_MIN});
     ASSERT_TRUE(it.ok());
     ASSERT_TRUE(it->Valid()) << probe;
-    EXPECT_EQ(it->key().k1, (probe + 1) / 2 * 2) << probe;
+    const int64_t want = probe < 0 ? 0 : (probe + 1) / 2 * 2;
+    EXPECT_EQ(it->key().k1, want) << probe;
+    EXPECT_EQ(it->aux(), static_cast<uint64_t>(want)) << probe;
   }
   auto past = tree.SeekFirst(BtreeKey{999, INT64_MIN});
   ASSERT_TRUE(past.ok());
@@ -109,10 +93,7 @@ TEST_P(BtreeTest, SeekFirstFindsLowerBound) {
 }
 
 TEST_P(BtreeTest, CollectRangeInclusive) {
-  Btree tree = MakeTree();
-  for (int64_t i = 0; i < 300; ++i) {
-    ASSERT_OK(tree.Insert({{i, 0}, static_cast<uint64_t>(i)}));
-  }
+  Btree tree = Load(Sequential(300, 1, 1));
   std::vector<uint64_t> out;
   ASSERT_OK(tree.CollectRange(BtreeKey::Min(100), BtreeKey::Max(199), &out));
   ASSERT_EQ(out.size(), 100u);
@@ -120,91 +101,14 @@ TEST_P(BtreeTest, CollectRangeInclusive) {
   EXPECT_EQ(out.back(), 199u);
 }
 
-TEST_P(BtreeTest, BulkLoadMatchesInsertResult) {
-  std::vector<BtreeEntry> entries;
-  Rng rng(13);
-  for (int i = 0; i < 5000; ++i) {
-    entries.push_back({{rng.NextInt(0, 100'000), 0},
-                       static_cast<uint64_t>(i)});
-  }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-
-  Btree bulk = MakeTree();
-  ASSERT_OK(bulk.BulkLoad(entries));
-  ASSERT_OK(bulk.CheckInvariants());
-  EXPECT_EQ(bulk.entry_count(), static_cast<int64_t>(entries.size()));
-  EXPECT_EQ(Drain(&bulk), entries);
-}
-
-TEST_P(BtreeTest, BulkLoadRejectsUnsortedInput) {
-  Btree tree = MakeTree();
-  std::vector<BtreeEntry> bad{{{2, 0}, 0}, {{1, 0}, 0}};
-  EXPECT_EQ(tree.BulkLoad(bad).code(), StatusCode::kInvalidArgument);
-  std::vector<BtreeEntry> dup{{{1, 0}, 0}, {{1, 0}, 0}};
-  EXPECT_EQ(tree.BulkLoad(dup).code(), StatusCode::kInvalidArgument);
-}
-
-TEST_P(BtreeTest, BulkLoadRequiresEmptyTree) {
-  Btree tree = MakeTree();
-  ASSERT_OK(tree.Insert({{1, 0}, 1}));
-  EXPECT_FALSE(tree.BulkLoad({{{2, 0}, 2}}).ok());
-}
-
-TEST_P(BtreeTest, InsertAfterBulkLoad) {
-  std::vector<BtreeEntry> entries;
-  for (int64_t i = 0; i < 1000; ++i) entries.push_back({{i * 2, 0}, 1});
-  Btree tree = MakeTree();
-  ASSERT_OK(tree.BulkLoad(entries));
-  for (int64_t i = 0; i < 1000; ++i) {
-    ASSERT_OK(tree.Insert({{i * 2 + 1, 0}, 1}));
-  }
-  ASSERT_OK(tree.CheckInvariants());
-  EXPECT_EQ(tree.entry_count(), 2000);
-  auto all = Drain(&tree);
-  for (size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].key.k1, static_cast<int64_t>(i));
-  }
-}
-
-TEST_P(BtreeTest, DeleteRemovesExactEntry) {
-  Btree tree = MakeTree();
-  for (int64_t i = 0; i < 500; ++i) {
-    ASSERT_OK(tree.Insert({{i, 0}, 7}));
-  }
-  ASSERT_OK(tree.Delete({{250, 0}, 7}));
-  EXPECT_EQ(tree.entry_count(), 499);
-  EXPECT_EQ(tree.Delete({{250, 0}, 7}).code(), StatusCode::kNotFound);
-  EXPECT_EQ(tree.Delete({{250, 0}, 8}).code(), StatusCode::kNotFound);
-  ASSERT_OK(tree.CheckInvariants());
-  auto it = tree.SeekFirst(BtreeKey{250, INT64_MIN});
-  ASSERT_TRUE(it.ok());
-  EXPECT_EQ(it->key().k1, 251);
-}
-
-TEST_P(BtreeTest, DeleteDuplicateKeySpanningLeaves) {
-  Btree tree = MakeTree();
-  // Many entries with the same key, distinct aux: spans multiple leaves on
-  // small pages.
-  for (uint64_t aux = 0; aux < 400; ++aux) {
-    ASSERT_OK(tree.Insert({{42, 0}, aux}));
-  }
-  ASSERT_OK(tree.Delete({{42, 0}, 399}));
-  ASSERT_OK(tree.Delete({{42, 0}, 0}));
-  ASSERT_OK(tree.Delete({{42, 0}, 200}));
-  EXPECT_EQ(tree.entry_count(), 397);
-  ASSERT_OK(tree.CheckInvariants());
-}
-
 TEST_P(BtreeTest, CompositeKeysOrderLexicographically) {
-  Btree tree = MakeTree();
+  std::vector<BtreeEntry> entries;
   for (int64_t a = 0; a < 20; ++a) {
     for (int64_t b = 0; b < 20; ++b) {
-      ASSERT_OK(
-          tree.Insert({{a, b}, static_cast<uint64_t>(a * 100 + b)}));
+      entries.push_back({{a, b}, static_cast<uint64_t>(a * 100 + b)});
     }
   }
-  ASSERT_OK(tree.CheckInvariants());
+  Btree tree = Load(entries);
   // Range over a = 7, all b.
   std::vector<uint64_t> out;
   ASSERT_OK(tree.CollectRange(BtreeKey::Min(7), BtreeKey::Max(7), &out));
@@ -214,14 +118,38 @@ TEST_P(BtreeTest, CompositeKeysOrderLexicographically) {
   // Composite sub-range (7, 5)..(7, 9).
   out.clear();
   ASSERT_OK(tree.CollectRange(BtreeKey{7, 5}, BtreeKey{7, 9}, &out));
-  EXPECT_EQ(out.size(), 5u);
+  EXPECT_EQ(out, (std::vector<uint64_t>{705, 706, 707, 708, 709}));
+}
+
+TEST_P(BtreeTest, DuplicateKeySpansLeaves) {
+  // 400 entries share key 42 (distinct aux, as distinct rids would), more
+  // than one leaf holds at every page size; neighbours bracket them.
+  std::vector<BtreeEntry> entries{{{41, 0}, 7}};
+  for (uint64_t aux = 0; aux < 400; ++aux) entries.push_back({{42, 0}, aux});
+  entries.push_back({{43, 0}, 7});
+  Btree tree = Load(entries);
+  ASSERT_LT(tree.leaf_capacity(), 400u);
+
+  ASSERT_OK_AND_ASSIGN(BtreeIterator it, tree.SeekFirst(BtreeKey{42, 0}));
+  std::set<PageNo> leaves;
+  for (uint64_t aux = 0; aux < 400; ++aux) {
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.key(), (BtreeKey{42, 0}));
+    EXPECT_EQ(it.aux(), aux);
+    leaves.insert(it.leaf_page());
+    ASSERT_OK(it.Next());
+  }
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key().k1, 43);
+  EXPECT_GE(leaves.size(), 2u);
+
+  std::vector<uint64_t> out;
+  ASSERT_OK(tree.CollectRange(BtreeKey::Min(42), BtreeKey::Max(42), &out));
+  EXPECT_EQ(out.size(), 400u);
 }
 
 TEST_P(BtreeTest, HeightGrowsLogarithmically) {
-  Btree tree = MakeTree();
-  for (int64_t i = 0; i < 5000; ++i) {
-    ASSERT_OK(tree.Insert({{i, 0}, 0}));
-  }
+  Btree tree = Load(Sequential(5000));
   // Sanity: capacity^height must cover the entries.
   double cap = tree.leaf_capacity();
   double internal = tree.internal_capacity();
@@ -232,10 +160,7 @@ TEST_P(BtreeTest, HeightGrowsLogarithmically) {
 }
 
 TEST_P(BtreeTest, IteratorChargesBufferPoolIo) {
-  Btree tree = MakeTree();
-  for (int64_t i = 0; i < 3000; ++i) {
-    ASSERT_OK(tree.Insert({{i, 0}, 0}));
-  }
+  Btree tree = Load(Sequential(3000));
   int64_t before = disk_.io_stats()->logical_reads;
   auto it = tree.Begin();
   ASSERT_TRUE(it.ok());
@@ -244,11 +169,75 @@ TEST_P(BtreeTest, IteratorChargesBufferPoolIo) {
       << "tree traversal must go through the buffer pool";
 }
 
+TEST_P(BtreeTest, BulkLoadRejectsUnsortedOrDuplicateInput) {
+  Btree tree = MakeTree();
+  std::vector<BtreeEntry> bad{{{2, 0}, 0}, {{1, 0}, 0}};
+  EXPECT_EQ(tree.BulkLoad(bad).code(), StatusCode::kInvalidArgument);
+  std::vector<BtreeEntry> dup{{{1, 0}, 0}, {{1, 0}, 0}};
+  EXPECT_EQ(tree.BulkLoad(dup).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.entry_count(), 0);
+}
+
+TEST_P(BtreeTest, SecondBulkLoadRejected) {
+  Btree tree = Load({{{1, 0}, 1}});
+  EXPECT_EQ(tree.BulkLoad({{{2, 0}, 2}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Drain(&tree), (std::vector<BtreeEntry>{{{1, 0}, 1}}));
+}
+
 INSTANTIATE_TEST_SUITE_P(PageSizes, BtreeTest,
                          ::testing::Values(256, 512, 4096),
                          [](const auto& pinfo) {
                            return "page" + std::to_string(pinfo.param);
                          });
+
+// Random entry sets with many duplicate keys, checked against a std::set by
+// a full drain and by lower-bound seeks at random probes (including below
+// the minimum and past the maximum), each followed by a short walk that
+// crosses leaf boundaries.
+class BtreeRandomLoad : public ::testing::TestWithParam<int> {};
+
+TEST_P(BtreeRandomLoad, MatchesReferenceSet) {
+  DiskManager disk(512);
+  BufferPool pool(&disk, 256);
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7 + 3);
+  std::set<BtreeEntry> model;
+  const uint64_t n = 1 + rng.NextBounded(4000);
+  for (uint64_t i = 0; i < n; ++i) {
+    model.insert(BtreeEntry{{rng.NextInt(0, 300), 0}, rng.NextBounded(50)});
+  }
+  const std::vector<BtreeEntry> sorted(model.begin(), model.end());
+  ASSERT_OK_AND_ASSIGN(Btree tree, Btree::Create(&pool, "t"));
+  ASSERT_OK(tree.BulkLoad(sorted));
+  ASSERT_OK(tree.CheckInvariants());
+  EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(sorted.size()));
+
+  ASSERT_OK_AND_ASSIGN(BtreeIterator all, tree.Begin());
+  for (const BtreeEntry& want : sorted) {
+    ASSERT_TRUE(all.Valid());
+    EXPECT_EQ(all.entry(), want);
+    ASSERT_OK(all.Next());
+  }
+  EXPECT_FALSE(all.Valid());
+
+  std::vector<int64_t> probes{INT64_MIN, -1, 301, INT64_MAX};
+  for (int i = 0; i < 200; ++i) probes.push_back(rng.NextInt(-2, 302));
+  for (int64_t p : probes) {
+    const BtreeKey lo = BtreeKey::Min(p);
+    ASSERT_OK_AND_ASSIGN(BtreeIterator it, tree.SeekFirst(lo));
+    auto want = model.lower_bound(BtreeEntry{lo, 0});
+    for (int step = 0; step < 40 && want != model.end(); ++step, ++want) {
+      ASSERT_TRUE(it.Valid()) << "probe " << p << " step " << step;
+      EXPECT_EQ(it.entry(), *want) << "probe " << p << " step " << step;
+      ASSERT_OK(it.Next());
+    }
+    if (want == model.end()) {
+      EXPECT_FALSE(it.Valid()) << "probe " << p;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BtreeRandomLoad, ::testing::Range(0, 6));
 
 TEST(BtreeKeyTest, MinMaxBracketAllAuxValues) {
   EXPECT_LT(BtreeKey::Min(5), (BtreeKey{5, 0}));

@@ -7,7 +7,6 @@
 
 #include <cstring>
 #include <list>
-#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -164,50 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndShards, BufferPoolFuzz,
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(size_t{1}, size_t{2}, size_t{8})));
-
-class BtreeDeleteFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(BtreeDeleteFuzz, RandomInsertDeleteKeepsInvariantsAndContents) {
-  DiskManager disk(512);
-  BufferPool pool(&disk, 256);
-  auto tree_r = Btree::Create(&pool, "t");
-  ASSERT_TRUE(tree_r.ok());
-  Btree tree = std::move(tree_r).value();
-
-  std::set<std::pair<int64_t, uint64_t>> model;
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7 + 3);
-  for (int step = 0; step < 4000; ++step) {
-    if (rng.NextBernoulli(0.65) || model.empty()) {
-      int64_t k = rng.NextInt(0, 300);
-      uint64_t aux = rng.NextBounded(50);
-      Status st = tree.Insert({{k, 0}, aux});
-      bool fresh = model.insert({k, aux}).second;
-      ASSERT_EQ(st.ok(), fresh) << st.ToString();
-    } else {
-      auto it = model.begin();
-      std::advance(it, static_cast<long>(rng.NextBounded(model.size())));
-      ASSERT_OK(tree.Delete({{it->first, 0}, it->second}));
-      model.erase(it);
-    }
-  }
-  ASSERT_OK(tree.CheckInvariants());
-  EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(model.size()));
-
-  // Full iteration equals the model.
-  auto it = tree.Begin();
-  ASSERT_TRUE(it.ok());
-  auto mit = model.begin();
-  while (it->Valid()) {
-    ASSERT_NE(mit, model.end());
-    EXPECT_EQ(it->key().k1, mit->first);
-    EXPECT_EQ(it->aux(), mit->second);
-    ++mit;
-    ASSERT_OK(it->Next());
-  }
-  EXPECT_EQ(mit, model.end());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BtreeDeleteFuzz, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace dpcf

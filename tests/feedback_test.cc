@@ -359,6 +359,20 @@ class FeedbackDriverTest : public SyntheticDbTest {
     SyntheticDbTest::SetUp();
     ASSERT_OK(stats_.BuildAll(db_->disk(), *t_));
   }
+
+  // The join side of the Fig 8 fixture: T1, 20k rows permuted
+  // independently of T, indexed on its clustering column only.
+  void AddT1(Table** t1) {
+    SyntheticOptions s1;
+    s1.num_rows = 20'000;
+    s1.seed = 4242;
+    s1.build_indexes = false;
+    ASSERT_OK_AND_ASSIGN(*t1, BuildSyntheticTable(db_.get(), "T1", s1));
+    ASSERT_OK(db_->CreateIndex("T1_c1", "T1", std::vector<int>{kC1}, true)
+                  .status());
+    ASSERT_OK(stats_.BuildAll(db_->disk(), **t1));
+  }
+
   StatisticsCatalog stats_;
 };
 
@@ -459,22 +473,18 @@ TEST_F(FeedbackDriverTest, CardinalityInjectionCanBeDisabled) {
 // empty feedback and then runs once more on its own feedback, so the
 // re-planned index seeks and INL joins are monitored too. Simulated time is
 // deterministic: a changed plan, charge or monitor record moves at least
-// one of these figures.
+// one of these figures. Tables are build-once, so no run — baseline,
+// monitored or re-planned — writes a page, and nothing is left dirty.
 TEST_F(FeedbackDriverTest, OutcomesArePinned) {
-  SyntheticOptions s1;
-  s1.num_rows = 20'000;
-  s1.seed = 4242;  // permuted independently of T
-  s1.build_indexes = false;
-  ASSERT_OK_AND_ASSIGN(Table * t1, BuildSyntheticTable(db_.get(), "T1", s1));
-  ASSERT_OK(db_->CreateIndex("T1_c1", "T1", std::vector<int>{kC1}, true)
-                .status());
-  ASSERT_OK(stats_.BuildAll(db_->disk(), *t1));
+  Table* t1 = nullptr;
+  ASSERT_NO_FATAL_FAILURE(AddT1(&t1));
 
   FeedbackRunOptions options;
   options.learn_dpc_histograms = false;
   FeedbackDriver driver(db_.get(), &stats_, options);
   int plans_changed = 0;
   double before_ms = 0, after_ms = 0, monitored_ms = 0, actual_dpc = 0;
+  int64_t run_writes = 0;
   std::vector<std::string> labels;
   auto run_twice = [&](auto run) {
     driver.hints()->Clear();
@@ -486,6 +496,9 @@ TEST_F(FeedbackDriverTest, OutcomesArePinned) {
       before_ms += o->time_before_ms;
       after_ms += o->time_after_ms;
       monitored_ms += o->monitored_run.simulated_ms;
+      run_writes += o->baseline_run.io.physical_writes +
+                    o->monitored_run.io.physical_writes +
+                    o->improved_run.io.physical_writes;
       for (const MonitorRecord& r : o->feedback) {
         actual_dpc += r.actual_dpc;
         labels.push_back(r.label);
@@ -500,6 +513,10 @@ TEST_F(FeedbackDriverTest, OutcomesArePinned) {
        GenerateSyntheticJoinQueries(t_, t1, 6, 0.005, 0.07, 1717)) {
     run_twice([&] { return driver.RunJoin(g.query); });
   }
+  EXPECT_EQ(run_writes, 0);
+  const int64_t writes_before_flush = db_->disk()->io_stats()->physical_writes;
+  ASSERT_OK(db_->buffer_pool()->FlushAll());
+  EXPECT_EQ(db_->disk()->io_stats()->physical_writes, writes_before_flush);
   EXPECT_EQ(plans_changed, 5);
   EXPECT_EQ(before_ms, 538.36450000000002);
   EXPECT_EQ(after_ms, 476.77990000000011);
@@ -518,6 +535,26 @@ TEST_F(FeedbackDriverTest, OutcomesArePinned) {
       "JOIN(T.C2=T1.C2)", "T1|C1<679",        "JOIN(T.C3=T1.C3)",
       "T1|C1<679",        "JOIN(T.C3=T1.C3)"};
   EXPECT_EQ(labels, want);
+}
+
+// The bulk-built index shapes the cost model reads (height, leaf capacity,
+// entries, pages) for every index of the 20k-row fixture. Each tree is 59
+// leaves of up to 340 entries (8 KiB pages) under one root, plus the empty
+// root page Create allocates and BulkLoad abandons.
+TEST_F(FeedbackDriverTest, IndexShapesArePinned) {
+  Table* t1 = nullptr;
+  ASSERT_NO_FATAL_FAILURE(AddT1(&t1));
+  std::vector<std::string> names;
+  for (const Index* index : db_->catalog().Indexes()) {
+    names.push_back(index->name());
+    const Btree& tree = *index->tree();
+    EXPECT_EQ(tree.height(), 2u) << index->name();
+    EXPECT_EQ(tree.leaf_capacity(), 340u) << index->name();
+    EXPECT_EQ(tree.entry_count(), 20'000) << index->name();
+    EXPECT_EQ(tree.page_count(), 61u) << index->name();
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"T1_c1", "T_c1", "T_c2", "T_c3",
+                                             "T_c4", "T_c5"}));
 }
 
 }  // namespace

@@ -274,7 +274,6 @@ TEST_F(ParallelScanTest, PlannerLowersToParallelScan) {
 
   PlanMonitorHooks parallel_hooks;
   parallel_hooks.scan_threads = 4;
-  parallel_hooks.morsel_pages = 8;
   parallel_hooks.prefetch_pages = 32;
   ASSERT_OK_AND_ASSIGN(OperatorPtr parallel_op,
                        BuildSingleTableExec(path, query, parallel_hooks));
