@@ -1,5 +1,6 @@
 #include "core/clustering_ratio.h"
 
+#include "core/feedback_driver.h"
 #include "optimizer/yao.h"
 
 namespace dpcf {
@@ -8,14 +9,13 @@ Result<ClusteringRatioResult> ComputeClusteringRatio(DiskManager* disk,
                                                      const Table& table,
                                                      const Predicate& pred) {
   ClusteringRatioResult r;
-  PageNo last_hit = kInvalidPageNo;
-  table.file()->ForEachRawRow(disk, [&](PageNo p, uint16_t,
-                                        const RowView& row) {
-    if (!pred.Matches(row)) return;
-    ++r.qualifying_rows;
-    if (p != last_hit) ++r.actual_pages;  // pages arrive in order
-    last_hit = p;
-  });
+  // A page counts when at least one of its rows passes.
+  ForEachRawPageMatch(disk, table, pred,
+                      [&](PageNo, const RowBlock&,
+                          std::span<const uint32_t> sel) {
+                        r.qualifying_rows += static_cast<int64_t>(sel.size());
+                        if (!sel.empty()) ++r.actual_pages;
+                      });
   r.lower_bound =
       PageCountLowerBound(table.rows_per_page(), r.qualifying_rows);
   r.upper_bound = PageCountUpperBound(table.page_count(), r.qualifying_rows);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 
 #include "common/string_util.h"
 #include "exec/join_hash_table.h"
+#include "exec/predicate_kernel.h"
 #include "obs/op_profile.h"
 
 namespace dpcf {
@@ -20,12 +22,34 @@ FeedbackDriver::FeedbackDriver(Database* db, StatisticsCatalog* stats,
       db_->journal());
 }
 
+void ForEachRawPageMatch(
+    DiskManager* disk, const Table& table, const Predicate& pred,
+    const std::function<void(PageNo, const RowBlock&,
+                             std::span<const uint32_t>)>& fn) {
+  // Scalar, whatever ISA is active: the counts the dispatched scans are
+  // checked against come from other code than those scans.
+  const PredicateKernel kernel(pred, &table.schema(), ScalarSimdOps());
+  RowBlock block(&table.schema());
+  std::vector<uint32_t> sel(table.rows_per_page());
+  CpuStats uncharged;  // diagnostic-time work belongs to no run
+  table.file()->ForEachRawPage(
+      disk, [&](PageNo p, const char* rows, uint32_t n) {
+        assert(n <= sel.size());
+        block.Reset(rows, n);
+        const uint32_t m =
+            kernel.EvalBatch(&block, &uncharged, sel.data(), nullptr);
+        fn(p, block, std::span<const uint32_t>(sel.data(), m));
+      });
+}
+
 int64_t ExactCardinality(DiskManager* disk, const Table& table,
                          const Predicate& pred) {
   int64_t count = 0;
-  table.file()->ForEachRawRow(disk, [&](PageNo, uint16_t, const RowView& row) {
-    if (pred.Matches(row)) ++count;
-  });
+  ForEachRawPageMatch(disk, table, pred,
+                      [&](PageNo, const RowBlock&,
+                          std::span<const uint32_t> sel) {
+                        count += static_cast<int64_t>(sel.size());
+                      });
   return count;
 }
 
@@ -35,22 +59,35 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
   // Multiset of filtered outer keys: a key's run length is its count.
   std::vector<int64_t> outer_keys;
   const auto outer_col = static_cast<size_t>(query.outer_col);
-  query.outer_table->file()->ForEachRawRow(
-      disk, [&](PageNo, uint16_t, const RowView& row) {
-        if (query.outer_pred.Matches(row)) {
-          outer_keys.push_back(row.GetInt64(outer_col));
-        }
-      });
+  ForEachRawPageMatch(disk, *query.outer_table, query.outer_pred,
+                      [&](PageNo, const RowBlock& block,
+                          std::span<const uint32_t> sel) {
+                        for (uint32_t r : sel) {
+                          outer_keys.push_back(
+                              RowView(block.row(r), block.schema())
+                                  .GetInt64(outer_col));
+                        }
+                      });
   JoinHashTable table;
   DPCF_RETURN_IF_ERROR(table.Build(outer_keys));
+  // Every inner row probes (semi_join_rows ignores the inner selection);
+  // sel, ascending, says which of them pass it.
   const auto inner_col = static_cast<size_t>(query.inner_col);
-  query.inner_table->file()->ForEachRawRow(
-      disk, [&](PageNo, uint16_t, const RowView& row) {
-        const size_t matches = table.Find(row.GetInt64(inner_col)).size();
-        if (matches == 0) return;
-        ++out.semi_join_rows;
-        if (query.inner_pred.Matches(row)) {
-          out.join_rows += static_cast<int64_t>(matches);
+  ForEachRawPageMatch(
+      disk, *query.inner_table, query.inner_pred,
+      [&](PageNo, const RowBlock& block, std::span<const uint32_t> sel) {
+        size_t next = 0;  // sel[next] is the next passing row
+        for (uint32_t r = 0; r < block.size(); ++r) {
+          const bool passes = next < sel.size() && sel[next] == r;
+          next += passes;
+          const size_t matches =
+              table
+                  .Find(RowView(block.row(r), block.schema())
+                            .GetInt64(inner_col))
+                  .size();
+          if (matches == 0) continue;
+          ++out.semi_join_rows;
+          if (passes) out.join_rows += static_cast<int64_t>(matches);
         }
       });
   return out;

@@ -16,11 +16,15 @@
 // RunSingleTable and RunJoin are one loop: both call the same templated
 // body, and each step that differs by query kind (inject, optimize,
 // instrument, lower) is an overload pair. A change to the methodology is
-// made once. The exact oracles below walk the tables' raw page images
-// (HeapFile::ForEachRawRow): diagnostic-time work, charged to no run.
+// made once. The exact oracles below walk the tables' raw page images a
+// page at a time (HeapFile::ForEachRawPage) and evaluate each page as one
+// batch on the scalar predicate kernel: diagnostic-time work, charged to
+// no run, and computed by other code than the dispatched scans it checks.
 
 #pragma once
 
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +96,17 @@ struct FeedbackOutcome {
   bool reoptimization_advised = false;
 };
 
+/// The raw walk every exact oracle here and ComputeClusteringRatio share:
+/// calls fn(page_no, block, sel) once per page of `table`, in page order
+/// (HeapFile::ForEachRawPage), with `block` bound to the page's rows and
+/// sel the ascending indexes of the rows passing `pred`. The page is
+/// evaluated by a PredicateKernel on the scalar SimdOps table, whatever ISA
+/// is active, and charged to a throwaway CpuStats.
+void ForEachRawPageMatch(
+    DiskManager* disk, const Table& table, const Predicate& pred,
+    const std::function<void(PageNo, const RowBlock&,
+                             std::span<const uint32_t>)>& fn);
+
 /// Exact row count of a predicate by raw table walk (diagnostic-time).
 int64_t ExactCardinality(DiskManager* disk, const Table& table,
                          const Predicate& pred);
@@ -102,11 +117,11 @@ struct ExactJoinCardinalities {
   /// selection — the fetch stream of an INL join (paper Section IV).
   int64_t semi_join_rows = 0;
 };
-/// Both counts by raw table walk: the filtered outer keys go into one
-/// JoinHashTable (exec/join_hash_table.h), and each inner row adds its
-/// key's run length to join_rows when the inner predicate passes, and 1
-/// to semi_join_rows when the run is non-empty. Fails only if the outer
-/// side has more rows than a 32-bit row index holds.
+/// Both counts by two raw walks (ForEachRawPageMatch): the filtered outer
+/// keys go into one JoinHashTable (exec/join_hash_table.h), and each inner
+/// row adds its key's run length to join_rows when the inner predicate
+/// passes, and 1 to semi_join_rows when the run is non-empty. Fails only
+/// if the outer side has more rows than a 32-bit row index holds.
 Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                                     const JoinQuery& query);
 

@@ -3,13 +3,12 @@
 #include <bit>
 #include <limits>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace dpcf {
 
-size_t JoinHashTable::Probe(int64_t key) const {
-  size_t i = Mix64(static_cast<uint64_t>(key)) & mask_;
+size_t JoinHashTable::Probe(int64_t key, uint64_t hash) const {
+  size_t i = hash & mask_;
   // At most half the slots are taken, so the walk meets an empty slot.
   while (slots_[i].count != 0 && slots_[i].key != key) i = (i + 1) & mask_;
   return i;
@@ -22,12 +21,21 @@ Status JoinHashTable::Build(std::span<const int64_t> keys) {
         StrFormat("join build side of %zu rows exceeds 32-bit row indexes",
                   n));
   }
-  slots_.assign(std::bit_ceil(2 * n), Slot{});  // bit_ceil(0) == 1
-  mask_ = slots_.size() - 1;
+  const size_t slot_count = std::bit_ceil(2 * n);  // bit_ceil(0) == 1
+  slots_.assign(slot_count, Slot{});
+  mask_ = slot_count - 1;
+  // The filter's 8 * slot_count bits take the hash's top bits; the home
+  // slot takes its low bits.
+  filter_.assign(slot_count, 0);
+  filter_shift_ = 64 - 3 - std::countr_zero(slot_count);
 
-  // Pass 1: claim one slot per distinct key and count its rows.
+  // Pass 1: set each key's filter bit, claim one slot per distinct key
+  // and count its rows.
   for (int64_t key : keys) {
-    Slot& s = slots_[Probe(key)];
+    const uint64_t hash = Mix64(static_cast<uint64_t>(key));
+    const uint64_t bit = hash >> filter_shift_;
+    filter_[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
+    Slot& s = slots_[Probe(key, hash)];
     s.key = key;
     ++s.count;
   }
@@ -42,16 +50,10 @@ Status JoinHashTable::Build(std::span<const int64_t> keys) {
   // first row.
   rows_.resize(n);
   for (size_t i = n; i-- > 0;) {
-    Slot& s = slots_[Probe(keys[i])];
+    Slot& s = slots_[Probe(keys[i], Mix64(static_cast<uint64_t>(keys[i])))];
     rows_[--s.begin] = static_cast<uint32_t>(i);
   }
   return Status::OK();
-}
-
-std::span<const uint32_t> JoinHashTable::Find(int64_t key) const {
-  const Slot& s = slots_[Probe(key)];
-  if (s.count == 0) return {};
-  return {rows_.data() + s.begin, s.count};
 }
 
 }  // namespace dpcf

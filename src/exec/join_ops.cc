@@ -7,12 +7,11 @@
 namespace dpcf {
 
 namespace {
-Tuple Concat(const Tuple& a, const Tuple& b) {
-  Tuple out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// Overwrites *out with a followed by b, in place: *out keeps its capacity,
+/// so a caller that reuses one output tuple allocates nothing per row.
+void Concat(const Tuple& a, const Tuple& b, Tuple* out) {
+  out->assign(a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
 }
 }  // namespace
 
@@ -65,7 +64,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
 Result<bool> HashJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
   while (true) {
     if (match_pos_ < matches_.size()) {
-      *out = Concat(probe_tuple_, build_rows_[matches_[match_pos_++]]);
+      Concat(probe_tuple_, build_rows_[matches_[match_pos_++]], out);
       return true;
     }
     auto more = probe_->Next(ctx, &probe_tuple_);
@@ -181,7 +180,7 @@ Result<bool> MergeJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
           inner_tuple_[static_cast<size_t>(inner_key_idx_)].AsInt64() ==
               group_key_;
       if (inner_matches && group_pos_ < outer_group_.size()) {
-        *out = Concat(outer_group_[group_pos_++], inner_tuple_);
+        Concat(outer_group_[group_pos_++], inner_tuple_, out);
         return true;
       }
       if (inner_matches) {
@@ -295,12 +294,10 @@ Result<bool> IndexNestedLoopsJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
       for (PidStreamMonitor& m : monitors_) {
         if (m.request().passing_residual_only) m.Add(pid, cpu);
       }
-      Tuple inner_t;
-      inner_t.reserve(inner_projection_.size());
+      out->assign(outer_tuple_.begin(), outer_tuple_.end());
       for (int col : inner_projection_) {
-        inner_t.push_back(row.GetValue(static_cast<size_t>(col)));
+        out->push_back(row.GetValue(static_cast<size_t>(col)));
       }
-      *out = Concat(outer_tuple_, inner_t);
       return true;
     }
     // Pull the next outer row and reposition the inner index.

@@ -88,15 +88,6 @@ class Predicate {
     return EvalLeading(row, cpu) == atoms_.size();
   }
 
-  /// Row passes the whole conjunction, uncharged: for offline walks that
-  /// are not part of a run (exact-cardinality oracles, clustering ratio).
-  bool Matches(const RowView& row) const {
-    for (const PredicateAtom& a : atoms_) {
-      if (!a.Eval(row)) return false;
-    }
-    return true;
-  }
-
   /// Evaluation with short-circuiting turned OFF: every atom is evaluated
   /// and charged. This is what monitors pay on sampled pages when the
   /// requested expression is not a prefix (paper Section III-B).

@@ -101,7 +101,9 @@ void DenseString(const RowBlock& block, size_t offset, uint32_t width,
 
 }  // namespace
 
-PredicateKernel::PredicateKernel(const Predicate& pred, const Schema* schema) {
+PredicateKernel::PredicateKernel(const Predicate& pred, const Schema* schema,
+                                 const SimdOps& simd)
+    : simd_(&simd) {
   atoms_.reserve(pred.size());
   for (const PredicateAtom& a : pred.atoms()) {
     Atom k;

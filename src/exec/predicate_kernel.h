@@ -33,11 +33,13 @@ class PredicateKernel {
  public:
   /// An empty kernel evaluates TRUE for every row (zero atoms).
   PredicateKernel() = default;
-  PredicateKernel(const Predicate& pred, const Schema* schema);
-
-  /// The SIMD table this kernel's INT64 comparators run on — snapshotted
-  /// from ActiveSimdOps() at construction, so a process-wide ISA override
+  /// INT64 atoms run on `simd`, by default the table ActiveSimdOps()
+  /// returns at construction, so a process-wide ISA override
   /// (SetActiveSimd / DPCF_SIMD) applies to kernels built afterwards.
+  PredicateKernel(const Predicate& pred, const Schema* schema,
+                  const SimdOps& simd = ActiveSimdOps());
+
+  /// The SIMD table this kernel's INT64 comparators run on.
   SimdIsa simd_isa() const { return simd_->isa; }
 
   size_t num_atoms() const { return atoms_.size(); }

@@ -128,6 +128,8 @@ const SimdOps& ActiveSimdOps() {
 
 SimdIsa ActiveSimdIsa() { return ActiveSimdOps().isa; }
 
+const SimdOps& ScalarSimdOps() { return *simd_internal::GetScalarSimdOps(); }
+
 Status SetActiveSimd(SimdIsa isa) {
   const SimdOps* t = TableFor(isa);
   if (t == nullptr) {

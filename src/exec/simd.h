@@ -91,6 +91,10 @@ struct SimdOps {
 const SimdOps& ActiveSimdOps();
 SimdIsa ActiveSimdIsa();
 
+/// The portable scalar table, whatever is active: always available, and
+/// the code every other ISA is checked against.
+const SimdOps& ScalarSimdOps();
+
 /// True if `isa` can run on this build + CPU.
 bool SimdIsaAvailable(SimdIsa isa);
 

@@ -46,7 +46,8 @@ struct Rid {
 /// Build-once: appends keep the tail page pinned until the load ends with
 /// Seal, and the file is only read after that. Reads go through the buffer
 /// pool so physical I/O is charged to the run. Offline readers walk the raw
-/// page images with ForEachRawRow instead.
+/// page images instead, a page at a time (ForEachRawPage) or a row at a
+/// time (ForEachRawRow, built on it).
 class HeapFile {
  public:
   HeapFile(BufferPool* pool, SegmentId segment, const Schema* schema);
@@ -93,20 +94,31 @@ class HeapFile {
 
   BufferPool* buffer_pool() const { return pool_; }
 
-  /// Calls fn(page_no, slot, row) for every row, in page then slot order,
-  /// reading page images straight off the disk: DiskManager::RawPage
-  /// bypasses the buffer pool and counts each page in
+  /// Calls fn(page_no, rows, n) for every page, in page order, where the
+  /// page's n rows start at `rows` and follow at schema row_size() stride
+  /// (feed for RowBlock::Reset). Reads page images straight off the disk:
+  /// DiskManager::RawPage bypasses the buffer pool and counts each page in
   /// IoStats::raw_page_reads. The one raw walk behind every offline table
-  /// read: exact-cardinality oracles, statistics, index bulk builds.
+  /// read: the exact-cardinality oracles and the clustering ratio walk
+  /// pages, statistics and index bulk builds walk rows (ForEachRawRow).
   template <typename Fn>
-  void ForEachRawRow(DiskManager* disk, Fn&& fn) const {
+  void ForEachRawPage(DiskManager* disk, Fn&& fn) const {
     for (PageNo p = 0; p < page_count_; ++p) {
       const char* page = disk->RawPage(PageId{segment_, p});
-      const uint32_t n = PageRowCount(page);
-      for (uint16_t s = 0; s < n; ++s) {
-        fn(p, s, RowView(RowInPage(page, s), schema_));
-      }
+      fn(p, PageRows(page), PageRowCount(page));
     }
+  }
+
+  /// Calls fn(page_no, slot, row) for every row, in page then slot order,
+  /// over ForEachRawPage.
+  template <typename Fn>
+  void ForEachRawRow(DiskManager* disk, Fn&& fn) const {
+    const size_t row_size = schema_->row_size();
+    ForEachRawPage(disk, [&](PageNo p, const char* rows, uint32_t n) {
+      for (uint16_t s = 0; s < n; ++s) {
+        fn(p, s, RowView(rows + s * row_size, schema_));
+      }
+    });
   }
 
  private:

@@ -3,9 +3,12 @@
 // and accounting behaviour.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <new>
 #include <optional>
 #include <set>
 #include <span>
@@ -22,9 +25,49 @@
 #include "exec/scan_ops.h"
 #include "tests/test_util.h"
 
+// Every heap allocation this test binary makes is counted, so a test can
+// assert how often an operator allocates. As in storage_test.cc, the
+// aligned forms are left alone and the deletes stay out of line. The
+// nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): under ASan they would otherwise come from the sanitizer's
+// runtime and not pair with the frees below.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void* operator new(std::size_t n) {
+  if (void* p = ::operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace dpcf {
 namespace {
 
+using dpcf::testing::MatchesRow;
 using dpcf::testing::SyntheticDbTest;
 
 class ExecOpsTest : public SyntheticDbTest {
@@ -34,7 +77,7 @@ class ExecOpsTest : public SyntheticDbTest {
     std::vector<int64_t> out;
     t_->file()->ForEachRawRow(
         db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
-          if (pred.Matches(row)) out.push_back(row.GetInt64(kC1));
+          if (MatchesRow(pred, row)) out.push_back(row.GetInt64(kC1));
         });
     std::sort(out.begin(), out.end());
     return out;
@@ -362,6 +405,49 @@ TEST_F(ExecOpsTest, HashJoinDuplicateKeysMatchNestedLoop) {
   }
 }
 
+TEST_F(ExecOpsTest, HashJoinFillsOutputTupleInPlace) {
+  {  // The counting operator new is the one linked in.
+    const int64_t before = g_allocations.load();
+    void* volatile probe = ::operator new(16);
+    ::operator delete(probe);
+    ASSERT_EQ(g_allocations.load(), before + 1);
+  }
+  // 100 build rows and 200 probe rows over keys 0..9: every probe row
+  // matches 10 build rows, so the join emits 2,000 rows.
+  std::vector<int64_t> build_keys(100);
+  std::vector<int64_t> probe_keys(200);
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    build_keys[i] = static_cast<int64_t>(i % 10);
+  }
+  for (size_t i = 0; i < probe_keys.size(); ++i) {
+    probe_keys[i] = static_cast<int64_t>(i % 10);
+  }
+  Table* build = MakeKeyTable("allocBuild", build_keys);
+  Table* probe = MakeKeyTable("allocProbe", probe_keys);
+  HashJoinOp hash(std::make_unique<TableScanOp>(build, Predicate(),
+                                                std::vector<int>{0, 1}),
+                  0,
+                  std::make_unique<TableScanOp>(probe, Predicate(),
+                                                std::vector<int>{0, 1}),
+                  0);
+  ExecContext ctx(db_->buffer_pool());
+  Tuple out;
+  int64_t emitted = 0;
+  const int64_t before = g_allocations.load();
+  ASSERT_OK(hash.Open(&ctx));
+  while (true) {
+    ASSERT_OK_AND_ASSIGN(bool more, hash.Next(&ctx, &out));
+    if (!more) break;
+    ++emitted;
+  }
+  ASSERT_OK(hash.Close(&ctx));
+  const int64_t allocations = g_allocations.load() - before;
+  ASSERT_EQ(emitted, 2000);
+  // Building holds every build row, so some allocation is expected; one
+  // per emitted row is not.
+  EXPECT_LT(allocations, emitted);
+}
+
 // ------------------------------------------------------------ JoinHashTable
 
 // Checks `table` against a key -> row-indexes reference over `keys`, and
@@ -374,6 +460,7 @@ void ExpectMatchesReference(const JoinHashTable& table,
     ref[keys[i]].push_back(static_cast<uint32_t>(i));
   }
   for (const auto& [key, rows] : ref) {
+    EXPECT_TRUE(table.MayContain(key)) << "key filter rejects key " << key;
     std::span<const uint32_t> found = table.Find(key);
     EXPECT_EQ(std::vector<uint32_t>(found.begin(), found.end()), rows)
         << "key " << key;
@@ -390,7 +477,9 @@ TEST(JoinHashTableTest, MatchesOrderedMapReference) {
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   Rng rng(2024);
-  for (size_t n : {0, 1, 17, 5000}) {
+  // 63, 64 and 65 rows straddle a doubling of the slot count (and of the
+  // key filter); 28,000 is Fig 8's largest build side.
+  for (size_t n : {0, 1, 17, 63, 64, 65, 5000, 28'000}) {
     // A 50-value domain (heavy duplication), then the full int64 range
     // with its edge values mixed in.
     for (bool full_range : {false, true}) {
@@ -448,6 +537,60 @@ TEST(JoinHashTableTest, ProbeRunWrapsPastLastSlot) {
   ASSERT_OK(table.Build(keys));
   ASSERT_EQ(table.slot_count(), slots);
   ExpectMatchesReference(table, keys, {homed_last[5]});
+}
+
+TEST(JoinHashTableTest, RebuildKeepsNoFilterBitFromThePreviousBuild) {
+  // Two builds of the same size reuse the same filter array; the second
+  // must answer exactly like a fresh table built from its keys alone.
+  Rng rng(5);
+  std::vector<int64_t> old_keys(5000);
+  for (int64_t& k : old_keys) k = static_cast<int64_t>(rng.Next());
+  std::vector<int64_t> new_keys(old_keys.size());
+  for (size_t i = 0; i < new_keys.size(); ++i) {
+    new_keys[i] = static_cast<int64_t>(i) * 7 + 1'000'003;
+  }
+  JoinHashTable rebuilt;
+  ASSERT_OK(rebuilt.Build(old_keys));
+  const size_t slots = rebuilt.slot_count();
+  ASSERT_OK(rebuilt.Build(new_keys));
+  ASSERT_EQ(rebuilt.slot_count(), slots);
+  JoinHashTable fresh;
+  ASSERT_OK(fresh.Build(new_keys));
+  size_t passes = 0;
+  for (int64_t key : old_keys) {
+    ASSERT_EQ(std::count(new_keys.begin(), new_keys.end(), key), 0);
+    EXPECT_EQ(rebuilt.MayContain(key), fresh.MayContain(key)) << key;
+    EXPECT_TRUE(rebuilt.Find(key).empty()) << key;
+    passes += rebuilt.MayContain(key);
+  }
+  EXPECT_LT(passes, old_keys.size() / 10);
+  // An empty rebuild rejects every old key.
+  ASSERT_OK(rebuilt.Build({}));
+  for (int64_t key : old_keys) ASSERT_FALSE(rebuilt.MayContain(key)) << key;
+}
+
+TEST(JoinHashTableTest, KeyFilterFalsePositivesStayUnderEightPercent) {
+  // Fig 8's largest build side is about 28k keys; its probe side is
+  // T's 400k rows, nearly all of them misses. 65,536 slots give the filter
+  // 18.7 bits per key, so about 5% of absent keys should pass.
+  Rng rng(8);
+  std::vector<int64_t> keys(28'000);
+  for (int64_t& k : keys) k = static_cast<int64_t>(rng.Next());
+  JoinHashTable table;
+  ASSERT_OK(table.Build(keys));
+  ASSERT_EQ(table.slot_count(), 65'536u);
+  std::vector<int64_t> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  constexpr int kAbsent = 400'000;
+  int probed = 0;
+  int passed = 0;
+  while (probed < kAbsent) {
+    const auto key = static_cast<int64_t>(rng.Next());
+    if (std::binary_search(sorted.begin(), sorted.end(), key)) continue;
+    ++probed;
+    passed += table.MayContain(key);
+  }
+  EXPECT_LT(passed, kAbsent * 8 / 100);
 }
 
 }  // namespace

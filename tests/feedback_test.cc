@@ -2,6 +2,9 @@
 // RunStatistics XML output, ClusteringRatio, exact-cardinality helpers.
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,8 @@
 namespace dpcf {
 namespace {
 
+using dpcf::testing::MatchesRow;
+using dpcf::testing::ScopedSimd;
 using dpcf::testing::SyntheticDbTest;
 
 // --------------------------------------------------------- MonitorManager
@@ -332,7 +337,9 @@ TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
   std::vector<int64_t> outer_keys;
   q.outer_table->file()->ForEachRawRow(
       db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
-        if (q.outer_pred.Matches(row)) outer_keys.push_back(row.GetInt64(0));
+        if (MatchesRow(q.outer_pred, row)) {
+          outer_keys.push_back(row.GetInt64(0));
+        }
       });
   ExactJoinCardinalities expected;
   q.inner_table->file()->ForEachRawRow(
@@ -340,7 +347,7 @@ TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
         const int64_t matches = std::count(
             outer_keys.begin(), outer_keys.end(), row.GetInt64(0));
         if (matches > 0) ++expected.semi_join_rows;
-        if (q.inner_pred.Matches(row)) expected.join_rows += matches;
+        if (MatchesRow(q.inner_pred, row)) expected.join_rows += matches;
       });
   // Multiplicity > 1 is what this test is about.
   ASSERT_GT(expected.join_rows, expected.semi_join_rows);
@@ -349,6 +356,179 @@ TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
                        ExactJoinCardinality(db_->disk(), q));
   EXPECT_EQ(exact.join_rows, expected.join_rows);
   EXPECT_EQ(exact.semi_join_rows, expected.semi_join_rows);
+}
+
+// Every exact oracle's answers over a set of predicates and joins, from
+// the engine's page-at-a-time walks or from the row-at-a-time reference.
+struct OracleAnswers {
+  std::vector<int64_t> counts;         // ExactCardinality per predicate
+  std::vector<int64_t> ratio_rows;     // ComputeClusteringRatio's rows...
+  std::vector<int64_t> ratio_pages;    // ...and distinct pages
+  std::vector<int64_t> join_rows;      // ExactJoinCardinality per join
+  std::vector<int64_t> semi_join_rows;
+  bool operator==(const OracleAnswers&) const = default;
+};
+
+class OracleEquivalenceTest : public SyntheticDbTest {
+ protected:
+  // (k INT64 over 40 values, v INT64 = row number, s CHAR(6) over five
+  // words): duplicate join keys on both sides and a CHAR column to mix
+  // into the predicates.
+  Table* MakeTable(const char* name, int rows, Rng* rng) {
+    Schema schema({Column::Int64("k"), Column::Int64("v"),
+                   Column::Char("s", 6)});
+    const char* words[] = {"ant", "bee", "cat", "dog", "eel"};
+    auto t = db_->CreateTable(name, schema, TableOrganization::kHeap);
+    EXPECT_TRUE(t.ok());
+    TableBuilder b(*t);
+    for (int i = 0; i < rows; ++i) {
+      EXPECT_OK(b.AddRow({Value::Int64(rng->NextInt(0, 39)),
+                          Value::Int64(i),
+                          Value::String(words[rng->NextInt(0, 4)])}));
+    }
+    EXPECT_OK(b.Finish());
+    return *t;
+  }
+
+  static PredicateAtom Str(CmpOp op, const char* word) {
+    return PredicateAtom::String(kS, op, word, 6);
+  }
+  static PredicateAtom Int(int col, CmpOp op, int64_t v) {
+    return PredicateAtom::Int64(col, op, v);
+  }
+
+  OracleAnswers Oracle(const std::vector<std::pair<Table*, Predicate>>& sels,
+                       const std::vector<JoinQuery>& joins) {
+    OracleAnswers out;
+    for (const auto& [table, pred] : sels) {
+      out.counts.push_back(ExactCardinality(db_->disk(), *table, pred));
+      auto cr = ComputeClusteringRatio(db_->disk(), *table, pred);
+      EXPECT_TRUE(cr.ok());
+      out.ratio_rows.push_back(cr->qualifying_rows);
+      out.ratio_pages.push_back(cr->actual_pages);
+    }
+    for (const JoinQuery& q : joins) {
+      auto exact = ExactJoinCardinality(db_->disk(), q);
+      EXPECT_TRUE(exact.ok());
+      out.join_rows.push_back(exact->join_rows);
+      out.semi_join_rows.push_back(exact->semi_join_rows);
+    }
+    return out;
+  }
+
+  OracleAnswers Reference(
+      const std::vector<std::pair<Table*, Predicate>>& sels,
+      const std::vector<JoinQuery>& joins) {
+    OracleAnswers out;
+    for (const auto& [table, pred] : sels) {
+      int64_t rows = 0;
+      std::set<PageNo> pages;
+      table->file()->ForEachRawRow(
+          db_->disk(), [&](PageNo p, uint16_t, const RowView& row) {
+            if (!MatchesRow(pred, row)) return;
+            ++rows;
+            pages.insert(p);
+          });
+      out.counts.push_back(rows);
+      out.ratio_rows.push_back(rows);
+      out.ratio_pages.push_back(static_cast<int64_t>(pages.size()));
+    }
+    for (const JoinQuery& q : joins) {
+      std::map<int64_t, int64_t> outer_keys;  // key -> multiplicity
+      q.outer_table->file()->ForEachRawRow(
+          db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+            if (MatchesRow(q.outer_pred, row)) {
+              ++outer_keys[row.GetInt64(static_cast<size_t>(q.outer_col))];
+            }
+          });
+      int64_t join_rows = 0;
+      int64_t semi_join_rows = 0;
+      q.inner_table->file()->ForEachRawRow(
+          db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+            auto it = outer_keys.find(
+                row.GetInt64(static_cast<size_t>(q.inner_col)));
+            if (it == outer_keys.end()) return;
+            ++semi_join_rows;
+            if (MatchesRow(q.inner_pred, row)) join_rows += it->second;
+          });
+      out.join_rows.push_back(join_rows);
+      out.semi_join_rows.push_back(semi_join_rows);
+    }
+    return out;
+  }
+
+  static constexpr int kK = 0;
+  static constexpr int kV = 1;
+  static constexpr int kS = 2;
+};
+
+TEST_F(OracleEquivalenceTest, PageOraclesMatchRowReferenceUnderEveryIsa) {
+  Rng rng(31);
+  Table* a = MakeTable("oracleA", 1000, &rng);
+  Table* b = MakeTable("oracleB", 1500, &rng);
+  for (const Table* t : {a, b}) {
+    ASSERT_NE(t->row_count() % t->rows_per_page(), 0)
+        << t->name() << ": the last page must be partial";
+  }
+  // Empty, INT64-only, CHAR-only, mixed in both orders, and a predicate
+  // that matches nothing; on the small tables and on T.
+  const std::vector<Predicate> preds = {
+      Predicate(),
+      Predicate({Int(kV, CmpOp::kLt, 300)}),
+      Predicate({Str(CmpOp::kEq, "cat")}),
+      Predicate({Int(kK, CmpOp::kGe, 10), Str(CmpOp::kNe, "dog")}),
+      Predicate({Str(CmpOp::kGt, "bee"), Int(kV, CmpOp::kGe, 100),
+                 Int(kK, CmpOp::kLt, 30)}),
+      Predicate({Int(kK, CmpOp::kEq, 5), Int(kV, CmpOp::kGt, 5000)}),
+  };
+  std::vector<std::pair<Table*, Predicate>> sels;
+  for (const Predicate& p : preds) {
+    sels.emplace_back(a, p);
+    sels.emplace_back(b, p);
+  }
+  sels.emplace_back(t_, Predicate());
+  sels.emplace_back(t_, Predicate({Int(kC3, CmpOp::kLt, 4000),
+                                   Int(kC5, CmpOp::kGe, 10'000)}));
+  // Joins on k (duplicates on both sides), with and without an inner
+  // predicate.
+  std::vector<JoinQuery> joins;
+  for (size_t outer : {0, 3}) {
+    for (size_t inner : {0, 1, 3, 4}) {
+      JoinQuery q;
+      q.outer_table = a;
+      q.outer_pred = preds[outer];
+      q.outer_col = kK;
+      q.inner_table = b;
+      q.inner_pred = preds[inner];
+      q.inner_col = kK;
+      joins.push_back(std::move(q));
+    }
+  }
+
+  const OracleAnswers want = Reference(sels, joins);
+  ASSERT_GT(want.join_rows[0], want.semi_join_rows[0])
+      << "keys repeat on the outer side";
+  ASSERT_LT(want.join_rows[2], want.join_rows[0])
+      << "the inner predicate filters join rows";
+  ASSERT_EQ(want.semi_join_rows[2], want.semi_join_rows[0])
+      << "but not semi-join rows";
+  std::optional<OracleAnswers> first;
+  for (SimdIsa isa : AvailableSimdIsas()) {
+    SCOPED_TRACE(SimdIsaName(isa));
+    ScopedSimd pin(isa);
+    const OracleAnswers got = Oracle(sels, joins);
+    EXPECT_EQ(got.counts, want.counts);
+    EXPECT_EQ(got.ratio_rows, want.ratio_rows);
+    EXPECT_EQ(got.ratio_pages, want.ratio_pages);
+    EXPECT_EQ(got.join_rows, want.join_rows);
+    EXPECT_EQ(got.semi_join_rows, want.semi_join_rows);
+    // The oracle does not follow the active ISA.
+    if (first.has_value()) {
+      EXPECT_TRUE(got == *first);
+    } else {
+      first = got;
+    }
+  }
 }
 
 // --------------------------------------------------------- FeedbackDriver

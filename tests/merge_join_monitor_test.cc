@@ -46,7 +46,7 @@ class MergeJoinMonitorTest : public ::testing::Test {
     std::set<int64_t> keys;
     q.outer_table->file()->ForEachRawRow(
         db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
-          if (q.outer_pred.Matches(row)) {
+          if (dpcf::testing::MatchesRow(q.outer_pred, row)) {
             keys.insert(row.GetInt64(static_cast<size_t>(q.outer_col)));
           }
         });

@@ -33,20 +33,8 @@
 namespace dpcf {
 namespace {
 
+using testing::ScopedSimd;
 using testing::SyntheticDbTest;
-
-/// Pins the process-wide SIMD table for a scope, restoring the previous
-/// ISA on exit so test order doesn't leak.
-class ScopedSimd {
- public:
-  explicit ScopedSimd(SimdIsa isa) : prev_(ActiveSimdIsa()) {
-    EXPECT_TRUE(SetActiveSimd(isa).ok()) << SimdIsaName(isa);
-  }
-  ~ScopedSimd() { (void)SetActiveSimd(prev_); }
-
- private:
-  SimdIsa prev_;
-};
 
 Predicate RandomIntConjunction(Rng* rng, int64_t n, int max_atoms) {
   Predicate pred;

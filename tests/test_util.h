@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/predicate.h"
+#include "exec/simd.h"
 #include "table/catalog.h"
+#include "table/row_codec.h"
 #include "workload/synthetic.h"
 
 namespace dpcf::testing {
@@ -34,6 +37,30 @@ namespace dpcf::testing {
   auto tmp = (expr);                                           \
   ASSERT_TRUE(tmp.ok()) << tmp.status().ToString();            \
   lhs = std::move(tmp).value()
+
+/// The row-at-a-time reference for a conjunction: `row` passes every atom
+/// of `pred`, evaluated one by one and uncharged. The engine's own offline
+/// walks evaluate whole pages through PredicateKernel; tests check them
+/// against this.
+inline bool MatchesRow(const Predicate& pred, const RowView& row) {
+  for (const PredicateAtom& a : pred.atoms()) {
+    if (!a.Eval(row)) return false;
+  }
+  return true;
+}
+
+/// Pins the process-wide SIMD table for a scope, restoring the previous
+/// ISA on exit so test order doesn't leak.
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(SimdIsa isa) : prev_(ActiveSimdIsa()) {
+    EXPECT_TRUE(SetActiveSimd(isa).ok()) << SimdIsaName(isa);
+  }
+  ~ScopedSimd() { (void)SetActiveSimd(prev_); }
+
+ private:
+  SimdIsa prev_;
+};
 
 /// A small synthetic database shared by integration-style tests.
 class SyntheticDbTest : public ::testing::Test {

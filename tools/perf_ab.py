@@ -4,7 +4,8 @@
 Usage, from anywhere:
 
   python3 tools/perf_ab.py --parent DIR --change DIR --workload join \\
-      --pairs 10 --seconds 30 --trace 0 [--seed 7] [--ledger FILE]
+      --pairs 10 --seconds 30 --trace 0 [--seed 7] \\
+      [--ledger FILE --claim TEXT --parent-rev REV]
 
 Runs `python3 perfbench/run.py` in the parent and the change checkout
 once per pair, alternating which side goes first, with identical
@@ -19,7 +20,12 @@ more than its BENCHMARK.json bound is flagged as over bound.
 Directions and bounds come from the parent's BENCHMARK.json. The script
 writes nothing into either checkout itself (run.py keeps its build tree
 there); --ledger appends this comparison as one JSON object to the
-"comparisons" list of FILE, creating it if needed. Standard library only.
+"comparisons" list of FILE. A new ledger gets the header fields "bench"
+(FILE's name without BENCH_ and .json), "claim" (--claim), "parent"
+(--parent-rev, the revision the parent checkout was exported from) and
+"method". Both flags are required with --ledger, and an existing ledger
+whose claim or parent differs is refused before anything runs, so one
+file never mixes two claims. Standard library only.
 """
 
 import argparse
@@ -125,6 +131,34 @@ def report(result):
                  fmt(m["parent_iqr"]), verdict))
 
 
+METHOD = ("tools/perf_ab.py: alternating parent/change pairs of "
+          "perfbench/run.py, each side built by run.py in its own checkout "
+          "(RelWithDebInfo); every comparison records its workload, seed, "
+          "seconds, trace mode and host")
+
+
+def open_ledger(path, claim, parent_rev):
+    """The ledger at path, or a new one; fails on a different claim."""
+    header = {"claim": claim, "parent": parent_rev}
+    if not os.path.exists(path):
+        name = os.path.basename(path)
+        if name.startswith("BENCH_"):
+            name = name[len("BENCH_"):]
+        if name.endswith(".json"):
+            name = name[:-len(".json")]
+        return {"bench": name, "claim": claim, "parent": parent_rev,
+                "method": METHOD, "comparisons": []}
+    with open(path) as f:
+        ledger = json.load(f)
+    for field, want in header.items():
+        if ledger.get(field) != want:
+            fail("%s holds %s %s, not %s; write this comparison to its own "
+                 "ledger" % (path, field, json.dumps(ledger.get(field)),
+                             json.dumps(want)))
+    ledger.setdefault("comparisons", [])
+    return ledger
+
+
 def write_ledger(path, ledger):
     """Top-level fields one per line, then one comparison per line."""
     lines = ["%s: %s" % (json.dumps(k), json.dumps(v))
@@ -146,9 +180,19 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--ledger", help="JSON file to append the comparison to")
+    ap.add_argument("--claim", help="the ledger's claim, one sentence")
+    ap.add_argument("--parent-rev",
+                    help="revision the parent checkout was exported from")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds < 0 or args.seed < 0:
         fail("--pairs must be positive, --seconds and --seed not negative")
+    ledger = None
+    if args.ledger:
+        if not args.claim or not args.parent_rev:
+            fail("--ledger needs --claim and --parent-rev")
+        ledger = open_ledger(args.ledger, args.claim, args.parent_rev)
+    elif args.claim or args.parent_rev:
+        fail("--claim and --parent-rev describe a --ledger")
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     for side, d in dirs.items():
@@ -194,12 +238,8 @@ def main():
         "metrics": metrics,
     }
     report(result)
-    if args.ledger:
-        ledger = {"comparisons": []}
-        if os.path.exists(args.ledger):
-            with open(args.ledger) as f:
-                ledger = json.load(f)
-        ledger.setdefault("comparisons", []).append(result)
+    if ledger is not None:
+        ledger["comparisons"].append(result)
         write_ledger(args.ledger, ledger)
     return 0
 
