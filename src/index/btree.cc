@@ -53,6 +53,19 @@ const InternalEntry* InternalEntries(const char* page) {
   return reinterpret_cast<const InternalEntry*>(page + sizeof(NodeHeader));
 }
 
+// Zero-fills `node` (one page image, as the disk allocates a page) and
+// writes its header.
+void ResetNode(std::vector<char>* node, bool is_leaf, uint16_t level,
+               uint32_t count, PageNo prev) {
+  std::fill(node->begin(), node->end(), 0);
+  NodeHeader* h = Header(node->data());
+  h->is_leaf = is_leaf ? 1 : 0;
+  h->level = level;
+  h->count = count;
+  h->next = kInvalidPageNo;
+  h->prev = prev;
+}
+
 BtreeEntry ToEntry(const LeafEntry& e) {
   return BtreeEntry{{e.k1, e.k2}, e.aux};
 }
@@ -109,19 +122,15 @@ Btree::Btree(BufferPool* pool, SegmentId segment, std::string name)
 }
 
 Result<Btree> Btree::Create(BufferPool* pool, std::string name) {
-  SegmentId segment = pool->disk()->CreateSegment("index:" + name);
+  DiskManager* disk = pool->disk();
+  SegmentId segment = disk->CreateSegment("index:" + name);
   Btree tree(pool, segment, std::move(name));
-  PageId pid;
-  auto guard = pool->NewPage(segment, &pid);
-  if (!guard.ok()) return guard.status();
-  NodeHeader* h = Header(guard->mutable_data());
-  h->is_leaf = 1;
-  h->level = 0;
-  h->count = 0;
-  h->next = kInvalidPageNo;
-  h->prev = kInvalidPageNo;
-  tree.root_ = pid.page_no;
+  std::vector<char> root(disk->page_size());
+  ResetNode(&root, /*is_leaf=*/true, 0, 0, kInvalidPageNo);
+  tree.root_ = disk->AllocatePage(segment);
   tree.height_ = 1;
+  DPCF_RETURN_IF_ERROR(
+      disk->WritePage(PageId{segment, tree.root_}, root.data()));
   return tree;
 }
 
@@ -224,6 +233,16 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
   }
   if (sorted.empty()) return Status::OK();
 
+  // Node images are built in `node` and written straight to the disk, once
+  // each, in the order their pages are allocated: a leaf as soon as its
+  // successor's page number (its `next` link) is known, an internal node
+  // as soon as it is filled.
+  DiskManager* disk = pool_->disk();
+  std::vector<char> node(disk->page_size());
+  auto write_node = [&](PageNo page) {
+    return disk->WritePage(PageId{segment_, page}, node.data());
+  };
+
   // Level 0: fill leaves left to right, chaining them.
   struct NodeRef {
     BtreeEntry first;
@@ -231,36 +250,27 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
   };
   std::vector<NodeRef> level_nodes;
   {
-    PageNo prev = kInvalidPageNo;
-    PageGuard prev_guard;
+    PageNo prev = kInvalidPageNo;  // the leaf held in `node`, unwritten
     size_t i = 0;
     while (i < sorted.size()) {
       uint32_t n = static_cast<uint32_t>(
           std::min<size_t>(leaf_capacity_, sorted.size() - i));
-      PageId pid;
-      auto guard_r = pool_->NewPage(segment_, &pid);
-      if (!guard_r.ok()) return guard_r.status();
-      PageGuard guard = std::move(guard_r).value();
-      char* page = guard.mutable_data();
-      NodeHeader* h = Header(page);
-      h->is_leaf = 1;
-      h->level = 0;
-      h->count = n;
-      h->next = kInvalidPageNo;
-      h->prev = prev;
-      LeafEntry* es = LeafEntries(page);
+      const PageNo page = disk->AllocatePage(segment_);
+      if (prev != kInvalidPageNo) {
+        Header(node.data())->next = page;
+        DPCF_RETURN_IF_ERROR(write_node(prev));
+      }
+      ResetNode(&node, /*is_leaf=*/true, 0, n, prev);
+      LeafEntry* es = LeafEntries(node.data());
       for (uint32_t j = 0; j < n; ++j) {
         const BtreeEntry& e = sorted[i + j];
         es[j] = LeafEntry{e.key.k1, e.key.k2, e.aux};
       }
-      if (prev != kInvalidPageNo) {
-        Header(prev_guard.mutable_data())->next = pid.page_no;
-      }
-      level_nodes.push_back(NodeRef{sorted[i], pid.page_no});
-      prev = pid.page_no;
-      prev_guard = std::move(guard);
+      level_nodes.push_back(NodeRef{sorted[i], page});
+      prev = page;
       i += n;
     }
+    DPCF_RETURN_IF_ERROR(write_node(prev));  // the last leaf: no successor
   }
 
   // Upper levels until a single root remains.
@@ -273,24 +283,16 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
           std::min<size_t>(internal_capacity_, level_nodes.size() - i));
       // Avoid a trailing single-child node: borrow one from this node.
       if (level_nodes.size() - i - n == 1) n -= 1;
-      PageId pid;
-      auto guard_r = pool_->NewPage(segment_, &pid);
-      if (!guard_r.ok()) return guard_r.status();
-      PageGuard guard = std::move(guard_r).value();
-      char* page = guard.mutable_data();
-      NodeHeader* h = Header(page);
-      h->is_leaf = 0;
-      h->level = level;
-      h->count = n;
-      h->next = kInvalidPageNo;
-      h->prev = kInvalidPageNo;
-      InternalEntry* es = InternalEntries(page);
+      const PageNo page = disk->AllocatePage(segment_);
+      ResetNode(&node, /*is_leaf=*/false, level, n, kInvalidPageNo);
+      InternalEntry* es = InternalEntries(node.data());
       for (uint32_t j = 0; j < n; ++j) {
         const NodeRef& ref = level_nodes[i + j];
         es[j] = InternalEntry{ref.first.key.k1, ref.first.key.k2,
                               ref.first.aux, ref.page, 0};
       }
-      next_nodes.push_back(NodeRef{level_nodes[i].first, pid.page_no});
+      DPCF_RETURN_IF_ERROR(write_node(page));
+      next_nodes.push_back(NodeRef{level_nodes[i].first, page});
       i += n;
     }
     level_nodes = std::move(next_nodes);

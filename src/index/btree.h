@@ -3,8 +3,8 @@
 // Backs every index in the engine: secondary (non-clustered) indexes map
 // (key [, second key column], rid) to the table row, and the clustered key
 // index maps the clustering key to its rid so range scans can locate their
-// starting data page. Nodes live in buffer-pool pages, so index traversal
-// I/O is charged to the run like any other page access.
+// starting data page. Nodes are read through the buffer pool, so index
+// traversal I/O is charged to the run like any other page access.
 //
 // Keys are composite (k1, k2) int64 pairs — wide enough for the one- and
 // two-column indexes the paper's experiments use. Duplicate keys are
@@ -13,8 +13,11 @@
 //
 // Build-once: a tree is created empty and filled exactly once by a linear
 // bulk load of sorted entries (the index build); after that it is only
-// read — point/range seeks via iterators. CheckInvariants() validates
-// ordering, separator and leaf-chain invariants for the test suite.
+// read — point/range seeks via iterators. Both steps build each node's
+// page image in memory and write it straight to the disk, once
+// (DiskManager::WritePage); no build step goes through the buffer pool.
+// CheckInvariants() validates ordering, separator and leaf-chain
+// invariants for the test suite.
 
 #pragma once
 
@@ -100,12 +103,15 @@ class BtreeIterator {
 /// Paged B+-tree over one buffer-pool segment.
 class Btree {
  public:
-  /// Creates an empty tree (root = empty leaf) in a fresh segment.
+  /// Creates an empty tree (root = empty leaf, written to the disk) in a
+  /// fresh segment.
   static Result<Btree> Create(BufferPool* pool, std::string name);
 
   /// Fills the empty tree, once. `sorted` must be strictly ascending by
   /// (key, aux). Each level is filled left to right, nodes to capacity;
-  /// the tail of a level takes the remainder.
+  /// the tail of a level takes the remainder. Pages are allocated leaves
+  /// first, then each upper level, and each is written once: a leaf when
+  /// its successor's page number is known, an internal node when filled.
   Status BulkLoad(const std::vector<BtreeEntry>& sorted);
 
   /// Positions an iterator at the first entry with key >= lo.

@@ -52,7 +52,7 @@ enum class JournalEvent : uint32_t {
   kReadaheadResize = 7,   // a=new window pages, b=old window pages
   kMonitorBuild = 8,      // a=monitor count
   kMonitorMerge = 9,      // a=merged bundles
-  kEviction = 10,         // a=evicted page, b=1 if dirty writeback
+  kEviction = 10,         // a=evicted page
   kDriftAlert = 11,       // a=milli q-error, b=observations
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 
 #include "common/string_util.h"
 #include "obs/event_journal.h"
@@ -15,7 +14,7 @@
 namespace dpcf {
 
 PageGuard::PageGuard(BufferPool* pool, uint32_t shard, int32_t frame,
-                     char* data)
+                     const char* data)
     : pool_(pool), shard_(shard), frame_(frame), data_(data) {}
 
 PageGuard::PageGuard(PageGuard&& o) noexcept
@@ -42,12 +41,6 @@ PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
 }
 
 PageGuard::~PageGuard() { Release(); }
-
-char* PageGuard::mutable_data() {
-  assert(valid());
-  pool_->MarkDirty(shard_, frame_);
-  return data_;
-}
 
 void PageGuard::Release() {
   if (pool_ != nullptr) {
@@ -88,9 +81,9 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
     auto shard = std::make_unique<Shard>(disk_);
     const size_t frames = base + (si < rem ? 1 : 0);
     MutexLock lock(&shard->mu);  // ctor-private; satisfies TSA, uncontended
-    // Every frame is fully written (demand read, readahead copy or
-    // NewPage's memset) before anything reads it, so the arena is left
-    // unwritten: a small working set keeps the rest of it non-resident.
+    // Every frame is fully written (demand read or readahead copy) before
+    // anything reads it, so the arena is left unwritten: a small working
+    // set keeps the rest of it non-resident.
     shard->arena =
         std::make_unique_for_overwrite<char[]>(frames * disk_->page_size());
     shard->frames.resize(frames);
@@ -228,36 +221,19 @@ size_t BufferPool::shard_capacity(size_t s) const {
   return shards_[s]->frames.size();
 }
 
-int32_t BufferPool::AcquireFrameLocked(Shard* s, Status* status) {
+int32_t BufferPool::AcquireFrameLocked(Shard* s) {
   if (!s->free_frames.empty()) {
     int32_t f = s->free_frames.back();
     s->free_frames.pop_back();
     return f;
   }
-  if (s->lru_tail < 0) {
-    *status = Status::ResourceExhausted(
-        "all frames of the page's buffer-pool shard are pinned or loading");
-    return -1;
-  }
+  if (s->lru_tail < 0) return -1;
   const int32_t victim = s->lru_tail;
   s->LruRemove(victim);
-  Frame& fr = s->frames[static_cast<size_t>(victim)];
-  s->Erase(fr.pid);
+  const PageId evicted = s->frames[static_cast<size_t>(victim)].pid;
+  s->Erase(evicted);
   if (journal_ != nullptr) {
-    journal_->Record(JournalEvent::kEviction, fr.pid.page_no,
-                     fr.dirty ? 1 : 0);
-  }
-  if (fr.dirty) {
-    // Writeback stays under the shard latch: a concurrent miss of fr.pid
-    // must not read the page from disk until these bytes have landed.
-    Status st = disk_->WritePage(fr.pid, fr.data);
-    if (!st.ok()) {
-      fr.state = FrameState::kFree;
-      s->free_frames.push_back(victim);  // contents lost, frame reusable
-      *status = st;
-      return -1;
-    }
-    fr.dirty = false;
+    journal_->Record(JournalEvent::kEviction, evicted.page_no);
   }
   return victim;
 }
@@ -319,17 +295,16 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     }
     // Miss: claim a frame and publish it as kLoading so concurrent
     // fetchers of the same page wait instead of duplicating the read.
-    Status status = Status::OK();
-    int32_t f = AcquireFrameLocked(&s, &status);
+    const int32_t f = AcquireFrameLocked(&s);
     if (f < 0) {
       s.mu.unlock();
-      return status;
+      return Status::ResourceExhausted(
+          "all frames of the page's buffer-pool shard are pinned or loading");
     }
     Frame& fr = s.frames[static_cast<size_t>(f)];
     fr.pid = pid;
     fr.state = FrameState::kLoading;
     fr.pin_count = 1;  // loading frames are never victims
-    fr.dirty = false;
     fr.prefetched = false;
     s.Insert(f);
     char* dst = fr.data;
@@ -406,8 +381,7 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     Shard& s = *shards_[si];
     MutexLock lock(&s.mu);
     if (s.Find(pid) >= 0) continue;
-    Status status = Status::OK();
-    int32_t f = AcquireFrameLocked(&s, &status);
+    const int32_t f = AcquireFrameLocked(&s);
     if (f < 0) {
       // A full shard just means readahead is running too far ahead of
       // the consumers: skip the page and count it, so the adaptive window
@@ -419,7 +393,6 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     fr.pid = pid;
     fr.state = FrameState::kLoading;
     fr.pin_count = 1;
-    fr.dirty = false;
     fr.prefetched = false;
     s.Insert(f);
     batch.push_back(ReadRequest{
@@ -452,50 +425,6 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
   disk_->SubmitBatch(std::move(batch));
 }
 
-Result<PageGuard> BufferPool::NewPage(SegmentId segment, PageId* out_pid) {
-  // Allocation is disk metadata only; it must happen before the shard can
-  // be known (the shard is a function of the new page id).
-  PageNo no = disk_->AllocatePage(segment);
-  PageId pid{segment, no};
-  const uint32_t si = static_cast<uint32_t>(shard_index(pid));
-  Shard& s = *shards_[si];
-  MutexLock lock(&s.mu);
-  Status status = Status::OK();
-  int32_t f = AcquireFrameLocked(&s, &status);
-  if (f < 0) return status;
-  Frame& fr = s.frames[static_cast<size_t>(f)];
-  std::memset(fr.data, 0, disk_->page_size());
-  fr.pid = pid;
-  fr.state = FrameState::kReady;
-  fr.pin_count = 1;
-  fr.dirty = true;
-  fr.prefetched = false;
-  s.Insert(f);
-  *out_pid = pid;
-  return PageGuard(this, si, f, fr.data);
-}
-
-Status BufferPool::FlushShardLocked(Shard* s) {
-  for (Frame& fr : s->frames) {
-    if (fr.state == FrameState::kReady && fr.dirty) {
-      DPCF_RETURN_IF_ERROR(disk_->WritePage(fr.pid, fr.data));
-      fr.dirty = false;
-    }
-  }
-  return Status::OK();
-}
-
-Status BufferPool::FlushAll() {
-  // One shard latch at a time, in increasing shard-index order (the
-  // documented aggregate order; also what keeps this deadlock-free against
-  // any future code that might hold one shard latch).
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    DPCF_RETURN_IF_ERROR(FlushShardLocked(shard.get()));
-  }
-  return Status::OK();
-}
-
 Status BufferPool::ColdReset() {
   // A speculative readahead backlog must not stall (or fail) the reset:
   // retire everything still queued — the Cancelled completions free their
@@ -515,11 +444,11 @@ Status BufferPool::ColdReset() {
       }
     }
   }
-  // Pass 2: flush and clear, same order. Every frame ends free, in the
-  // constructor's free-list order; nothing is allocated or freed.
+  // Pass 2: clear, same order. Every frame ends free, in the constructor's
+  // free-list order; nothing is allocated or freed, and nothing is written
+  // (a frame only ever holds a copy of its page's disk image).
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    DPCF_RETURN_IF_ERROR(FlushShardLocked(shard.get()));
     const size_t frames = shard->frames.size();
     shard->free_frames.clear();
     for (size_t i = 0; i < frames; ++i) {
@@ -553,12 +482,6 @@ void BufferPool::Unpin(uint32_t shard, int32_t frame) {
   Frame& fr = s.frames[static_cast<size_t>(frame)];
   assert(fr.pin_count > 0);
   if (--fr.pin_count == 0) s.LruPushFront(frame);
-}
-
-void BufferPool::MarkDirty(uint32_t shard, int32_t frame) {
-  Shard& s = *shards_[shard];
-  MutexLock lock(&s.mu);
-  s.frames[static_cast<size_t>(frame)].dirty = true;
 }
 
 }  // namespace dpcf

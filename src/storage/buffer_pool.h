@@ -1,11 +1,14 @@
-// Sharded LRU buffer pool over the simulated disk.
+// Sharded LRU buffer pool over the simulated disk: a read cache.
 //
 // Every page access during query execution goes through Fetch(), which
 // charges a logical read and, on a miss, a physical read; this is exactly the
 // distinction the paper's DPC parameter drives ("each distinct page involves
 // a new logical I/O and, if absent from the buffer pool, a physical I/O").
 // ColdReset() empties the pool between measured runs to reproduce the
-// paper's cold-cache methodology.
+// paper's cold-cache methodology. Nothing writes through the pool: tables
+// and indexes are build-once, and their loaders (HeapFile, Btree) write each
+// page image straight to the disk, once. So a frame never holds bytes the
+// disk lacks, an evicted frame is simply reused, and a reset only forgets.
 //
 // Sharding: frames are partitioned into N shards (N a power of two), and a
 // page belongs to shard PageIdHash(pid) & (N-1). Each shard has its own
@@ -30,9 +33,7 @@
 // kReady and wakes the waiters, who re-check from the top. Page *data*
 // reads happen outside the latch, protected by the pin: a pinned or loading
 // frame is never a victim, so its bytes are stable while any PageGuard is
-// alive. Dirty-victim writeback stays *under* the shard latch — dropping it
-// there would let a concurrent miss of the victim page read stale bytes
-// from the disk mid-writeback.
+// alive.
 //
 // The kind of read picks the path (DESIGN.md section 14). A demand miss is
 // read inline by the fetching thread: its caller blocks on the page either
@@ -49,15 +50,16 @@
 //   logical_reads == buffer_hits + physical_reads()
 // holds under any interleaving, including ResourceExhausted failures.
 //
-// Lock order: any shard latch before DiskManager::mu_ (dirty-victim
-// writeback and flush call into the disk below one shard latch; no code
-// path holds two shard latches at once — aggregate operations such as
-// cached_pages()/ColdReset()/FlushAll() visit shards one at a time in
-// increasing shard-index order). The order is machine-checked two ways:
-// ACQUIRED_BEFORE on each shard's latch (clang -Wthread-safety-beta) and
-// EXCLUDES of the disk latch on every public entry point, so calling into
-// the pool while holding the disk latch fails to compile under plain
-// -Wthread-safety.
+// Lock order: any shard latch before DiskManager::mu_. No pool path takes
+// the disk latch under a shard latch (every disk call is made with no
+// shard latch held); the order stays declared and enforced so that a path
+// which ever does cannot invert it. No code path holds two shard latches at
+// once — aggregate operations such as cached_pages()/ColdReset() visit
+// shards one at a time in increasing shard-index order. The order is
+// machine-checked two ways: ACQUIRED_BEFORE on each shard's latch (clang
+// -Wthread-safety-beta) and EXCLUDES of the disk latch on every public
+// entry point, so calling into the pool while holding the disk latch fails
+// to compile under plain -Wthread-safety.
 
 #pragma once
 
@@ -81,11 +83,12 @@ class TraceCollector;   // obs/trace_collector.h
 class EventJournal;     // obs/event_journal.h
 
 /// RAII pin on a buffer-pool frame. Movable, not copyable; unpins on
-/// destruction. data() is valid while the guard is alive.
+/// destruction. data() is read-only and valid while the guard is alive.
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(BufferPool* pool, uint32_t shard, int32_t frame, char* data);
+  PageGuard(BufferPool* pool, uint32_t shard, int32_t frame,
+            const char* data);
   PageGuard(PageGuard&& o) noexcept;
   PageGuard& operator=(PageGuard&& o) noexcept;
   PageGuard(const PageGuard&) = delete;
@@ -95,17 +98,13 @@ class PageGuard {
   bool valid() const { return pool_ != nullptr; }
   const char* data() const { return data_; }
 
-  /// Grants write access and marks the frame dirty (written back to the
-  /// disk manager on eviction or FlushAll()).
-  char* mutable_data();
-
   void Release();
 
  private:
   BufferPool* pool_ = nullptr;
   uint32_t shard_ = 0;
   int32_t frame_ = -1;
-  char* data_ = nullptr;
+  const char* data_ = nullptr;
 };
 
 struct BufferPoolOptions {
@@ -148,21 +147,10 @@ class BufferPool {
   /// a demand Fetch of the page surfaces a persistent error itself.
   void PrefetchBatch(const std::vector<PageId>& pids) EXCLUDES(disk_->mu_);
 
-  /// Allocates a fresh zeroed page in `segment`, pins it, and returns the
-  /// guard together with its id via `out_pid`. No physical read is charged
-  /// (the page had no prior contents); the write is charged on eviction.
-  Result<PageGuard> NewPage(SegmentId segment, PageId* out_pid)
-      EXCLUDES(disk_->mu_);
-
-  /// Writes back all dirty frames (keeps them cached). Visits shards one at
-  /// a time in increasing index order; never holds two shard latches.
-  Status FlushAll() EXCLUDES(disk_->mu_);
-
-  /// Writes back dirty frames and empties the pool: the next Fetch of any
-  /// page is a physical read. Fails if any page is still pinned or loading.
-  /// Two shard-ordered passes (check, then flush+clear), one latch at a
-  /// time; callers must be at a quiescent point, as with the monolithic
-  /// pool.
+  /// Empties the pool: the next Fetch of any page is a physical read.
+  /// Fails if any page is still pinned or loading. Two shard-ordered passes
+  /// (check, then clear), one latch at a time; callers must be at a
+  /// quiescent point, as with the monolithic pool.
   Status ColdReset() EXCLUDES(disk_->mu_);
 
   size_t capacity() const { return capacity_pages_; }
@@ -213,7 +201,6 @@ class BufferPool {
     char* data = nullptr;  // page_size bytes of the shard's arena
     FrameState state = FrameState::kFree;
     int32_t pin_count = 0;
-    bool dirty = false;
     // On the shard LRU (pin_count == 0 and kReady); lru_prev/lru_next are
     // the neighbouring frame indexes toward the head (most recent) and the
     // tail (the next victim), -1 at either end.
@@ -273,18 +260,14 @@ class BufferPool {
   };
 
   /// Returns a usable frame index in `s`: a free frame, or the LRU victim
-  /// (written back under the latch if dirty). -1 if every frame is pinned
-  /// or loading.
-  int32_t AcquireFrameLocked(Shard* s, Status* status) REQUIRES(s->mu);
-
-  /// Writes back all dirty kReady frames of `s`.
-  Status FlushShardLocked(Shard* s) REQUIRES(s->mu);
+  /// (unpublished; its bytes are a copy of the disk's, so nothing is
+  /// written). -1 if every frame is pinned or loading.
+  int32_t AcquireFrameLocked(Shard* s) REQUIRES(s->mu);
 
   /// True while `pid` is published in `s` and its read is in flight.
   static bool PageLoadingLocked(const Shard* s, PageId pid) REQUIRES(s->mu);
 
   void Unpin(uint32_t shard, int32_t frame);
-  void MarkDirty(uint32_t shard, int32_t frame);
 
   static size_t PickShardCount(size_t capacity, size_t requested);
 

@@ -401,14 +401,8 @@ Status DiskManager::WritePage(PageId pid, const char* data) {
   return Status::OK();
 }
 
-char* DiskManager::RawPage(PageId pid) {
-  ++io_stats_.raw_page_reads;  // atomic; no page access is unaccounted
-  MutexLock lock(&mu_);
-  return segments_.at(pid.segment).pages.at(pid.page_no).get();
-}
-
 const char* DiskManager::RawPage(PageId pid) const {
-  ++io_stats_.raw_page_reads;
+  ++io_stats_.raw_page_reads;  // atomic; no page access is unaccounted
   MutexLock lock(&mu_);
   return segments_.at(pid.segment).pages.at(pid.page_no).get();
 }

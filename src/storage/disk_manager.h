@@ -95,11 +95,12 @@ struct DiskManagerOptions {
 /// IoStats counters are relaxed atomics. The byte transfer itself happens
 /// *outside* the latch: page buffers are stable heap allocations, and the
 /// buffer pool orders conflicting transfers through its own shard latches
-/// (a frame being filled is LOADING — unreachable by readers — and a dirty
-/// victim is written back under the shard latch before the frame is
-/// reused). With morsel-parallel scans the interleaving of workers means
-/// fewer reads classify as sequential than in a serial scan — exactly as on
-/// real hardware with one arm.
+/// (a frame being filled is LOADING — unreachable by readers). Pages are
+/// written only while tables and indexes are loaded, before anything reads
+/// them, so no read ever races a write of the same page. With
+/// morsel-parallel scans the interleaving of workers means fewer reads
+/// classify as sequential than in a serial scan — exactly as on real
+/// hardware with one arm.
 ///
 /// The submission ring has its own latch (submit_mu_, rank kDiskSubmission
 /// = 250 > kDisk): a completion worker never holds the ring latch while it
@@ -184,13 +185,16 @@ class DiskManager {
     size_t added_ = 0;
   };
 
-  /// Physical write of a page. Charged as a write.
+  /// Physical write of a page image, charged to IoStats::physical_writes.
+  /// The loaders' write: HeapFile and Btree write each page they build
+  /// once, straight to the disk; the buffer pool never writes.
   Status WritePage(PageId pid, const char* data) EXCLUDES(mu_);
 
-  /// Direct pointer to page bytes, bypassing I/O accounting. For bulk
-  /// loaders and tests only; query execution must go through the
-  /// BufferPool so physical I/O is charged.
-  char* RawPage(PageId pid) EXCLUDES(mu_);
+  /// Direct read-only pointer to page bytes, counted in
+  /// IoStats::raw_page_reads and charged no simulated time. For offline
+  /// readers (statistics and index builds, exact oracles) and tests;
+  /// query execution must go through the BufferPool so physical I/O is
+  /// charged.
   const char* RawPage(PageId pid) const EXCLUDES(mu_);
 
   IoStats* io_stats() { return &io_stats_; }
@@ -263,7 +267,7 @@ class DiskManager {
   mutable Mutex mu_{lock_rank::kDisk};
   std::vector<Segment> segments_ GUARDED_BY(mu_);
   // Relaxed atomics, charged without the latch; mutable so the const
-  // RawPage overload can still account its page hand-outs.
+  // RawPage can still account its page hand-outs.
   mutable IoStats io_stats_;
   PageId last_read_ GUARDED_BY(mu_);  // invalid when head position unknown
   std::atomic<int64_t> read_latency_us_{0};  // its own synchronization

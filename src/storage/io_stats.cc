@@ -40,7 +40,6 @@ double SimulatedMillis(const IoStats& io, const CpuStats& cpu,
   // prefetched page costs a sequential transfer even though it bypasses
   // the read-head classifier.
   ms += static_cast<double>(io.prefetch_reads) * p.seq_read_ms;
-  ms += static_cast<double>(io.physical_writes) * p.write_ms;
   ms += static_cast<double>(cpu.rows_processed) * p.cpu_row_ms;
   ms += static_cast<double>(cpu.predicate_atom_evals) * p.cpu_pred_atom_ms;
   ms += static_cast<double>(cpu.monitor_hash_ops) * p.cpu_hash_ms;

@@ -70,9 +70,13 @@ static_assert(std::atomic<int64_t>::is_always_lock_free,
 /// atomics so concurrent scan workers can charge I/O without tearing; reset
 /// between measured runs.
 struct IoStats {
-  // Physical I/O (buffer-pool misses reaching the disk manager).
+  // Physical reads (buffer-pool misses reaching the disk manager).
   AtomicCounter physical_seq_reads;
   AtomicCounter physical_rand_reads;
+
+  // Page images the loaders (HeapFile, Btree) write while a table or index
+  // is built, one per page. The buffer pool never writes, so a measured
+  // run charges none and simulated time does not price them.
   AtomicCounter physical_writes;
 
   // Speculative reads issued by scan readahead. Charged *instead of* a
@@ -157,7 +161,6 @@ struct IoStats {
 struct SimCostParams {
   double seq_read_ms = 0.08;
   double rand_read_ms = 1.0;
-  double write_ms = 0.08;
   double cpu_row_ms = 0.0002;        // per row pushed through an operator
   double cpu_pred_atom_ms = 0.00005; // per atomic predicate evaluation
   double cpu_hash_ms = 0.00004;      // per monitor/bitvector hash

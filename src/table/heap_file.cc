@@ -27,23 +27,28 @@ void HeapFile::SetPageRowCount(char* page_data, uint32_t n) {
 }
 
 Result<Rid> HeapFile::AppendEncoded(const char* row) {
-  if (!tail_guard_.valid() || tail_rows_ == rows_per_page_) {
-    tail_guard_.Release();
-    auto guard = pool_->NewPage(segment_, &tail_pid_);
-    if (!guard.ok()) return guard.status();
-    tail_guard_ = std::move(guard).value();
-    tail_rows_ = 0;
+  if (tail_rows_ == 0) {
+    // A new page starts zeroed, as the disk allocates it.
+    tail_.assign(pool_->disk()->page_size(), 0);
+    tail_page_no_ = pool_->disk()->AllocatePage(segment_);
     ++page_count_;
   }
-  char* page = tail_guard_.mutable_data();
-  std::memcpy(page + kHeaderSize +
+  std::memcpy(tail_.data() + kHeaderSize +
                   static_cast<size_t>(tail_rows_) * schema_->row_size(),
               row, schema_->row_size());
-  SetPageRowCount(page, tail_rows_ + 1);
-  Rid rid{tail_pid_.page_no, static_cast<uint16_t>(tail_rows_)};
-  ++tail_rows_;
+  Rid rid{tail_page_no_, static_cast<uint16_t>(tail_rows_)};
+  SetPageRowCount(tail_.data(), ++tail_rows_);
   ++row_count_;
+  if (tail_rows_ == rows_per_page_) {
+    DPCF_RETURN_IF_ERROR(WriteTail());
+  }
   return rid;
+}
+
+Status HeapFile::WriteTail() {
+  tail_rows_ = 0;
+  return pool_->disk()->WritePage(PageId{segment_, tail_page_no_},
+                                  tail_.data());
 }
 
 Result<Rid> HeapFile::Append(const Tuple& tuple) {
@@ -54,7 +59,9 @@ Result<Rid> HeapFile::Append(const Tuple& tuple) {
   return AppendEncoded(buf.data());
 }
 
-void HeapFile::Seal() { tail_guard_.Release(); }
+Status HeapFile::Seal() {
+  return tail_rows_ == 0 ? Status::OK() : WriteTail();
+}
 
 Result<PageGuard> HeapFile::FetchRow(Rid rid, const char** out_row) {
   if (rid.page_no >= page_count_) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/buffer_pool.h"
@@ -43,11 +44,13 @@ struct Rid {
 
 /// Fixed-width-row page store over one segment.
 ///
-/// Build-once: appends keep the tail page pinned until the load ends with
-/// Seal, and the file is only read after that. Reads go through the buffer
-/// pool so physical I/O is charged to the run. Offline readers walk the raw
-/// page images instead, a page at a time (ForEachRawPage) or a row at a
-/// time (ForEachRawRow, built on it).
+/// Build-once: appends fill the tail page in a page-sized buffer and write
+/// it straight to the disk (DiskManager::WritePage) once, when it fills or
+/// at Seal, so loading never goes through the buffer pool; the file is only
+/// read after Seal. Reads go through the buffer pool so physical I/O is
+/// charged to the run. Offline readers walk the raw page images instead, a
+/// page at a time (ForEachRawPage) or a row at a time (ForEachRawRow, built
+/// on it).
 class HeapFile {
  public:
   HeapFile(BufferPool* pool, SegmentId segment, const Schema* schema);
@@ -68,9 +71,9 @@ class HeapFile {
   /// Encodes and appends a tuple.
   Result<Rid> Append(const Tuple& tuple);
 
-  /// Unpins the tail page; call once, when loading is done. Nothing
-  /// appends afterwards.
-  void Seal();
+  /// Writes the partly filled tail page, if any; call once, when loading
+  /// is done. Nothing appends afterwards.
+  Status Seal();
 
   /// Pins the page holding `rid` and returns the guard; `out_row` points at
   /// the row bytes (valid while the guard lives).
@@ -91,8 +94,6 @@ class HeapFile {
   static const char* PageRows(const char* page_data) {
     return page_data + kHeaderSize;
   }
-
-  BufferPool* buffer_pool() const { return pool_; }
 
   /// Calls fn(page_no, rows, n) for every page, in page order, where the
   /// page's n rows start at `rows` and follow at schema row_size() stride
@@ -122,6 +123,10 @@ class HeapFile {
   }
 
  private:
+  /// Writes the tail page's image to the disk; the next append starts a
+  /// new page.
+  Status WriteTail();
+
   BufferPool* pool_;
   SegmentId segment_;
   const Schema* schema_;
@@ -129,9 +134,10 @@ class HeapFile {
   uint32_t page_count_ = 0;
   int64_t row_count_ = 0;
 
-  // Tail page being filled by Append.
-  PageGuard tail_guard_;
-  PageId tail_pid_;
+  // Tail page being filled by Append: its image and page number, and its
+  // row count (0 when no page is open).
+  std::vector<char> tail_;
+  PageNo tail_page_no_ = kInvalidPageNo;
   uint32_t tail_rows_ = 0;
 };
 

@@ -65,12 +65,11 @@ Status TableBuilder::Finish() {
     auto rid = file->AppendEncoded(buffer_.data() + idx * row_size_);
     if (!rid.ok()) return rid.status();
   }
-  file->Seal();
   buffer_.clear();
   buffer_.shrink_to_fit();
-  // Push the loaded pages through to the disk image so raw walkers
+  // Every page is on the disk once the tail is written, so raw walkers
   // (statistics build, index build, diagnostics) see the data.
-  return file->buffer_pool()->FlushAll();
+  return file->Seal();
 }
 
 }  // namespace dpcf

@@ -54,8 +54,10 @@ class Table {
 };
 
 /// Accumulates rows in memory, sorts them by the clustering key when the
-/// table is clustered, and writes the heap file. Loading is a bulk
-/// operation outside any measured run; callers reset I/O stats afterwards.
+/// table is clustered, and writes the heap file: each page image goes
+/// straight to the disk, once, and none passes through the buffer pool.
+/// Loading is a bulk operation outside any measured run; callers reset I/O
+/// stats afterwards.
 class TableBuilder {
  public:
   /// `table` must be freshly created and empty.

@@ -70,11 +70,13 @@ TEST_P(BufferPoolFuzz, MatchesReferenceLruWithoutPins) {
                                       << geo.pages << " pages");
     DiskManager disk(256);
     SegmentId seg = disk.CreateSegment("t");
+    std::vector<char> image(256, 0);
     for (PageNo p = 0; p < geo.pages; ++p) {
       disk.AllocatePage(seg);
       // Each page carries its own number, so a fetch that lands on the
       // wrong frame's bytes shows up as a mismatch, not just a wrong count.
-      std::memcpy(disk.RawPage(PageId{seg, p}), &p, sizeof(p));
+      std::memcpy(image.data(), &p, sizeof(p));
+      ASSERT_OK(disk.WritePage(PageId{seg, p}, image.data()));
     }
     BufferPool pool(&disk, geo.frames, BufferPoolOptions{shards()});
     ASSERT_EQ(pool.num_shards(), shards());

@@ -9,7 +9,7 @@
 //
 //  - correctly ordered pool -> disk acquisition stays silent, both on bare
 //    ranked mutexes and through the real BufferPool miss path (shard latch,
-//    condvar waits, disk latch, writeback);
+//    eviction, disk latch, cold reset);
 //  - a deliberate disk -> pool inversion dies with the lock-rank
 //    diagnostic (death test);
 //  - nesting two latches of the same rank (two buffer-pool shards) dies,
@@ -18,7 +18,7 @@
 // Without DPCF_LOCK_RANK the ranks are inert; the enforcement tests skip
 // so the default tier-1 build stays green.
 
-#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -106,10 +106,10 @@ TEST(LockRankTest, OrderedAcquisitionStaysSilent) {
 }
 
 TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
-  // Exercise the genuine shard-latch -> disk-latch nesting: dirty-victim
-  // writeback (under the shard latch, so a concurrent miss of the victim
-  // cannot read stale bytes), flush, and cold reset; plus the misses that
-  // drive the eviction.
+  // Exercise the real pool's latch traffic under the rank checker: misses
+  // that evict (shard latch, dropped for the disk read, retaken to
+  // publish) and a cold reset (ring drain, one shard latch at a time,
+  // then the disk latch to forget the read head).
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
   const PageNo kPages = 64;
@@ -119,12 +119,10 @@ TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
     ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
   }
   BufferPool pool(&disk, 16, BufferPoolOptions{/*num_shards=*/2});
-  for (PageNo p = 0; p < kPages; ++p) {  // misses + dirty-victim writeback
+  for (PageNo p = 0; p < kPages; ++p) {  // misses, most of them evicting
     auto guard = pool.Fetch(PageId{seg, p});
     ASSERT_OK(guard.status());
-    std::memcpy(guard.value().mutable_data(), buf.data(), 8);  // dirty it
   }
-  ASSERT_OK(pool.FlushAll());  // writeback under the shard latch
   ASSERT_OK(pool.ColdReset());
   SUCCEED();
 }
@@ -189,8 +187,8 @@ TEST(LockRankDeathTest, JournalDrainUnderDrainAborts) {
 
 TEST(LockRankDeathTest, SameRankNestingAborts) {
   // All shard latches share one rank: holding two at once is the bug the
-  // aggregate paths (cached_pages / FlushAll / ColdReset) avoid by
-  // visiting shards one at a time. Equal rank is not "strictly greater".
+  // aggregate paths (cached_pages / ColdReset) avoid by visiting shards
+  // one at a time. Equal rank is not "strictly greater".
   Mutex shard_a(lock_rank::kBufferPoolShard);
   Mutex shard_b(lock_rank::kBufferPoolShard);
   EXPECT_DEATH(AcquireInOrder(&shard_a, &shard_b),

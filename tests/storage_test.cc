@@ -1,6 +1,6 @@
 // Unit tests for storage/: disk manager I/O classification, buffer pool
-// (LRU, pinning, dirty write-back, failed reads, cold reset, allocation-free
-// steady state), simulated cost model.
+// (LRU, pinning, failed reads, cold reset, allocation-free steady state),
+// simulated cost model.
 
 #include <atomic>
 #include <cstdlib>
@@ -172,34 +172,6 @@ TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
   EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
   pins.clear();
   EXPECT_TRUE(pool_.Fetch(PageId{seg_, 10}).ok());
-}
-
-TEST_F(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
-  {
-    auto g = pool_.Fetch(PageId{seg_, 0});
-    ASSERT_TRUE(g.ok());
-    g->mutable_data()[0] = 'Z';
-  }
-  // Evict page 0 by filling the pool.
-  for (PageNo p = 1; p <= 4; ++p) {
-    auto g = pool_.Fetch(PageId{seg_, p});
-    ASSERT_TRUE(g.ok());
-  }
-  EXPECT_EQ(disk_.RawPage(PageId{seg_, 0})[0], 'Z');
-  EXPECT_GE(disk_.io_stats()->physical_writes, 1);
-}
-
-TEST_F(BufferPoolTest, NewPageAllocatesZeroedAndDirty) {
-  PageId pid;
-  {
-    auto g = pool_.NewPage(seg_, &pid);
-    ASSERT_TRUE(g.ok());
-    EXPECT_EQ(pid.page_no, 16u);
-    EXPECT_EQ((*g).data()[37], 0);
-    g->mutable_data()[5] = 'Q';
-  }
-  ASSERT_OK(pool_.FlushAll());
-  EXPECT_EQ(disk_.RawPage(pid)[5], 'Q');
 }
 
 TEST_F(BufferPoolTest, ColdResetEmptiesPool) {

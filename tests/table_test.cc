@@ -123,16 +123,37 @@ TEST_F(HeapFileTest, AppendSpillsToNewPages) {
     EXPECT_EQ(rid->page_no, static_cast<PageNo>(i / 15));
     EXPECT_EQ(rid->slot, static_cast<uint16_t>(i % 15));
   }
-  file_->Seal();
+  ASSERT_OK(file_->Seal());
   EXPECT_EQ(file_->page_count(), 3u);
   EXPECT_EQ(file_->row_count(), 40);
+}
+
+// A load writes each page straight to the disk, once, when it fills and at
+// Seal: nothing passes through the pool, and a raw walk sees every row as
+// soon as Seal returns.
+TEST_F(HeapFileTest, SealedPagesAreOnDiskWithoutThePool) {
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(file_->Append({Value::Int64(i), Value::Int64(i * 2)}).ok());
+  }
+  ASSERT_OK(file_->Seal());
+  EXPECT_EQ(pool_.cached_pages(), 0u);
+  EXPECT_EQ(disk_.io_stats()->physical_writes, 3);
+  int64_t next = 0;
+  file_->ForEachRawRow(&disk_, [&](PageNo p, uint16_t s, const RowView& row) {
+    EXPECT_EQ(p, static_cast<PageNo>(next / 15));
+    EXPECT_EQ(s, static_cast<uint16_t>(next % 15));
+    EXPECT_EQ(row.GetInt64(0), next);
+    EXPECT_EQ(row.GetInt64(1), next * 2);
+    ++next;
+  });
+  EXPECT_EQ(next, 40);
 }
 
 TEST_F(HeapFileTest, FetchRowReturnsStoredBytes) {
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(file_->Append({Value::Int64(i), Value::Int64(i * i)}).ok());
   }
-  file_->Seal();
+  ASSERT_OK(file_->Seal());
   const char* row = nullptr;
   auto guard = file_->FetchRow(Rid{1, 2}, &row);  // 18th row: i = 17
   ASSERT_TRUE(guard.ok());
@@ -143,7 +164,7 @@ TEST_F(HeapFileTest, FetchRowReturnsStoredBytes) {
 
 TEST_F(HeapFileTest, FetchRowRejectsBadRids) {
   ASSERT_TRUE(file_->Append({Value::Int64(1), Value::Int64(2)}).ok());
-  file_->Seal();
+  ASSERT_OK(file_->Seal());
   const char* row = nullptr;
   EXPECT_EQ(file_->FetchRow(Rid{5, 0}, &row).status().code(),
             StatusCode::kOutOfRange);
