@@ -14,16 +14,33 @@ const char* DistinctCountMechanismName(DistinctCountMechanism m) {
   return "?";
 }
 
+namespace {
+
+std::variant<LinearCounter, ReservoirDistinctEstimator> MakeEstimator(
+    const FetchMonitorRequest& request) {
+  if (request.mechanism == DistinctCountMechanism::kLinearCounting) {
+    return LinearCounter(request.numbits, request.seed);
+  }
+  return ReservoirDistinctEstimator(request.reservoir_capacity,
+                                    request.seed);
+}
+
+}  // namespace
+
+PidStreamMonitor::PidStreamMonitor(FetchMonitorRequest request)
+    : request_(std::move(request)), estimator_(MakeEstimator(request_)) {}
+
 MonitorRecord PidStreamMonitor::MakeRecord(const std::string& table) const {
   MonitorRecord rec;
   rec.table = table;
   rec.label = request_.label;
   rec.expr_text = request_.label;
-  if (request_.mechanism == DistinctCountMechanism::kLinearCounting) {
-    rec.mechanism = StrFormat("linear-counting(%ub)", counter_.numbits());
+  if (const auto* counter = std::get_if<LinearCounter>(&estimator_)) {
+    rec.mechanism = StrFormat("linear-counting(%ub)", counter->numbits());
   } else {
-    rec.mechanism =
-        StrFormat("reservoir+gee(%u)", reservoir_.capacity());
+    rec.mechanism = StrFormat(
+        "reservoir+gee(%u)",
+        std::get<ReservoirDistinctEstimator>(estimator_).capacity());
   }
   rec.actual_dpc = Estimate();
   rec.actual_cardinality = static_cast<double>(rows_);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "core/distinct_sampler.h"
 #include "core/linear_counter.h"
@@ -40,13 +41,11 @@ struct FetchMonitorRequest {
   uint64_t seed = 0;
 };
 
-/// Stateful monitor over one PID stream.
+/// Stateful monitor over one PID stream. It holds only the estimator its
+/// request's mechanism names.
 class PidStreamMonitor {
  public:
-  explicit PidStreamMonitor(FetchMonitorRequest request)
-      : request_(std::move(request)),
-        counter_(request_.numbits, request_.seed),
-        reservoir_(request_.reservoir_capacity, request_.seed) {}
+  explicit PidStreamMonitor(FetchMonitorRequest request);
 
   const FetchMonitorRequest& request() const { return request_; }
 
@@ -54,19 +53,18 @@ class PidStreamMonitor {
   /// cost (a hash for linear counting; reservoir bookkeeping otherwise).
   void Add(uint64_t pid, CpuStats* cpu) {
     ++rows_;
-    if (request_.mechanism == DistinctCountMechanism::kLinearCounting) {
+    if (auto* counter = std::get_if<LinearCounter>(&estimator_)) {
       ++cpu->monitor_hash_ops;
-      counter_.Add(pid);
+      counter->Add(pid);
     } else {
       ++cpu->monitor_row_ops;
-      reservoir_.Add(pid);
+      std::get<ReservoirDistinctEstimator>(estimator_).Add(pid);
     }
   }
 
   double Estimate() const {
-    return request_.mechanism == DistinctCountMechanism::kLinearCounting
-               ? counter_.Estimate()
-               : reservoir_.Estimate();
+    return std::visit([](const auto& e) { return e.Estimate(); },
+                      estimator_);
   }
 
   int64_t rows() const { return rows_; }
@@ -76,8 +74,7 @@ class PidStreamMonitor {
 
  private:
   FetchMonitorRequest request_;
-  LinearCounter counter_;
-  ReservoirDistinctEstimator reservoir_;
+  std::variant<LinearCounter, ReservoirDistinctEstimator> estimator_;
   int64_t rows_ = 0;
 };
 

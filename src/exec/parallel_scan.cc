@@ -33,6 +33,16 @@ struct ReadaheadState {
   int64_t pages_consumed GUARDED_BY(mu) = 0;
   bool stop GUARDED_BY(mu) = false;
 };
+
+/// One worker's tallies during a scan, folded into the ExecContext
+/// (MergeCpu, MergeStall) as the worker finishes.
+struct ParallelWorkerStats {
+  CpuStats cpu;
+  /// Blocked time this worker spent in the storage layer (demand-miss I/O
+  /// wait, submission-ring backpressure, waiting behind another thread's
+  /// kLoading frame), charged through the worker's StallScope.
+  StallStats stall;
+};
 }  // namespace
 
 ParallelTableScanOp::ParallelTableScanOp(
@@ -56,8 +66,8 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
 
   MorselQueue queue(file->page_count(), options_.morsel_pages);
   morsel_out_.assign(queue.num_morsels(), {});
-  worker_stats_.assign(static_cast<size_t>(num_workers),
-                       ParallelWorkerStats{});
+  std::vector<ParallelWorkerStats> worker_stats(
+      static_cast<size_t>(num_workers));
   drain_morsel_ = 0;
   drain_row_ = 0;
 
@@ -182,7 +192,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     // its morsel spans (and any buffer-pool miss spans beneath them) carry
     // the same qid as the driver's.
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
-    ParallelWorkerStats& ws = worker_stats_[static_cast<size_t>(w)];
+    ParallelWorkerStats& ws = worker_stats[static_cast<size_t>(w)];
     // Blocked time in the storage layer (miss waits, ring backpressure,
     // kLoading waits) lands in this worker's tally; folded in below next
     // to the CPU tally. On the 1-thread path this shadows the driver's
@@ -204,7 +214,6 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
       if (stop.load(std::memory_order_relaxed)) return Status::OK();
       const bool traced = tc != nullptr && tc->enabled();
       const int64_t span_begin = traced ? tc->NowUs() : 0;
-      ++ws.morsels;
       std::vector<Tuple>& out = morsel_out_[morsel];
       for (PageNo p = begin; p < end; ++p) {
         auto guard = ctx->pool()->Fetch(PageId{file->segment(), p});
@@ -213,7 +222,6 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
           return guard.status();
         }
         const PageGuard page = std::move(guard).value();
-        ++ws.pages_scanned;
         // The morsel's survivors are buffered, not streamed, so nothing
         // downstream can change between evaluating and observing a page.
         const uint32_t survivors = step_.Eval(page.data(), cpu, &scratch);
@@ -224,7 +232,6 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
                                         schema),
                                 projection_, &out.back());
         }
-        ws.tuples += survivors;
       }
       if (ra_ptr != nullptr) {
         ra_ptr->mu.lock();
@@ -240,8 +247,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     }
     // Each worker folds its CPU tally into the context as it finishes;
     // MergeCpu latches, so workers may race each other here but never
-    // corrupt the totals. (The per-worker copy stays in worker_stats_ for
-    // load-balance reporting.)
+    // corrupt the totals.
     ctx->MergeCpu(ws.cpu);
     ctx->MergeStall(ws.stall);
     return Status::OK();

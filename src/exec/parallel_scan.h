@@ -24,7 +24,6 @@
 #include "core/dpsample.h"
 #include "exec/operator.h"
 #include "exec/scan_ops.h"
-#include "obs/stall_tracker.h"
 #include "table/catalog.h"
 
 namespace dpcf {
@@ -55,19 +54,6 @@ struct ParallelScanOptions {
   bool vectorized = true;
 };
 
-/// Per-worker tallies, exposed after the scan for load-balance reporting
-/// and simulated-time critical-path accounting in benchmarks.
-struct ParallelWorkerStats {
-  CpuStats cpu;
-  /// Blocked time this worker spent in the storage layer (demand-miss I/O
-  /// wait, submission-ring backpressure, waiting behind another thread's
-  /// kLoading frame), charged through the worker's StallScope.
-  StallStats stall;
-  int64_t pages_scanned = 0;
-  int64_t morsels = 0;
-  int64_t tuples = 0;
-};
-
 /// Parallel counterpart of TableScanOp. Open() runs the whole scan to
 /// completion across the worker pool (a scan is a pipeline breaker here;
 /// the Volcano surface stays single-threaded), Next() drains the buffered
@@ -84,9 +70,6 @@ class ParallelTableScanOp : public Operator {
       std::vector<MonitorRecord>* out) const override;
 
   const ScanMonitorBundle* monitors() const { return monitors_.get(); }
-  const std::vector<ParallelWorkerStats>& worker_stats() const {
-    return worker_stats_;
-  }
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -103,7 +86,6 @@ class ParallelTableScanOp : public Operator {
   /// Matches buffered per morsel; drained in morsel order so the output
   /// sequence is identical to the serial scan's.
   std::vector<std::vector<Tuple>> morsel_out_;
-  std::vector<ParallelWorkerStats> worker_stats_;
   size_t drain_morsel_ = 0;
   size_t drain_row_ = 0;
 };

@@ -11,8 +11,8 @@ namespace dpcf {
 
 namespace {
 
-// INT64 atoms run on the dispatched SIMD table (exec/simd.h) — scalar,
-// AVX2 or NEON, all bit-for-bit identical. CHAR atoms stay on the scalar
+// INT64 atoms run on the dispatched SIMD table (exec/simd.h) — scalar or
+// AVX2, bit-for-bit identical. CHAR atoms stay on the scalar
 // memcmp loops below: fixed-width byte compares don't gather and the
 // workloads' string atoms are rare, so there is nothing to win.
 

@@ -1,11 +1,18 @@
 #include "exec/scan_ops.h"
 
 #include <cassert>
+#include <cstddef>
 
 #include "common/string_util.h"
 #include "obs/metrics_registry.h"
 
 namespace dpcf {
+
+namespace {
+
+constexpr size_t kCacheLineSize = 64;
+
+}  // namespace
 
 void AppendScanMonitorRecords(const Table& table,
                               const ScanMonitorBundle* monitors,
@@ -58,6 +65,14 @@ uint32_t HeapPageStep::Eval(const char* page, CpuStats* cpu,
   const uint32_t rows_in_page = HeapFile::PageRowCount(page);
   const char* rows = HeapFile::PageRows(page);
   s->block.Reset(rows, rows_in_page);
+  // The image is the disk's own bytes, which no copy has pulled into this
+  // core's caches: ask for every line of the rows up front so they arrive
+  // in parallel, not one strided comparison at a time.
+  const char* rows_end =
+      rows + static_cast<size_t>(rows_in_page) * s->block.row_stride();
+  for (const char* line = rows; line < rows_end; line += kCacheLineSize) {
+    __builtin_prefetch(line);
+  }
   s->sel.resize(rows_in_page);
   uint32_t n = rows_in_page;  // rows before the cut
   uint32_t survivors = 0;

@@ -32,8 +32,6 @@ const SimdOps* TableFor(SimdIsa isa) {
       return simd_internal::GetScalarSimdOps();
     case SimdIsa::kAvx2:
       return simd_internal::GetAvx2SimdOps();
-    case SimdIsa::kNeon:
-      return simd_internal::GetNeonSimdOps();
   }
   return nullptr;
 }
@@ -41,7 +39,6 @@ const SimdOps* TableFor(SimdIsa isa) {
 /// Best ISA the CPU + build supports; scalar is always last resort.
 SimdIsa BestAvailable() {
   if (SimdIsaAvailable(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
-  if (SimdIsaAvailable(SimdIsa::kNeon)) return SimdIsa::kNeon;
   return SimdIsa::kScalar;
 }
 
@@ -53,10 +50,6 @@ bool ParseIsaName(const char* s, SimdIsa* out) {
   }
   if (std::strcmp(s, "avx2") == 0) {
     *out = SimdIsa::kAvx2;
-    return true;
-  }
-  if (std::strcmp(s, "neon") == 0) {
-    *out = SimdIsa::kNeon;
     return true;
   }
   return false;
@@ -80,8 +73,6 @@ const char* SimdIsaName(SimdIsa isa) {
       return "scalar";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -90,8 +81,7 @@ bool SimdIsaAvailable(SimdIsa isa) { return TableFor(isa) != nullptr; }
 
 std::vector<SimdIsa> AvailableSimdIsas() {
   std::vector<SimdIsa> out;
-  for (SimdIsa isa :
-       {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     if (SimdIsaAvailable(isa)) out.push_back(isa);
   }
   return out;
@@ -103,7 +93,7 @@ SimdIsa ChooseSimdIsa(const char* env_value) {
     if (!ParseIsaName(env_value, &requested)) {
       std::fprintf(stderr,
                    "dpcf: unrecognized DPCF_SIMD=\"%s\" "
-                   "(want avx2|neon|scalar); using %s\n",
+                   "(want avx2|scalar); using %s\n",
                    env_value, SimdIsaName(BestAvailable()));
       return BestAvailable();
     }

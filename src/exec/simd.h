@@ -11,12 +11,11 @@
 //              into its own translation unit with -mavx2 (the only TU
 //              allowed to use raw intrinsics; the dpcf-simd-intrinsics
 //              lint enforces it).
-//   - kNeon:   2-wide aarch64 lanes, compiled only on ARM builds.
 //
-// Dispatch runs once per process: the env override DPCF_SIMD=avx2|neon|
-// scalar wins if that ISA is available (falling back to scalar with a
-// stderr note if not), otherwise the best ISA the CPU supports is chosen
-// via runtime feature detection. Tests pin an ISA with SetActiveSimd().
+// Dispatch runs once per process: the env override DPCF_SIMD=avx2|scalar
+// wins if that ISA is available (falling back to scalar with a stderr
+// note if not), otherwise the best ISA the CPU supports is chosen via
+// runtime feature detection. Tests pin an ISA with SetActiveSimd().
 //
 // Every implementation must produce *identical* outputs to kScalar —
 // selection vectors, leading[] counts, pass[] bitmaps and return values —
@@ -36,10 +35,9 @@ namespace dpcf {
 enum class SimdIsa : uint8_t {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Stable lowercase name ("scalar", "avx2", "neon") — the DPCF_SIMD env
+/// Stable lowercase name ("scalar", "avx2") — the DPCF_SIMD env
 /// spelling and the `isa` label on the dpcf_simd_dispatch_info gauge.
 const char* SimdIsaName(SimdIsa isa);
 
@@ -117,7 +115,6 @@ namespace simd_internal {
 /// nullptr when the ISA is compiled out or the CPU lacks the feature.
 const SimdOps* GetScalarSimdOps();
 const SimdOps* GetAvx2SimdOps();
-const SimdOps* GetNeonSimdOps();
 }  // namespace simd_internal
 
 }  // namespace dpcf

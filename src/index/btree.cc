@@ -53,8 +53,7 @@ const InternalEntry* InternalEntries(const char* page) {
   return reinterpret_cast<const InternalEntry*>(page + sizeof(NodeHeader));
 }
 
-// Zero-fills `node` (one page image, as the disk allocates a page) and
-// writes its header.
+// Zero-fills `node` (one page image) and writes its header.
 void ResetNode(std::vector<char>* node, bool is_leaf, uint16_t level,
                uint32_t count, PageNo prev) {
   std::fill(node->begin(), node->end(), 0);
@@ -127,10 +126,8 @@ Result<Btree> Btree::Create(BufferPool* pool, std::string name) {
   Btree tree(pool, segment, std::move(name));
   std::vector<char> root(disk->page_size());
   ResetNode(&root, /*is_leaf=*/true, 0, 0, kInvalidPageNo);
-  tree.root_ = disk->AllocatePage(segment);
+  DPCF_ASSIGN_OR_RETURN(tree.root_, disk->AppendPage(segment, root.data()));
   tree.height_ = 1;
-  DPCF_RETURN_IF_ERROR(
-      disk->WritePage(PageId{segment, tree.root_}, root.data()));
   return tree;
 }
 
@@ -233,44 +230,44 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
   }
   if (sorted.empty()) return Status::OK();
 
-  // Node images are built in `node` and written straight to the disk, once
-  // each, in the order their pages are allocated: a leaf as soon as its
-  // successor's page number (its `next` link) is known, an internal node
-  // as soon as it is filled.
+  // Node images are built in `node` and appended to the disk, once each,
+  // as soon as they are final.
   DiskManager* disk = pool_->disk();
   std::vector<char> node(disk->page_size());
-  auto write_node = [&](PageNo page) {
-    return disk->WritePage(PageId{segment_, page}, node.data());
-  };
 
-  // Level 0: fill leaves left to right, chaining them.
+  // Level 0: fill leaves left to right, chaining them. This tree is its
+  // segment's only writer, so the leaves take consecutive page numbers
+  // from the segment's next one, and each leaf's `prev` and `next` are
+  // known before it is appended.
   struct NodeRef {
     BtreeEntry first;
     PageNo page;
   };
   std::vector<NodeRef> level_nodes;
   {
-    PageNo prev = kInvalidPageNo;  // the leaf held in `node`, unwritten
+    PageNo page = disk->SegmentPageCount(segment_);
     size_t i = 0;
     while (i < sorted.size()) {
       uint32_t n = static_cast<uint32_t>(
           std::min<size_t>(leaf_capacity_, sorted.size() - i));
-      const PageNo page = disk->AllocatePage(segment_);
-      if (prev != kInvalidPageNo) {
-        Header(node.data())->next = page;
-        DPCF_RETURN_IF_ERROR(write_node(prev));
-      }
-      ResetNode(&node, /*is_leaf=*/true, 0, n, prev);
+      const bool first = i == 0;
+      const bool last = i + n == sorted.size();
+      ResetNode(&node, /*is_leaf=*/true, 0, n,
+                first ? kInvalidPageNo : page - 1);
+      Header(node.data())->next = last ? kInvalidPageNo : page + 1;
       LeafEntry* es = LeafEntries(node.data());
       for (uint32_t j = 0; j < n; ++j) {
         const BtreeEntry& e = sorted[i + j];
         es[j] = LeafEntry{e.key.k1, e.key.k2, e.aux};
       }
+      DPCF_ASSIGN_OR_RETURN(const PageNo appended,
+                            disk->AppendPage(segment_, node.data()));
+      assert(appended == page);
+      (void)appended;
       level_nodes.push_back(NodeRef{sorted[i], page});
-      prev = page;
+      ++page;
       i += n;
     }
-    DPCF_RETURN_IF_ERROR(write_node(prev));  // the last leaf: no successor
   }
 
   // Upper levels until a single root remains.
@@ -283,7 +280,6 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
           std::min<size_t>(internal_capacity_, level_nodes.size() - i));
       // Avoid a trailing single-child node: borrow one from this node.
       if (level_nodes.size() - i - n == 1) n -= 1;
-      const PageNo page = disk->AllocatePage(segment_);
       ResetNode(&node, /*is_leaf=*/false, level, n, kInvalidPageNo);
       InternalEntry* es = InternalEntries(node.data());
       for (uint32_t j = 0; j < n; ++j) {
@@ -291,7 +287,8 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
         es[j] = InternalEntry{ref.first.key.k1, ref.first.key.k2,
                               ref.first.aux, ref.page, 0};
       }
-      DPCF_RETURN_IF_ERROR(write_node(page));
+      DPCF_ASSIGN_OR_RETURN(const PageNo page,
+                            disk->AppendPage(segment_, node.data()));
       next_nodes.push_back(NodeRef{level_nodes[i].first, page});
       i += n;
     }

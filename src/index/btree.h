@@ -14,8 +14,9 @@
 // Build-once: a tree is created empty and filled exactly once by a linear
 // bulk load of sorted entries (the index build); after that it is only
 // read — point/range seeks via iterators. Both steps build each node's
-// page image in memory and write it straight to the disk, once
-// (DiskManager::WritePage); no build step goes through the buffer pool.
+// page image in memory and append the finished image to the disk, once
+// (DiskManager::AppendPage); no build step goes through the buffer pool,
+// and no node changes after it is appended.
 // CheckInvariants() validates ordering, separator and leaf-chain
 // invariants for the test suite.
 
@@ -103,15 +104,16 @@ class BtreeIterator {
 /// Paged B+-tree over one buffer-pool segment.
 class Btree {
  public:
-  /// Creates an empty tree (root = empty leaf, written to the disk) in a
+  /// Creates an empty tree (root = empty leaf, appended to the disk) in a
   /// fresh segment.
   static Result<Btree> Create(BufferPool* pool, std::string name);
 
   /// Fills the empty tree, once. `sorted` must be strictly ascending by
   /// (key, aux). Each level is filled left to right, nodes to capacity;
-  /// the tail of a level takes the remainder. Pages are allocated leaves
-  /// first, then each upper level, and each is written once: a leaf when
-  /// its successor's page number is known, an internal node when filled.
+  /// the tail of a level takes the remainder. Pages are appended leaves
+  /// first, then each upper level, each once its image is final: the
+  /// leaves take consecutive page numbers, so each leaf's chain links are
+  /// known before it is appended.
   Status BulkLoad(const std::vector<BtreeEntry>& sorted);
 
   /// Positions an iterator at the first entry with key >= lo.

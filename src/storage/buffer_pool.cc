@@ -81,15 +81,9 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
     auto shard = std::make_unique<Shard>(disk_);
     const size_t frames = base + (si < rem ? 1 : 0);
     MutexLock lock(&shard->mu);  // ctor-private; satisfies TSA, uncontended
-    // Every frame is fully written (demand read or readahead copy) before
-    // anything reads it, so the arena is left unwritten: a small working
-    // set keeps the rest of it non-resident.
-    shard->arena =
-        std::make_unique_for_overwrite<char[]>(frames * disk_->page_size());
     shard->frames.resize(frames);
     shard->free_frames.reserve(frames);
     for (size_t i = 0; i < frames; ++i) {
-      shard->frames[i].data = shard->arena.get() + i * disk_->page_size();
       shard->free_frames.push_back(static_cast<int32_t>(frames - 1 - i));
     }
     const size_t slots = std::bit_ceil(2 * frames);
@@ -307,7 +301,6 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     fr.pin_count = 1;  // loading frames are never victims
     fr.prefetched = false;
     s.Insert(f);
-    char* dst = fr.data;
     if (s.m_misses != nullptr) s.m_misses->Increment();
     const bool traced = trace_ != nullptr && trace_->enabled();
     const bool timed = traced || m_miss_read_us_ != nullptr ||
@@ -319,11 +312,11 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       if (traced) span_begin = trace_->NowUs();
     }
     // The pool's only demand read: inline, off the shard latch. The frame
-    // is pinned and kLoading, so nothing else touches `dst` meanwhile.
+    // is pinned and kLoading, so nothing else touches it meanwhile.
     s.mu.unlock();
-    const Status st = disk_->ReadPage(pid, dst);
+    const Result<const char*> read = disk_->ReadPage(pid);
     s.mu.lock();
-    if (timed && st.ok()) {
+    if (timed && read.ok()) {
       const double read_us = std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - read_t0)
                                  .count();
@@ -339,15 +332,16 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
                         span_begin);
       }
     }
-    if (!st.ok()) {
+    if (!read.ok()) {
       s.Erase(pid);
       fr.state = FrameState::kFree;
       fr.pin_count = 0;
       s.free_frames.push_back(f);
       s.cv.notify_all();
       s.mu.unlock();
-      return st;
+      return read.status();
     }
+    fr.data = *read;
     fr.state = FrameState::kReady;
     // The physical read was charged inside ReadPage; charging logical here,
     // after the load succeeded, keeps logical == hits + physical exact even
@@ -355,7 +349,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     ++io->logical_reads;
     if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
     s.cv.notify_all();
-    PageGuard guard(this, si, f, dst);
+    PageGuard guard(this, si, f, fr.data);
     s.mu.unlock();
     return guard;
   }
@@ -396,7 +390,7 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     fr.prefetched = false;
     s.Insert(f);
     batch.push_back(ReadRequest{
-        pid, fr.data, [this, si, f](const Status& read) {
+        pid, [this, si, f](const Result<const char*>& read) {
           Shard& sh = *shards_[si];
           {
             MutexLock relock(&sh.mu);
@@ -405,6 +399,7 @@ void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
               // Ready, unpinned, most recently used: the window of
               // prefetched-but-unconsumed pages survives until the scan
               // cursor arrives (unless the shard is under real pressure).
+              loaded.data = *read;
               loaded.state = FrameState::kReady;
               loaded.prefetched = true;
               loaded.pin_count = 0;
@@ -446,7 +441,7 @@ Status BufferPool::ColdReset() {
   }
   // Pass 2: clear, same order. Every frame ends free, in the constructor's
   // free-list order; nothing is allocated or freed, and nothing is written
-  // (a frame only ever holds a copy of its page's disk image).
+  // (a frame only ever points at its page's disk image).
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     const size_t frames = shard->frames.size();

@@ -1,14 +1,15 @@
-// Sharded LRU buffer pool over the simulated disk: a read cache.
+// Sharded LRU buffer pool over the simulated disk: a residency model.
 //
 // Every page access during query execution goes through Fetch(), which
 // charges a logical read and, on a miss, a physical read; this is exactly the
 // distinction the paper's DPC parameter drives ("each distinct page involves
 // a new logical I/O and, if absent from the buffer pool, a physical I/O").
 // ColdReset() empties the pool between measured runs to reproduce the
-// paper's cold-cache methodology. Nothing writes through the pool: tables
-// and indexes are build-once, and their loaders (HeapFile, Btree) write each
-// page image straight to the disk, once. So a frame never holds bytes the
-// disk lacks, an evicted frame is simply reused, and a reset only forgets.
+// paper's cold-cache methodology. The pool owns no page bytes: pages are
+// immutable once their loader (HeapFile, Btree) has appended them to the
+// disk, so a frame records which page is resident and points at the disk's
+// own image of it, which its load returned. An evicted frame is simply
+// reused, and a reset only forgets.
 //
 // Sharding: frames are partitioned into N shards (N a power of two), and a
 // page belongs to shard PageIdHash(pid) & (N-1). Each shard has its own
@@ -19,10 +20,9 @@
 // open-addressed slot array of frame indexes, probed linearly from the
 // *high* bits of PageIdHash (the low bits chose the shard and are equal
 // across it), with backward-shift deletion; the LRU is a doubly linked
-// list threaded through the frames by index; the frames' bytes are one
-// arena per shard, left unwritten until a frame is first loaded. So a hit,
-// an unpin, a miss that evicts and a ColdReset allocate nothing, and
-// ColdReset walks the frames, O(capacity), not a node per cached page.
+// list threaded through the frames by index. So a hit, an unpin, a miss
+// that evicts and a ColdReset allocate nothing, and ColdReset walks the
+// frames, O(capacity), not a node per cached page.
 //
 // Miss protocol (LOADING): on a miss the fetching thread claims a frame,
 // publishes it in the shard's page table in the kLoading state, and *drops
@@ -31,9 +31,8 @@
 // latch) instead of issuing a duplicate read; fetchers of other pages in the
 // shard proceed unimpeded. The loader re-latches to flip the frame to
 // kReady and wakes the waiters, who re-check from the top. Page *data*
-// reads happen outside the latch, protected by the pin: a pinned or loading
-// frame is never a victim, so its bytes are stable while any PageGuard is
-// alive.
+// reads happen outside the latch: a frame's image pointer is set under the
+// latch when its load completes, and the image it points at never changes.
 //
 // The kind of read picks the path (DESIGN.md section 14). A demand miss is
 // read inline by the fetching thread: its caller blocks on the page either
@@ -119,8 +118,7 @@ struct BufferPoolOptions {
 /// counts.
 class BufferPool {
  public:
-  /// `capacity_pages` frames are allocated up front (one arena per shard,
-  /// not written until a frame is first loaded) and split as evenly as
+  /// `capacity_pages` frames are set up front and split as evenly as
   /// possible across the shards (earlier shards get the remainder).
   BufferPool(DiskManager* disk, size_t capacity_pages,
              BufferPoolOptions options = BufferPoolOptions{});
@@ -198,7 +196,7 @@ class BufferPool {
 
   struct Frame {
     PageId pid;
-    char* data = nullptr;  // page_size bytes of the shard's arena
+    const char* data = nullptr;  // the disk's image of pid, once kReady
     FrameState state = FrameState::kFree;
     int32_t pin_count = 0;
     // On the shard LRU (pin_count == 0 and kReady); lru_prev/lru_next are
@@ -228,9 +226,6 @@ class BufferPool {
     /// Signaled whenever a kLoading frame resolves (to kReady or back to
     /// the free list on error); waiters re-check the page table.
     std::condition_variable_any cv;
-    /// Page bytes of every frame, frames.size() * page_size, written only
-    /// by a frame's own load (so an unused frame is never touched).
-    std::unique_ptr<char[]> arena;
     std::vector<Frame> frames GUARDED_BY(mu);
     std::vector<int32_t> free_frames GUARDED_BY(mu);
     // Page table: frame index per slot, -1 empty, keyed by frames[f].pid.
@@ -260,7 +255,7 @@ class BufferPool {
   };
 
   /// Returns a usable frame index in `s`: a free frame, or the LRU victim
-  /// (unpublished; its bytes are a copy of the disk's, so nothing is
+  /// (unpublished; the bytes it pointed at are the disk's, so nothing is
   /// written). -1 if every frame is pinned or loading.
   int32_t AcquireFrameLocked(Shard* s) REQUIRES(s->mu);
 

@@ -14,6 +14,9 @@
 namespace dpcf {
 
 namespace {
+
+constexpr size_t kCacheLineSize = 64;
+
 int64_t SteadyNowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -136,13 +139,22 @@ SegmentId DiskManager::CreateSegment(std::string name) {
   return static_cast<SegmentId>(segments_.size() - 1);
 }
 
-PageNo DiskManager::AllocatePage(SegmentId segment) {
+Result<PageNo> DiskManager::AppendPage(SegmentId segment,
+                                       const char* image) {
+  // The page's one copy is filled before the latch publishes it, so a
+  // reader that finds the page under the latch finds its bytes too.
+  auto page = std::make_unique_for_overwrite<char[]>(page_size_);
+  std::memcpy(page.get(), image, page_size_);
   MutexLock lock(&mu_);
-  Segment& seg = segments_.at(segment);
-  auto page = std::make_unique<char[]>(page_size_);
-  std::memset(page.get(), 0, page_size_);
-  seg.pages.push_back(std::move(page));
-  return static_cast<PageNo>(seg.pages.size() - 1);
+  if (segment >= segments_.size()) {
+    return Status::OutOfRange(
+        StrFormat("append to unknown segment %u", segment));
+  }
+  std::vector<std::unique_ptr<char[]>>& pages = segments_[segment].pages;
+  pages.push_back(std::move(page));
+  ++io_stats_.physical_writes;
+  if (m_writes_ != nullptr) m_writes_->Increment();
+  return static_cast<PageNo>(pages.size() - 1);
 }
 
 uint32_t DiskManager::SegmentPageCount(SegmentId segment) const {
@@ -160,8 +172,9 @@ bool DiskManager::ValidPage(PageId pid) const {
          pid.page_no < segments_[pid.segment].pages.size();
 }
 
-Status DiskManager::CopyPageImage(PageId pid, char* out, ReadClass cls) {
-  const char* src = nullptr;
+Result<const char*> DiskManager::ReadImage(PageId pid, ReadClass cls) {
+  const char* image = nullptr;
+  const char* next_image = nullptr;
   {
     MutexLock lock(&mu_);
     if (!ValidPage(pid)) {
@@ -185,20 +198,31 @@ Status DiskManager::CopyPageImage(PageId pid, char* out, ReadClass cls) {
         if (m_reads_rand_ != nullptr) m_reads_rand_->Increment();
       }
       last_read_ = pid;
+      // A sequential demand read is most likely followed by the next
+      // page's, so that image is warmed in this core's caches below, as a
+      // device's read-ahead fills its buffer. It is neither handed out nor
+      // charged: no page leaves the disk until its own read.
+      const std::vector<std::unique_ptr<char[]>>& pages =
+          segments_[pid.segment].pages;
+      if (sequential && pid.page_no + 1 < pages.size()) {
+        next_image = pages[pid.page_no + 1].get();
+      }
     }
-    src = segments_[pid.segment].pages[pid.page_no].get();
+    image = segments_[pid.segment].pages[pid.page_no].get();
   }
-  // Transfer outside the latch: `src` is a stable heap allocation (pages are
-  // never freed or reallocated), and the buffer pool orders conflicting
-  // transfers of the same page through its shard latches (class comment).
+  if (next_image != nullptr) {
+    for (size_t off = 0; off < page_size_; off += kCacheLineSize) {
+      __builtin_prefetch(next_image + off, 0, 2);
+    }
+  }
+  // The device time is served off the latch so concurrent reads overlap.
   const int64_t lat = read_latency_us_.load(std::memory_order_relaxed);
   if (lat > 0) std::this_thread::sleep_for(std::chrono::microseconds(lat));
-  std::memcpy(out, src, page_size_);
-  return Status::OK();
+  return image;
 }
 
-Status DiskManager::ReadPage(PageId pid, char* out) {
-  return CopyPageImage(pid, out, ReadClass::kDemand);
+Result<const char*> DiskManager::ReadPage(PageId pid) {
+  return ReadImage(pid, ReadClass::kDemand);
 }
 
 DiskManager::SubmissionGuard::SubmissionGuard(DiskManager* disk)
@@ -320,14 +344,15 @@ void DiskManager::IoWorkerLoop() {
       }
       const bool traced = trace_ != nullptr && trace_->enabled();
       const int64_t span_begin = traced ? trace_->NowUs() : 0;
-      const Status st = CopyPageImage(req.pid, req.dst, ReadClass::kPrefetch);
+      const Result<const char*> read =
+          ReadImage(req.pid, ReadClass::kPrefetch);
       if (traced) {
         trace_->AddSpan(
             "io",
             StrFormat("async prefetch read %s", req.pid.ToString().c_str()),
             span_begin);
       }
-      if (req.on_complete) req.on_complete(st);
+      if (req.on_complete) req.on_complete(read);
       if (req.submit_us != 0) {
         const int64_t complete_us = SteadyNowUs();
         const int64_t service = complete_us - dispatch_us;
@@ -383,22 +408,6 @@ void DiskManager::DrainSubmissions() {
 size_t DiskManager::pending_submissions() const {
   MutexLock lock(&submit_mu_);
   return queue_.size() + in_flight_;
-}
-
-Status DiskManager::WritePage(PageId pid, const char* data) {
-  char* dst = nullptr;
-  {
-    MutexLock lock(&mu_);
-    if (!ValidPage(pid)) {
-      return Status::OutOfRange(StrFormat("write of unknown page %s",
-                                          pid.ToString().c_str()));
-    }
-    ++io_stats_.physical_writes;
-    if (m_writes_ != nullptr) m_writes_->Increment();
-    dst = segments_[pid.segment].pages[pid.page_no].get();
-  }
-  std::memcpy(dst, data, page_size_);
-  return Status::OK();
 }
 
 const char* DiskManager::RawPage(PageId pid) const {

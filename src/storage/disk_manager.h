@@ -8,16 +8,21 @@
 // sequential iff it targets the page immediately after the previous read in
 // the same segment.
 //
-// The kind of read picks the path, and both funnel through CopyPageImage():
+// Pages are immutable. A loader builds a page's image in memory and hands
+// the finished image to AppendPage, which stores its one copy at the
+// segment's next page number; nothing changes a stored page afterwards. So
+// a read hands out the stored image itself, never a copy.
+//
+// The kind of read picks the path, and both funnel through ReadImage():
 //  * ReadPage(): demand reads, synchronous — classify + charge under the
-//    latch, sleep the simulated latency and copy the bytes off-latch. The
-//    caller's thread, which needs the page anyway, pays the device time.
+//    latch, then sleep the simulated latency off-latch. The caller's
+//    thread, which needs the page anyway, pays the device time.
 //  * SubmitBatch(): readahead, the io_uring-style asynchronous path — the
 //    requests land on a bounded submission ring (its own ranked latch,
 //    lock_rank::kDiskSubmission) and a small pool of completion workers
 //    (DiskManagerOptions::io_threads) performs the prefetch-class charge/
-//    sleep/copy and then fires each completion callback off-latch, so no
-//    query thread waits on a speculative read.
+//    sleep and then fires each completion callback off-latch with the
+//    image, so no query thread waits on a speculative read.
 
 #pragma once
 
@@ -54,18 +59,15 @@ class EventJournal;     // obs/event_journal.h
 class CompletionScope;  // disk_manager.cc (friend below)
 
 /// Invoked exactly once per submitted request, off every disk latch, with
-/// the read's outcome: OK once the bytes are in the destination buffer, an
-/// error status if the page was invalid, or Cancelled if CancelPending()
-/// (or destruction) retired the request before a worker claimed it — in
-/// which case the destination buffer was never written.
-using ReadCompletion = std::function<void(const Status&)>;
+/// the read's outcome: the page's stored image once the read is charged and
+/// its latency served, an error status if the page was invalid, or
+/// Cancelled if CancelPending() (or destruction) retired the request before
+/// a worker claimed it — in which case nothing was charged.
+using ReadCompletion = std::function<void(const Result<const char*>&)>;
 
-/// One entry on the submission ring. `dst` must stay valid until the
-/// completion fires (the buffer pool guarantees this with its kLoading
-/// frame state: a loading frame is pinned and never a victim).
+/// One entry on the submission ring.
 struct ReadRequest {
   PageId pid;
-  char* dst = nullptr;
   ReadCompletion on_complete;
   /// Set by the queue at enqueue time when latency observation is attached
   /// (metrics or journal); 0 means unobserved. The claiming worker stamps
@@ -92,20 +94,19 @@ struct DiskManagerOptions {
 /// Thread-safe: a single latch serializes segment metadata and the read-head
 /// classification (sequential vs random is inherently a property of the
 /// global request order, so it must be decided under the latch), and the
-/// IoStats counters are relaxed atomics. The byte transfer itself happens
-/// *outside* the latch: page buffers are stable heap allocations, and the
-/// buffer pool orders conflicting transfers through its own shard latches
-/// (a frame being filled is LOADING — unreachable by readers). Pages are
-/// written only while tables and indexes are loaded, before anything reads
-/// them, so no read ever races a write of the same page. With
-/// morsel-parallel scans the interleaving of workers means fewer reads
+/// IoStats counters are relaxed atomics. A page's bytes need no latch of
+/// their own: AppendPage fills the page's allocation before it publishes
+/// the pointer under the latch, and every reader obtains the pointer under
+/// the same latch, so the hand-off orders the bytes before any read of
+/// them. Page allocations are never freed or moved while the disk lives.
+/// With morsel-parallel scans the interleaving of workers means fewer reads
 /// classify as sequential than in a serial scan — exactly as on real
 /// hardware with one arm.
 ///
 /// The submission ring has its own latch (submit_mu_, rank kDiskSubmission
 /// = 250 > kDisk): a completion worker never holds the ring latch while it
 /// performs the read (it pops, releases, then takes mu_ inside
-/// CopyPageImage), and callbacks fire with no disk latch held so they may
+/// ReadImage), and callbacks fire with no disk latch held so they may
 /// take buffer-pool shard latches (rank 100) without inverting the rank
 /// order on a fresh thread.
 class DiskManager {
@@ -120,26 +121,31 @@ class DiskManager {
   /// Creates an empty segment and returns its id.
   SegmentId CreateSegment(std::string name) EXCLUDES(mu_);
 
-  /// Appends a zeroed page to the segment; returns its page number.
-  /// Allocation is a metadata operation and is not charged as I/O.
-  PageNo AllocatePage(SegmentId segment) EXCLUDES(mu_);
+  /// Stores a copy of the finished page image `image` (page_size bytes) as
+  /// the segment's next page and returns its page number, charging one
+  /// IoStats::physical_writes. The loaders' only write: HeapFile and Btree
+  /// append each page once its image is final, and the page never changes
+  /// afterwards. OutOfRange if the segment does not exist.
+  Result<PageNo> AppendPage(SegmentId segment, const char* image)
+      EXCLUDES(mu_);
 
   /// Number of pages currently allocated in the segment.
   uint32_t SegmentPageCount(SegmentId segment) const EXCLUDES(mu_);
 
   const std::string& SegmentName(SegmentId segment) const EXCLUDES(mu_);
 
-  /// Demand read of a page into `out` (page_size bytes), synchronously on
-  /// the calling thread, charged to IoStats as sequential or random per the
-  /// read-head model. The simulated device latency (if any) is slept
-  /// outside the latch so concurrent reads overlap.
-  Status ReadPage(PageId pid, char* out) EXCLUDES(mu_);
+  /// Demand read of a page, synchronously on the calling thread, charged to
+  /// IoStats as sequential or random per the read-head model. Returns the
+  /// page's stored image (page_size bytes, valid for the disk's lifetime).
+  /// The simulated device latency (if any) is slept outside the latch so
+  /// concurrent reads overlap.
+  Result<const char*> ReadPage(PageId pid) EXCLUDES(mu_);
 
   /// Enqueues a batch of prefetch reads in one ring latch round-trip,
   /// preserving order (the ring is FIFO; with io_threads == 1 completions
   /// are FIFO too). Each request's callback fires from a completion worker
-  /// once the bytes are in its `dst` (or with the error); each read is
-  /// charged to IoStats::prefetch_reads. Blocks only while the ring is full.
+  /// with the page's image (or the error); each read is charged to
+  /// IoStats::prefetch_reads. Blocks only while the ring is full.
   void SubmitBatch(std::vector<ReadRequest> batch)
       EXCLUDES(submit_mu_, mu_);
 
@@ -184,11 +190,6 @@ class DiskManager {
     DiskManager* const disk_;
     size_t added_ = 0;
   };
-
-  /// Physical write of a page image, charged to IoStats::physical_writes.
-  /// The loaders' write: HeapFile and Btree write each page they build
-  /// once, straight to the disk; the buffer pool never writes.
-  Status WritePage(PageId pid, const char* data) EXCLUDES(mu_);
 
   /// Direct read-only pointer to page bytes, counted in
   /// IoStats::raw_page_reads and charged no simulated time. For offline
@@ -247,17 +248,19 @@ class DiskManager {
   bool ValidPage(PageId pid) const REQUIRES(mu_);
 
   /// The one read implementation both paths share: classify + charge under
-  /// mu_, then sleep the simulated latency and memcpy off-latch. Exactly
-  /// one page image leaves the disk per OK return (dpcf-charge-conservation
-  /// lists this as a page reader).
-  Status CopyPageImage(PageId pid, char* out, ReadClass cls) EXCLUDES(mu_);
+  /// mu_, then sleep the simulated latency off-latch and return the stored
+  /// image. Exactly one page image leaves the disk per OK return
+  /// (dpcf-charge-conservation lists this as a page reader). A sequential
+  /// demand read also warms the next page's image in the CPU caches: a
+  /// cache hint, not a read, so nothing is charged for it.
+  Result<const char*> ReadImage(PageId pid, ReadClass cls) EXCLUDES(mu_);
 
   /// Spawns the io_threads_ completion workers on first use, so workloads
   /// without readahead never pay the threads.
   void EnsureWorkersLocked() REQUIRES(submit_mu_);
 
   /// Completion-worker body: pop under submit_mu_, release, read via
-  /// CopyPageImage, fire the callback off-latch, retire the slot.
+  /// ReadImage, fire the callback off-latch, retire the slot.
   void IoWorkerLoop();
 
   size_t page_size_;

@@ -28,15 +28,15 @@ void HeapFile::SetPageRowCount(char* page_data, uint32_t n) {
 
 Result<Rid> HeapFile::AppendEncoded(const char* row) {
   if (tail_rows_ == 0) {
-    // A new page starts zeroed, as the disk allocates it.
+    // A new page starts zeroed. It takes the segment's next page number,
+    // which WriteTail's append will give it.
     tail_.assign(pool_->disk()->page_size(), 0);
-    tail_page_no_ = pool_->disk()->AllocatePage(segment_);
     ++page_count_;
   }
   std::memcpy(tail_.data() + kHeaderSize +
                   static_cast<size_t>(tail_rows_) * schema_->row_size(),
               row, schema_->row_size());
-  Rid rid{tail_page_no_, static_cast<uint16_t>(tail_rows_)};
+  Rid rid{page_count_ - 1, static_cast<uint16_t>(tail_rows_)};
   SetPageRowCount(tail_.data(), ++tail_rows_);
   ++row_count_;
   if (tail_rows_ == rows_per_page_) {
@@ -47,8 +47,12 @@ Result<Rid> HeapFile::AppendEncoded(const char* row) {
 
 Status HeapFile::WriteTail() {
   tail_rows_ = 0;
-  return pool_->disk()->WritePage(PageId{segment_, tail_page_no_},
-                                  tail_.data());
+  DPCF_ASSIGN_OR_RETURN(const PageNo page,
+                        pool_->disk()->AppendPage(segment_, tail_.data()));
+  // This file is the segment's only writer, so pages arrive in order.
+  assert(page == page_count_ - 1);
+  (void)page;
+  return Status::OK();
 }
 
 Result<Rid> HeapFile::Append(const Tuple& tuple) {

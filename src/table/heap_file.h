@@ -44,11 +44,14 @@ struct Rid {
 
 /// Fixed-width-row page store over one segment.
 ///
-/// Build-once: appends fill the tail page in a page-sized buffer and write
-/// it straight to the disk (DiskManager::WritePage) once, when it fills or
-/// at Seal, so loading never goes through the buffer pool; the file is only
-/// read after Seal. Reads go through the buffer pool so physical I/O is
-/// charged to the run. Offline readers walk the raw page images instead, a
+/// Build-once: appends fill the tail page in a page-sized buffer, and the
+/// finished image is appended to the disk (DiskManager::AppendPage) once,
+/// when the page fills or at Seal, so loading never goes through the buffer
+/// pool and no page changes after it exists. The tail page's number is
+/// fixed when its first row arrives (the segment's next page), so a row's
+/// Rid is final before its page is appended. The file is only read after
+/// Seal. Reads go through the buffer pool so physical I/O is charged to
+/// the run. Offline readers walk the raw page images instead, a
 /// page at a time (ForEachRawPage) or a row at a time (ForEachRawRow, built
 /// on it).
 class HeapFile {
@@ -71,7 +74,7 @@ class HeapFile {
   /// Encodes and appends a tuple.
   Result<Rid> Append(const Tuple& tuple);
 
-  /// Writes the partly filled tail page, if any; call once, when loading
+  /// Appends the partly filled tail page, if any; call once, when loading
   /// is done. Nothing appends afterwards.
   Status Seal();
 
@@ -123,8 +126,8 @@ class HeapFile {
   }
 
  private:
-  /// Writes the tail page's image to the disk; the next append starts a
-  /// new page.
+  /// Appends the tail page's image to the disk; the next row starts a new
+  /// page.
   Status WriteTail();
 
   BufferPool* pool_;
@@ -134,10 +137,9 @@ class HeapFile {
   uint32_t page_count_ = 0;
   int64_t row_count_ = 0;
 
-  // Tail page being filled by Append: its image and page number, and its
-  // row count (0 when no page is open).
+  // Tail page being filled by Append: its image and its row count (0 when
+  // no page is open). An open tail page is page page_count_ - 1.
   std::vector<char> tail_;
-  PageNo tail_page_no_ = kInvalidPageNo;
   uint32_t tail_rows_ = 0;
 };
 

@@ -43,14 +43,14 @@ using testing::SyntheticDbTest;
 
 constexpr uint32_t kPageSize = 256;
 
-// Writes kPages pages whose first byte is the page number.
+// Appends kPages pages whose first byte is the page number.
 SegmentId FillSegment(DiskManager* disk, PageNo pages) {
   SegmentId seg = disk->CreateSegment("t");
   std::vector<char> buf(disk->page_size(), 0);
   for (PageNo p = 0; p < pages; ++p) {
-    disk->AllocatePage(seg);
     buf[0] = static_cast<char>(p);
-    EXPECT_TRUE(disk->WritePage(PageId{seg, p}, buf.data()).ok());
+    const Result<PageNo> appended = disk->AppendPage(seg, buf.data());
+    EXPECT_TRUE(appended.ok() && *appended == p);
   }
   return seg;
 }
@@ -72,18 +72,18 @@ TEST(AsyncDiskTest, SingleWorkerCompletesInSubmissionOrder) {
   const PageNo kPages = 24;
   SegmentId seg = FillSegment(&disk, kPages);
 
-  std::vector<std::vector<char>> dst(kPages,
-                                     std::vector<char>(kPageSize, 0));
+  std::vector<const char*> images(kPages, nullptr);
   std::mutex order_mu;
   std::vector<PageNo> completed;
   std::vector<ReadRequest> batch;
   for (PageNo p = 0; p < kPages; ++p) {
     batch.push_back(ReadRequest{
-        PageId{seg, p}, dst[p].data(),
-        [&order_mu, &completed, p](const Status& st) {
-          EXPECT_TRUE(st.ok()) << st.ToString();
+        PageId{seg, p},
+        [&order_mu, &completed, &images, p](const Result<const char*>& read) {
+          EXPECT_TRUE(read.ok()) << read.status().ToString();
           std::lock_guard<std::mutex> hold(order_mu);
           completed.push_back(p);
+          if (read.ok()) images[p] = *read;
         }});
   }
   disk.SubmitBatch(std::move(batch));
@@ -92,7 +92,8 @@ TEST(AsyncDiskTest, SingleWorkerCompletesInSubmissionOrder) {
   ASSERT_EQ(completed.size(), kPages);
   for (PageNo p = 0; p < kPages; ++p) {
     EXPECT_EQ(completed[p], p) << "ring is FIFO with one worker";
-    EXPECT_EQ(dst[p][0], static_cast<char>(p)) << "page " << p;
+    ASSERT_NE(images[p], nullptr) << "page " << p;
+    EXPECT_EQ(images[p][0], static_cast<char>(p)) << "page " << p;
   }
   EXPECT_EQ(disk.pending_submissions(), 0u);
   // The ring carries readahead: charged as prefetch reads, never as
@@ -109,28 +110,31 @@ TEST(AsyncDiskTest, SubmitBeyondQueueDepthBackpressuresNotDrops) {
   const PageNo kPages = 32;
   SegmentId seg = FillSegment(&disk, kPages);
 
-  std::vector<std::vector<char>> dst(kPages,
-                                     std::vector<char>(kPageSize, 0));
+  // Each completion writes only its own slot; DrainSubmissions orders
+  // every callback's return before the checks below.
+  std::vector<const char*> images(kPages, nullptr);
   std::atomic<int> ok_count{0};
   std::vector<ReadRequest> batch;
   for (PageNo p = 0; p < kPages; ++p) {
-    batch.push_back(ReadRequest{PageId{seg, p}, dst[p].data(),
-                                [&ok_count](const Status& st) {
-                                  if (st.ok()) ok_count.fetch_add(1);
-                                }});
+    batch.push_back(ReadRequest{
+        PageId{seg, p},
+        [&ok_count, &images, p](const Result<const char*>& read) {
+          if (!read.ok()) return;
+          images[p] = *read;
+          ok_count.fetch_add(1);
+        }});
   }
   disk.SubmitBatch(std::move(batch));
   disk.DrainSubmissions();
   EXPECT_EQ(ok_count.load(), static_cast<int>(kPages));
   for (PageNo p = 0; p < kPages; ++p) {
-    EXPECT_EQ(dst[p][0], static_cast<char>(p));
+    ASSERT_NE(images[p], nullptr) << "page " << p;
+    EXPECT_EQ(images[p][0], static_cast<char>(p));
   }
 }
 
 TEST(AsyncDiskTest, DestructorCancelsQueuedReads) {
   const PageNo kPages = 64;
-  std::vector<std::vector<char>> dst(kPages,
-                                     std::vector<char>(kPageSize, 0));
   std::atomic<int> cancelled{0};
   std::atomic<int> completed{0};
   {
@@ -141,9 +145,9 @@ TEST(AsyncDiskTest, DestructorCancelsQueuedReads) {
     std::vector<ReadRequest> batch;
     for (PageNo p = 0; p < kPages; ++p) {
       batch.push_back(ReadRequest{
-          PageId{seg, p}, dst[p].data(),
-          [&cancelled, &completed](const Status& st) {
-            (st.ok() ? completed : cancelled).fetch_add(1);
+          PageId{seg, p},
+          [&cancelled, &completed](const Result<const char*>& read) {
+            (read.ok() ? completed : cancelled).fetch_add(1);
           }});
     }
     disk.SubmitBatch(std::move(batch));

@@ -22,6 +22,8 @@
 namespace dpcf {
 namespace {
 
+using testing::AppendZeroPages;
+
 constexpr uint32_t kPageSize = 256;
 
 int64_t ReadStamp(const char* data) {
@@ -44,9 +46,8 @@ TEST_P(BufferPoolConcurrencyTest, ConcurrentFetchKeepsContentsIntact) {
   const PageNo kPages = 512;
   std::vector<char> buf(kPageSize, 0);
   for (PageNo p = 0; p < kPages; ++p) {
-    disk.AllocatePage(seg);
     WriteStamp(buf.data(), 1000 + p);
-    ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
+    ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
 
   // Capacity well below the page count so eviction runs constantly under
@@ -109,9 +110,8 @@ TEST_P(BufferPoolConcurrencyTest, SamePageColdFetchYieldsOnePhysicalRead) {
   const PageNo kPages = 64;
   std::vector<char> buf(kPageSize, 0);
   for (PageNo p = 0; p < kPages; ++p) {
-    disk.AllocatePage(seg);
     WriteStamp(buf.data(), 9000 + p);
-    ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
+    ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
   // Slow the simulated device so every thread reliably arrives while the
   // loader still has the page in kLoading (the window would otherwise be
@@ -159,9 +159,8 @@ TEST_P(BufferPoolConcurrencyTest, EvictionStormUnderTinyPool) {
   const PageNo kPages = 64;
   std::vector<char> buf(kPageSize, 0);
   for (PageNo p = 0; p < kPages; ++p) {
-    disk.AllocatePage(seg);
     WriteStamp(buf.data(), 42 + p);
-    ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
+    ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
   // A few frames per shard for 4 single-pin threads: nearly every fetch
   // evicts, but a shard (>= 4 frames) can always seat one more fetch.
@@ -194,7 +193,7 @@ TEST_P(BufferPoolConcurrencyTest, ShardAggregatesAndColdReset) {
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
   const PageNo kPages = 32;
-  for (PageNo p = 0; p < kPages; ++p) disk.AllocatePage(seg);
+  AppendZeroPages(&disk, seg, kPages);
   BufferPool pool(&disk, 64, BufferPoolOptions{GetParam()});
 
   for (PageNo p = 0; p < kPages; ++p) {

@@ -72,11 +72,10 @@ TEST_P(BufferPoolFuzz, MatchesReferenceLruWithoutPins) {
     SegmentId seg = disk.CreateSegment("t");
     std::vector<char> image(256, 0);
     for (PageNo p = 0; p < geo.pages; ++p) {
-      disk.AllocatePage(seg);
       // Each page carries its own number, so a fetch that lands on the
       // wrong frame's bytes shows up as a mismatch, not just a wrong count.
       std::memcpy(image.data(), &p, sizeof(p));
-      ASSERT_OK(disk.WritePage(PageId{seg, p}, image.data()));
+      ASSERT_OK(disk.AppendPage(seg, image.data()).status());
     }
     BufferPool pool(&disk, geo.frames, BufferPoolOptions{shards()});
     ASSERT_EQ(pool.num_shards(), shards());
@@ -127,7 +126,7 @@ TEST_P(BufferPoolFuzz, MatchesReferenceLruWithoutPins) {
 TEST_P(BufferPoolFuzz, RandomPinsNeverBreakAccounting) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
-  for (PageNo p = 0; p < 32; ++p) disk.AllocatePage(seg);
+  testing::AppendZeroPages(&disk, seg, 32);
   BufferPool pool(&disk, 8, BufferPoolOptions{shards()});
   Rng rng(static_cast<uint64_t>(seed()) * 97 + 5);
   std::vector<PageGuard> pins;

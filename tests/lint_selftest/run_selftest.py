@@ -31,9 +31,9 @@ CASES = [
                              "src/obs/report_sink.cc"], 0),
     ("dpcf-charge-conservation", ["src/exec/bad_charge_missing.cc"], 1),
     ("dpcf-charge-conservation", ["src/exec/bad_charge_earlyreturn.cc"], 1),
-    ("dpcf-charge-conservation", ["src/storage/bad_charge_copyimage.cc"], 1),
+    ("dpcf-charge-conservation", ["src/storage/bad_charge_readimage.cc"], 1),
     ("dpcf-charge-conservation", ["src/exec/good_charge.cc"], 0),
-    ("dpcf-charge-conservation", ["src/storage/good_charge_copyimage.cc"], 0),
+    ("dpcf-charge-conservation", ["src/storage/good_charge_readimage.cc"], 0),
     ("dpcf-include-hygiene", ["src/bad_include.h"], 2),
     ("dpcf-include-hygiene", ["src/good_include.h"], 0),
     ("dpcf-naked-new", ["src/bad_new.h", "src/bad_new.cc"], 3),

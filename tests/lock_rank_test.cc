@@ -115,8 +115,7 @@ TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
   const PageNo kPages = 64;
   std::vector<char> buf(kPageSize, 7);
   for (PageNo p = 0; p < kPages; ++p) {
-    disk.AllocatePage(seg);
-    ASSERT_OK(disk.WritePage(PageId{seg, p}, buf.data()));
+    ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
   BufferPool pool(&disk, 16, BufferPoolOptions{/*num_shards=*/2});
   for (PageNo p = 0; p < kPages; ++p) {  // misses, most of them evicting
@@ -146,7 +145,7 @@ TEST(LockRankDeathTest, RealPoolFetchWhileHoldingDiskLatchAborts) {
   // the runtime checker is the gcc/sanitizer-build equivalent.
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
-  disk.AllocatePage(seg);
+  testing::AppendZeroPages(&disk, seg, 1);
   BufferPool pool(&disk, 4);
   EXPECT_DEATH(FetchWhileHoldingDiskLatch(&pool, PageId{seg, 0}),
                "dpcf lock-rank violation");

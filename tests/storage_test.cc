@@ -41,6 +41,8 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 namespace dpcf {
 namespace {
 
+using testing::AppendZeroPages;
+
 TEST(DiskManagerTest, SegmentsAndAllocation) {
   DiskManager disk(512);
   SegmentId a = disk.CreateSegment("a");
@@ -48,46 +50,57 @@ TEST(DiskManagerTest, SegmentsAndAllocation) {
   EXPECT_NE(a, b);
   EXPECT_EQ(disk.SegmentName(a), "a");
   EXPECT_EQ(disk.SegmentPageCount(a), 0u);
-  EXPECT_EQ(disk.AllocatePage(a), 0u);
-  EXPECT_EQ(disk.AllocatePage(a), 1u);
-  EXPECT_EQ(disk.AllocatePage(b), 0u);
+  const std::vector<char> image(512, 0);
+  ASSERT_OK_AND_ASSIGN(const PageNo a0, disk.AppendPage(a, image.data()));
+  ASSERT_OK_AND_ASSIGN(const PageNo a1, disk.AppendPage(a, image.data()));
+  ASSERT_OK_AND_ASSIGN(const PageNo b0, disk.AppendPage(b, image.data()));
+  EXPECT_EQ(a0, 0u);
+  EXPECT_EQ(a1, 1u);
+  EXPECT_EQ(b0, 0u);
   EXPECT_EQ(disk.SegmentPageCount(a), 2u);
+  EXPECT_EQ(disk.io_stats()->physical_writes, 3);  // one write per page
 }
 
 TEST(DiskManagerTest, ReadWriteRoundtrip) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
-  disk.AllocatePage(seg);
-  std::vector<char> out(256), in(256, 0x5A);
-  ASSERT_OK(disk.WritePage(PageId{seg, 0}, in.data()));
-  ASSERT_OK(disk.ReadPage(PageId{seg, 0}, out.data()));
-  EXPECT_EQ(std::memcmp(in.data(), out.data(), 256), 0);
+  std::vector<char> in(256, 0x5A);
+  const std::vector<char> expected = in;
+  ASSERT_OK_AND_ASSIGN(const PageNo p, disk.AppendPage(seg, in.data()));
+  in.assign(256, 0);  // the disk stored its own copy of the image
+  ASSERT_OK_AND_ASSIGN(const char* out, disk.ReadPage(PageId{seg, p}));
+  EXPECT_EQ(std::memcmp(expected.data(), out, 256), 0);
 }
 
 TEST(DiskManagerTest, RejectsUnknownPages) {
   DiskManager disk(256);
   std::vector<char> buf(256);
-  EXPECT_EQ(disk.ReadPage(PageId{0, 0}, buf.data()).code(),
+  EXPECT_EQ(disk.ReadPage(PageId{0, 0}).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(disk.AppendPage(0, buf.data()).status().code(),
             StatusCode::kOutOfRange);
   SegmentId seg = disk.CreateSegment("t");
-  EXPECT_EQ(disk.WritePage(PageId{seg, 3}, buf.data()).code(),
+  EXPECT_EQ(disk.ReadPage(PageId{seg, 3}).status().code(),
             StatusCode::kOutOfRange);
+  EXPECT_EQ(disk.AppendPage(seg + 1, buf.data()).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(disk.SegmentPageCount(seg), 0u);
+  EXPECT_EQ(disk.io_stats()->physical_writes, 0);
 }
 
 TEST(DiskManagerTest, SequentialVsRandomClassification) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
-  for (int i = 0; i < 10; ++i) disk.AllocatePage(seg);
-  std::vector<char> buf(256);
+  AppendZeroPages(&disk, seg, 10);
   // First read: random (head position unknown).
-  ASSERT_OK(disk.ReadPage(PageId{seg, 0}, buf.data()));
+  ASSERT_OK(disk.ReadPage(PageId{seg, 0}).status());
   // 1..4: each follows its predecessor => sequential.
   for (PageNo p = 1; p <= 4; ++p) {
-    ASSERT_OK(disk.ReadPage(PageId{seg, p}, buf.data()));
+    ASSERT_OK(disk.ReadPage(PageId{seg, p}).status());
   }
   // Jump: random, then a new sequential run.
-  ASSERT_OK(disk.ReadPage(PageId{seg, 8}, buf.data()));
-  ASSERT_OK(disk.ReadPage(PageId{seg, 9}, buf.data()));
+  ASSERT_OK(disk.ReadPage(PageId{seg, 8}).status());
+  ASSERT_OK(disk.ReadPage(PageId{seg, 9}).status());
   const IoStats& io = *disk.io_stats();
   EXPECT_EQ(io.physical_rand_reads, 2);
   EXPECT_EQ(io.physical_seq_reads, 5);
@@ -97,13 +110,11 @@ TEST(DiskManagerTest, CrossSegmentReadIsRandom) {
   DiskManager disk(256);
   SegmentId a = disk.CreateSegment("a");
   SegmentId b = disk.CreateSegment("b");
-  disk.AllocatePage(a);
-  disk.AllocatePage(a);
-  disk.AllocatePage(b);
-  std::vector<char> buf(256);
-  ASSERT_OK(disk.ReadPage(PageId{a, 0}, buf.data()));
-  ASSERT_OK(disk.ReadPage(PageId{b, 0}, buf.data()));  // random: new segment
-  ASSERT_OK(disk.ReadPage(PageId{a, 1}, buf.data()));  // random: jumped away
+  AppendZeroPages(&disk, a, 2);
+  AppendZeroPages(&disk, b, 1);
+  ASSERT_OK(disk.ReadPage(PageId{a, 0}).status());
+  ASSERT_OK(disk.ReadPage(PageId{b, 0}).status());  // random: new segment
+  ASSERT_OK(disk.ReadPage(PageId{a, 1}).status());  // random: jumped away
   EXPECT_EQ(disk.io_stats()->physical_rand_reads, 3);
   EXPECT_EQ(disk.io_stats()->physical_seq_reads, 0);
 }
@@ -111,12 +122,10 @@ TEST(DiskManagerTest, CrossSegmentReadIsRandom) {
 TEST(DiskManagerTest, ResetReadHeadMakesNextReadRandom) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
-  disk.AllocatePage(seg);
-  disk.AllocatePage(seg);
-  std::vector<char> buf(256);
-  ASSERT_OK(disk.ReadPage(PageId{seg, 0}, buf.data()));
+  AppendZeroPages(&disk, seg, 2);
+  ASSERT_OK(disk.ReadPage(PageId{seg, 0}).status());
   disk.ResetReadHead();
-  ASSERT_OK(disk.ReadPage(PageId{seg, 1}, buf.data()));  // would be seq
+  ASSERT_OK(disk.ReadPage(PageId{seg, 1}).status());  // would be seq
   EXPECT_EQ(disk.io_stats()->physical_rand_reads, 2);
 }
 
@@ -124,7 +133,7 @@ class BufferPoolTest : public ::testing::Test {
  protected:
   BufferPoolTest() : disk_(256), pool_(&disk_, 4) {
     seg_ = disk_.CreateSegment("t");
-    for (int i = 0; i < 16; ++i) disk_.AllocatePage(seg_);
+    AppendZeroPages(&disk_, seg_, 16);
   }
   DiskManager disk_;
   BufferPool pool_;
@@ -144,6 +153,30 @@ TEST_F(BufferPoolTest, HitAvoidsPhysicalRead) {
   EXPECT_EQ(disk_.io_stats()->physical_reads(), before);
   EXPECT_EQ(disk_.io_stats()->buffer_hits, 1);
   EXPECT_EQ(disk_.io_stats()->logical_reads, 2);
+}
+
+// The pool owns no page bytes: a demand miss, a hit and a readahead-loaded
+// page each hand out the disk's own image of the page, not a copy.
+TEST_F(BufferPoolTest, FetchHandsOutTheDiskImage) {
+  const PageId missed{seg_, 3};
+  {
+    ASSERT_OK_AND_ASSIGN(PageGuard miss, pool_.Fetch(missed));
+    EXPECT_EQ(miss.data(), disk_.RawPage(missed));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(PageGuard hit, pool_.Fetch(missed));
+    EXPECT_EQ(hit.data(), disk_.RawPage(missed));
+  }
+  const PageId prefetched{seg_, 7};
+  pool_.PrefetchBatch({prefetched});
+  disk_.DrainSubmissions();
+  ASSERT_OK_AND_ASSIGN(PageGuard loaded, pool_.Fetch(prefetched));
+  EXPECT_EQ(loaded.data(), disk_.RawPage(prefetched));
+  const IoStats& io = *disk_.io_stats();
+  EXPECT_EQ(io.physical_reads(), 1);
+  EXPECT_EQ(io.buffer_hits, 2);
+  EXPECT_EQ(io.prefetch_reads, 1);
+  EXPECT_EQ(io.prefetch_hits, 1);
 }
 
 TEST_F(BufferPoolTest, LruEvictsOldestUnpinned) {
@@ -244,7 +277,7 @@ TEST(BufferPoolAllocTest, SteadyStatePathAllocatesNothing) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
   constexpr PageNo kPages = 256;
-  for (PageNo p = 0; p < kPages; ++p) disk.AllocatePage(seg);
+  AppendZeroPages(&disk, seg, kPages);
   BufferPool pool(&disk, 64, BufferPoolOptions{8});
   ASSERT_EQ(pool.num_shards(), 8u);
   const IoStats& io = *disk.io_stats();

@@ -10,6 +10,7 @@
 
 #include "exec/predicate.h"
 #include "exec/simd.h"
+#include "storage/disk_manager.h"
 #include "table/catalog.h"
 #include "table/row_codec.h"
 #include "workload/synthetic.h"
@@ -47,6 +48,15 @@ inline bool MatchesRow(const Predicate& pred, const RowView& row) {
     if (!a.Eval(row)) return false;
   }
   return true;
+}
+
+/// Appends `pages` zeroed pages to `segment`.
+inline void AppendZeroPages(DiskManager* disk, SegmentId segment,
+                            PageNo pages) {
+  const std::vector<char> zero(disk->page_size(), 0);
+  for (PageNo p = 0; p < pages; ++p) {
+    ASSERT_TRUE(disk->AppendPage(segment, zero.data()).ok());
+  }
 }
 
 /// Pins the process-wide SIMD table for a scope, restoring the previous

@@ -574,7 +574,7 @@ def check_nondeterminism(src, model):
 # counter, directly or via any callee) before every return after the read.
 # The files that define the readers and charge primitives are exempt.
 PAGE_READERS = {"PageRowCount", "RowInPage", "PageRows", "FetchRow",
-                "CopyPageImage"}
+                "ReadImage"}
 CHARGE_TOKENS = {
     # IoStats (storage/io_stats.h)
     "physical_seq_reads", "physical_rand_reads", "physical_writes",
