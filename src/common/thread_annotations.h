@@ -106,7 +106,6 @@ inline constexpr int kDriftMonitor = 315;     // DriftMonitor::mu_
 inline constexpr int kMetricsRegistry = 320;  // MetricsRegistry::mu_
 inline constexpr int kTraceCollector = 330;   // TraceCollector::mu_
 inline constexpr int kEventJournal = 340;     // EventJournal::drain_mu_
-inline constexpr int kScanReadahead = 400;    // parallel_scan ReadaheadState::mu
 }  // namespace lock_rank
 
 #if defined(DPCF_LOCK_RANK) && DPCF_LOCK_RANK

@@ -89,9 +89,8 @@ class ExecContext {
     return total;
   }
 
-  /// RAII marker for the window in which non-driver worker threads exist
-  /// (morsel workers, the readahead thread). cpu_stats() asserts that no
-  /// region is live.
+  /// RAII marker for the window in which non-driver worker threads (the
+  /// morsel workers) exist. cpu_stats() asserts that no region is live.
   class WorkerRegion {
    public:
     [[nodiscard]] explicit WorkerRegion(ExecContext* ctx) : ctx_(ctx) {
@@ -127,8 +126,8 @@ class ExecContext {
   MetricsRegistry* metrics() const { return metrics_; }
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Flight-recorder journal for exec-layer events (readahead resizes,
-  /// monitor build/merge), or null. Storage-layer events are journaled by
+  /// Flight-recorder journal for exec-layer events (monitor build/merge),
+  /// or null. Storage-layer events are journaled by
   /// the pool/disk directly; this pointer only feeds the exec sites.
   EventJournal* journal() const { return journal_; }
   void set_journal(EventJournal* journal) { journal_ = journal; }

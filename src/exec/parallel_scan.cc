@@ -1,17 +1,13 @@
 #include "exec/parallel_scan.h"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <thread>
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/thread_annotations.h"
 #include "exec/executor.h"
-#include "exec/readahead.h"
 #include "exec/scan_ops.h"
 #include "obs/event_journal.h"
-#include "obs/metrics_registry.h"
 #include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
 
@@ -19,19 +15,38 @@ namespace dpcf {
 
 namespace {
 
-/// Shared cursor between the scan workers and the readahead thread. The
-/// prefetcher walks pages in order and sleeps whenever it is `window` pages
-/// ahead of the slowest published consumption point; workers bump
-/// pages_consumed per finished morsel (coarse on purpose — one latch
-/// round-trip per morsel, not per page).
-struct ReadaheadState {
-  // Highest rank: a leaf latch — nothing else is ever acquired while it
-  // is held (workers and prefetcher lock it only to bump/read the
-  // cursor, never across a pool or disk call).
-  Mutex mu{lock_rank::kScanReadahead};
-  std::condition_variable_any cv;
-  int64_t pages_consumed GUARDED_BY(mu) = 0;
-  bool stop GUARDED_BY(mu) = false;
+/// Readahead paced by the scan's own workers: pages [0, submitted) have
+/// gone to BufferPool::PrefetchBatch, and the frontier is kept `window`
+/// pages past the pages the workers have finished (not merely claimed),
+/// so the window stays ahead of what the scan has consumed.
+struct ReadaheadPacer {
+  BufferPool* pool;
+  SegmentId segment;
+  int64_t total_pages;
+  int64_t window;  // 0: readahead off
+  std::atomic<int64_t> finished{0};
+  std::atomic<int64_t> submitted{0};
+
+  /// Adds `pages` to the finished count; if that moves the frontier, the
+  /// caller whose CAS wins submits the pages it gained as one batch.
+  /// Advance(0) before any worker starts primes [0, window), so the
+  /// prefetch/demand split of the first pages does not depend on how
+  /// quickly the first worker gets going.
+  void Advance(int64_t pages) {
+    if (window <= 0) return;
+    const int64_t done = finished.fetch_add(pages) + pages;
+    const int64_t target = std::min(done + window, total_pages);
+    int64_t from = submitted.load();
+    do {
+      if (from >= target) return;
+    } while (!submitted.compare_exchange_weak(from, target));
+    std::vector<PageId> batch;
+    batch.reserve(static_cast<size_t>(target - from));
+    for (int64_t p = from; p < target; ++p) {
+      batch.push_back(PageId{segment, static_cast<PageNo>(p)});
+    }
+    pool->PrefetchBatch(batch);
+  }
 };
 
 /// One worker's tallies during a scan, folded into the ExecContext
@@ -81,13 +96,8 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     }
   }
 
-  // Morsel readahead: a dedicated prefetch thread walks the pages in scan
-  // order and keeps up to `window` of them resident ahead of the workers,
-  // overlapping (simulated) I/O with predicate evaluation and monitor
-  // updates. The window is clamped to half the pool so prefetch pressure
-  // can never evict pages the scan is still consuming.
-  // Non-driver threads (morsel workers, the readahead thread) exist only
-  // inside this region; cpu_stats() asserts no region is live.
+  // Non-driver threads (the morsel workers) exist only inside this
+  // region; cpu_stats() asserts no region is live.
   ExecContext::WorkerRegion worker_region(ctx);
   TraceCollector* const tc = ctx->trace();
   EventJournal* const journal = ctx->journal();
@@ -96,95 +106,14 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
                     static_cast<uint64_t>(num_workers));
   }
 
-  ReadaheadState ra;
-  std::thread ra_thread;
-  std::unique_ptr<AdaptiveReadaheadController> ra_controller;
-  const SegmentId segment = file->segment();
-  const PageNo total_pages = file->page_count();
-  int64_t window = static_cast<int64_t>(options_.prefetch_pages);
+  // Readahead overlaps (simulated) I/O with predicate evaluation and
+  // monitor updates. The window is clamped to half the pool so prefetch
+  // pressure can never evict pages the scan is still consuming.
   const int64_t half_pool = static_cast<int64_t>(ctx->pool()->capacity() / 2);
-  if (window > half_pool) window = half_pool;
-  // Resolved unconditionally so the series exists (and reads 0) even for
-  // scans with readahead off — dashboards never see a dead series.
-  Gauge* const window_gauge =
-      ctx->metrics() != nullptr
-          ? ctx->metrics()->GetGauge(
-                "scan_readahead_window_pages",
-                "Current adaptive readahead window of the last scan")
-          : nullptr;
-  if (window_gauge != nullptr && (window <= 0 || total_pages == 0)) {
-    window_gauge->Set(0);
-  }
-  if (window > 0 && total_pages > 0) {
-    BufferPool* pool = ctx->pool();
-    AdaptiveReadaheadConfig ra_cfg;
-    ra_cfg.initial_window = window;
-    ra_cfg.max_window = half_pool;
-    ra_controller = std::make_unique<AdaptiveReadaheadController>(
-        ra_cfg, pool->disk()->io_stats(), window_gauge, journal);
-    // Prime the initial window before any worker starts, so the
-    // prefetch-vs-demand split of the scan's first pages does not depend
-    // on how quickly the first worker gets going: those pages are always
-    // charged as prefetch_reads on a cold cache. (Priming submits one
-    // batch; a worker demanding one of these pages before its completion
-    // lands simply waits behind the kLoading frame.)
-    const PageNo primed =
-        total_pages < static_cast<PageNo>(window)
-            ? total_pages
-            : static_cast<PageNo>(window);
-    std::vector<PageId> prime_batch;
-    prime_batch.reserve(static_cast<size_t>(primed));
-    for (PageNo p = 0; p < primed; ++p) {
-      prime_batch.push_back(PageId{segment, p});
-    }
-    pool->PrefetchBatch(prime_batch);
-    const uint64_t query_id = ctx->query_id();
-    AdaptiveReadaheadController* const controller = ra_controller.get();
-    const int64_t batch_pages =
-        static_cast<int64_t>(options_.morsel_pages);
-    ra_thread = std::thread([&ra, ctx, pool, controller, segment,
-                             total_pages, primed, query_id, batch_pages] {
-      TraceCollector::QueryIdScope qid_scope(query_id);
-      // Backpressure inside PrefetchBatch (submission ring full) is blocked
-      // time of this thread; fold it into the context like a worker's.
-      StallStats stall;
-      {
-        StallScope stall_scope(&stall);
-        PageNo next = primed;
-        std::vector<PageId> batch;
-        while (next < total_pages) {
-          ra.mu.lock();
-          while (!ra.stop && static_cast<int64_t>(next) >=
-                                 ra.pages_consumed + controller->window()) {
-            ra.cv.wait(ra.mu);
-          }
-          const bool stop_requested = ra.stop;
-          const int64_t consumed = ra.pages_consumed;
-          ra.mu.unlock();
-          if (stop_requested) break;
-          // Submit up to one morsel's worth in a single batch, staying
-          // inside the (possibly just-narrowed) window.
-          int64_t limit = consumed + controller->window();
-          if (limit > static_cast<int64_t>(total_pages)) {
-            limit = static_cast<int64_t>(total_pages);
-          }
-          int64_t end = static_cast<int64_t>(next) + batch_pages;
-          if (end > limit) end = limit;
-          if (end <= static_cast<int64_t>(next)) continue;
-          batch.clear();
-          for (PageNo p = next; p < static_cast<PageNo>(end); ++p) {
-            batch.push_back(PageId{segment, p});
-          }
-          pool->PrefetchBatch(batch);
-          next = static_cast<PageNo>(end);
-          // Feedback: react to the hit/rejection deltas this batch exposed.
-          controller->Update();
-        }
-      }
-      ctx->MergeStall(stall);
-    });
-  }
-  ReadaheadState* ra_ptr = ra_thread.joinable() ? &ra : nullptr;
+  ReadaheadPacer readahead{
+      ctx->pool(), file->segment(), static_cast<int64_t>(file->page_count()),
+      std::min(static_cast<int64_t>(options_.prefetch_pages), half_pool)};
+  readahead.Advance(0);
 
   std::atomic<bool> stop{false};
   Status status = RunOnWorkers(num_workers, [&](int w) -> Status {
@@ -233,12 +162,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
                                 projection_, &out.back());
         }
       }
-      if (ra_ptr != nullptr) {
-        ra_ptr->mu.lock();
-        ra_ptr->pages_consumed += static_cast<int64_t>(end - begin);
-        ra_ptr->mu.unlock();
-        ra_ptr->cv.notify_all();
-      }
+      readahead.Advance(static_cast<int64_t>(end - begin));
       if (traced) {
         tc->AddSpan("scan", StrFormat("morsel %u", morsel), span_begin,
                     {{"worker", StrFormat("%d", w)},
@@ -252,15 +176,6 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     ctx->MergeStall(ws.stall);
     return Status::OK();
   });
-  // Retire the prefetcher before error propagation: a joinable thread must
-  // never reach ra's end of scope.
-  if (ra_thread.joinable()) {
-    ra.mu.lock();
-    ra.stop = true;
-    ra.mu.unlock();
-    ra.cv.notify_all();
-    ra_thread.join();
-  }
   DPCF_RETURN_IF_ERROR(status);
 
   // Fold the monitor bundles back into the operator's own. The workers

@@ -35,17 +35,16 @@ struct ParallelScanOptions {
   /// Pages per morsel. Small enough to balance load across workers, large
   /// enough that queue traffic is negligible next to page work.
   uint32_t morsel_pages = 32;
-  /// Initial readahead window: a dedicated prefetch thread keeps up to
-  /// this many pages ahead of the scan cursor resident in the buffer pool
-  /// (clamped to half the pool so prefetch can never evict pages the scan
-  /// still needs), submitting morsel-sized batches through
-  /// BufferPool::PrefetchBatch onto the disk's submission ring.
-  /// AdaptiveReadaheadController then widens or narrows the window per
-  /// scan from the live prefetch hit/rejection counters
-  /// (exec/readahead.h). Prefetched pages are charged to
-  /// IoStats::prefetch_reads, not physical reads, and readahead never
-  /// touches monitors, so feedback stays bit-for-bit identical to the
-  /// serial scan. 0 disables readahead.
+  /// Readahead window: the scan keeps pages submitted through
+  /// BufferPool::PrefetchBatch (onto the disk's submission ring) up to
+  /// this many pages past the pages its workers have finished, clamped to
+  /// half the pool so prefetch can never evict pages the scan still
+  /// needs. Open submits the first window before any worker starts; after
+  /// that each worker that finishes a morsel submits the pages that
+  /// moved the frontier, as one batch. No thread is added. Prefetched
+  /// pages are charged to IoStats::prefetch_reads, not physical reads,
+  /// and readahead never touches monitors, so feedback stays bit-for-bit
+  /// identical to the serial scan. 0 disables readahead.
   uint32_t prefetch_pages = 0;
   /// Evaluate predicates with the vectorized PredicateKernel per page and
   /// feed monitors via ObserveBatch (DESIGN.md section 12). Off = the page

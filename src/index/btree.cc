@@ -120,17 +120,6 @@ Btree::Btree(BufferPool* pool, SegmentId segment, std::string name)
   assert(leaf_capacity_ >= 2 && internal_capacity_ >= 2);
 }
 
-Result<Btree> Btree::Create(BufferPool* pool, std::string name) {
-  DiskManager* disk = pool->disk();
-  SegmentId segment = disk->CreateSegment("index:" + name);
-  Btree tree(pool, segment, std::move(name));
-  std::vector<char> root(disk->page_size());
-  ResetNode(&root, /*is_leaf=*/true, 0, 0, kInvalidPageNo);
-  DPCF_ASSIGN_OR_RETURN(tree.root_, disk->AppendPage(segment, root.data()));
-  tree.height_ = 1;
-  return tree;
-}
-
 Status Btree::FindLeaf(const BtreeKey& lo, PageNo* leaf) const {
   // The minimal entry with key >= lo is >= {lo, 0}? No: aux is unsigned and
   // keys with equal (k1,k2) differ only in aux >= 0, so {lo, aux=0} is the
@@ -218,42 +207,39 @@ Status BtreeIterator::NextRun(const BtreeKey& hi,
   return LoadCurrent();
 }
 
-Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
-  if (entry_count_ != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
+Result<Btree> Btree::Build(BufferPool* pool, std::string name,
+                           const std::vector<BtreeEntry>& sorted) {
   for (size_t i = 1; i < sorted.size(); ++i) {
     if (!(sorted[i - 1] < sorted[i])) {
       return Status::InvalidArgument(StrFormat(
-          "BulkLoad input not strictly ascending at position %zu", i));
+          "Btree::Build input not strictly ascending at position %zu", i));
     }
   }
-  if (sorted.empty()) return Status::OK();
+  DiskManager* disk = pool->disk();
+  Btree tree(pool, disk->CreateSegment("index:" + name), std::move(name));
 
   // Node images are built in `node` and appended to the disk, once each,
   // as soon as they are final.
-  DiskManager* disk = pool_->disk();
   std::vector<char> node(disk->page_size());
 
-  // Level 0: fill leaves left to right, chaining them. This tree is its
-  // segment's only writer, so the leaves take consecutive page numbers
-  // from the segment's next one, and each leaf's `prev` and `next` are
-  // known before it is appended.
+  // Level 0: fill leaves left to right, chaining them. The segment is
+  // fresh and this is its only writer, so the leaves take page numbers
+  // 0, 1, ... and each leaf's `prev` and `next` are known before it is
+  // appended. An empty input still gets one (empty) leaf: the root.
   struct NodeRef {
     BtreeEntry first;
     PageNo page;
   };
   std::vector<NodeRef> level_nodes;
   {
-    PageNo page = disk->SegmentPageCount(segment_);
+    PageNo page = 0;
     size_t i = 0;
-    while (i < sorted.size()) {
-      uint32_t n = static_cast<uint32_t>(
-          std::min<size_t>(leaf_capacity_, sorted.size() - i));
-      const bool first = i == 0;
+    do {
+      const uint32_t n = static_cast<uint32_t>(
+          std::min<size_t>(tree.leaf_capacity_, sorted.size() - i));
       const bool last = i + n == sorted.size();
       ResetNode(&node, /*is_leaf=*/true, 0, n,
-                first ? kInvalidPageNo : page - 1);
+                page == 0 ? kInvalidPageNo : page - 1);
       Header(node.data())->next = last ? kInvalidPageNo : page + 1;
       LeafEntry* es = LeafEntries(node.data());
       for (uint32_t j = 0; j < n; ++j) {
@@ -261,13 +247,14 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
         es[j] = LeafEntry{e.key.k1, e.key.k2, e.aux};
       }
       DPCF_ASSIGN_OR_RETURN(const PageNo appended,
-                            disk->AppendPage(segment_, node.data()));
+                            disk->AppendPage(tree.segment_, node.data()));
       assert(appended == page);
       (void)appended;
-      level_nodes.push_back(NodeRef{sorted[i], page});
+      level_nodes.push_back(
+          NodeRef{n == 0 ? BtreeEntry{} : sorted[i], page});
       ++page;
       i += n;
-    }
+    } while (i < sorted.size());
   }
 
   // Upper levels until a single root remains.
@@ -276,8 +263,8 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
     std::vector<NodeRef> next_nodes;
     size_t i = 0;
     while (i < level_nodes.size()) {
-      uint32_t n = static_cast<uint32_t>(
-          std::min<size_t>(internal_capacity_, level_nodes.size() - i));
+      uint32_t n = static_cast<uint32_t>(std::min<size_t>(
+          tree.internal_capacity_, level_nodes.size() - i));
       // Avoid a trailing single-child node: borrow one from this node.
       if (level_nodes.size() - i - n == 1) n -= 1;
       ResetNode(&node, /*is_leaf=*/false, level, n, kInvalidPageNo);
@@ -288,7 +275,7 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
                               ref.first.aux, ref.page, 0};
       }
       DPCF_ASSIGN_OR_RETURN(const PageNo page,
-                            disk->AppendPage(segment_, node.data()));
+                            disk->AppendPage(tree.segment_, node.data()));
       next_nodes.push_back(NodeRef{level_nodes[i].first, page});
       i += n;
     }
@@ -296,11 +283,10 @@ Status Btree::BulkLoad(const std::vector<BtreeEntry>& sorted) {
     ++level;
   }
 
-  // Retire the placeholder empty root created by Create(): simply repoint.
-  root_ = level_nodes[0].page;
-  height_ = level;
-  entry_count_ = static_cast<int64_t>(sorted.size());
-  return Status::OK();
+  tree.root_ = level_nodes[0].page;
+  tree.height_ = level;
+  tree.entry_count_ = static_cast<int64_t>(sorted.size());
+  return tree;
 }
 
 Status Btree::CollectRange(const BtreeKey& lo, const BtreeKey& hi,

@@ -11,12 +11,12 @@
 // supported by treating the stored (k1, k2, aux) triple as the full
 // comparison key (aux carries the packed Rid, which is unique per row).
 //
-// Build-once: a tree is created empty and filled exactly once by a linear
-// bulk load of sorted entries (the index build); after that it is only
-// read — point/range seeks via iterators. Both steps build each node's
-// page image in memory and append the finished image to the disk, once
-// (DiskManager::AppendPage); no build step goes through the buffer pool,
-// and no node changes after it is appended.
+// Build-once: Btree::Build lays a tree out bottom-up from sorted entries
+// (the index build); after that it is only read — point/range seeks via
+// iterators. The build makes each node's page image in memory and appends
+// the finished image to the disk, once (DiskManager::AppendPage): the
+// segment holds exactly the tree's pages, no build step goes through the
+// buffer pool, and no node changes after it is appended.
 // CheckInvariants() validates ordering, separator and leaf-chain
 // invariants for the test suite.
 
@@ -104,17 +104,16 @@ class BtreeIterator {
 /// Paged B+-tree over one buffer-pool segment.
 class Btree {
  public:
-  /// Creates an empty tree (root = empty leaf, appended to the disk) in a
-  /// fresh segment.
-  static Result<Btree> Create(BufferPool* pool, std::string name);
-
-  /// Fills the empty tree, once. `sorted` must be strictly ascending by
-  /// (key, aux). Each level is filled left to right, nodes to capacity;
-  /// the tail of a level takes the remainder. Pages are appended leaves
-  /// first, then each upper level, each once its image is final: the
-  /// leaves take consecutive page numbers, so each leaf's chain links are
-  /// known before it is appended.
-  Status BulkLoad(const std::vector<BtreeEntry>& sorted);
+  /// Builds the tree over `sorted` in a fresh segment. `sorted` must be
+  /// strictly ascending by (key, aux), else InvalidArgument (and no
+  /// segment is created). Each level is filled left to right, nodes to
+  /// capacity; the tail of a level takes the remainder. Pages are appended
+  /// leaves first, then each upper level, each once its image is final:
+  /// the leaves take page numbers 0, 1, ..., so each leaf's chain links
+  /// are known before it is appended. An empty input gets one empty root
+  /// leaf.
+  static Result<Btree> Build(BufferPool* pool, std::string name,
+                             const std::vector<BtreeEntry>& sorted);
 
   /// Positions an iterator at the first entry with key >= lo.
   Result<BtreeIterator> SeekFirst(const BtreeKey& lo);

@@ -50,9 +50,6 @@ Result<std::unique_ptr<Index>> Index::Build(BufferPool* pool, Table* table,
   auto index = std::unique_ptr<Index>(
       new Index(table, std::move(name), std::move(key_cols),  // NOLINT(dpcf-naked-new)
                 is_clustered_key));
-  DPCF_ASSIGN_OR_RETURN(Btree tree, Btree::Create(pool, index->name_));
-  index->tree_ = std::make_unique<Btree>(std::move(tree));
-
   // Collect entries by walking the raw data pages (build time: counted in
   // raw_page_reads, charged to no run). TableBuilder wrote every one of
   // them to the disk.
@@ -63,7 +60,8 @@ Result<std::unique_ptr<Index>> Index::Build(BufferPool* pool, Table* table,
         entries.push_back(BtreeEntry{index->KeyForRow(row), Rid{p, s}.Pack()});
       });
   std::sort(entries.begin(), entries.end());
-  DPCF_RETURN_IF_ERROR(index->tree_->BulkLoad(entries));
+  DPCF_ASSIGN_OR_RETURN(Btree tree, Btree::Build(pool, index->name_, entries));
+  index->tree_ = std::make_unique<Btree>(std::move(tree));
   return index;
 }
 

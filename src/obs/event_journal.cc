@@ -55,8 +55,6 @@ const char* JournalEventName(JournalEvent e) {
       return "backpressure_end";
     case JournalEvent::kLoadingWait:
       return "loading_wait";
-    case JournalEvent::kReadaheadResize:
-      return "readahead_resize";
     case JournalEvent::kMonitorBuild:
       return "monitor_build";
     case JournalEvent::kMonitorMerge:

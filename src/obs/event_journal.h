@@ -40,7 +40,8 @@
 namespace dpcf {
 
 /// Event taxonomy (DESIGN.md section 15). Arguments a/b are event-typed:
-/// page numbers, waited microseconds, window sizes, milli-q-errors.
+/// page numbers, waited microseconds, counts, milli-q-errors. Values are
+/// stable across versions; 7 (readahead window resizes) is retired.
 enum class JournalEvent : uint32_t {
   kNone = 0,
   kRingSubmit = 1,        // a=page (the ring carries readahead only)
@@ -49,7 +50,6 @@ enum class JournalEvent : uint32_t {
   kBackpressureBegin = 4, // a=queued pages at full
   kBackpressureEnd = 5,   // a=waited us
   kLoadingWait = 6,       // a=page, b=waited us
-  kReadaheadResize = 7,   // a=new window pages, b=old window pages
   kMonitorBuild = 8,      // a=monitor count
   kMonitorMerge = 9,      // a=merged bundles
   kEviction = 10,         // a=evicted page

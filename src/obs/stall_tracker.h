@@ -5,8 +5,9 @@
 // ring (backpressure wait), and waiting behind another thread's in-flight
 // load of the same frame (loading wait). Which query was stalled is
 // information only the *blocked* thread has, so attribution rides a
-// thread-local sink: the executor (driver thread) and the parallel scan
-// (workers, readahead thread) install a StallScope around their work, the
+// thread-local sink: the executor (driver thread) and the parallel scan's
+// workers install a StallScope around their work (a worker's own
+// readahead submissions included), the
 // blocking sites call ChargeStall with the measured microseconds, and the
 // per-thread tallies are folded into the ExecContext exactly like
 // CpuStats. With no scope installed (offline paths, io workers) the

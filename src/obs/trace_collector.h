@@ -38,8 +38,8 @@ class TraceCollector {
   /// thread while the scope is live carries a {"qid": "<id>"} arg, letting
   /// concurrent sessions untangle their spans in one trace file. The
   /// driver thread opens a scope in ExecutePlan from ExecContext::query_id;
-  /// parallel-scan workers and the readahead thread open their own (the id
-  /// is thread-local, so spawned threads do not inherit it). id 0 = no tag.
+  /// parallel-scan workers open their own (the id is thread-local, so
+  /// spawned threads do not inherit it). id 0 = no tag.
   /// Scopes nest; the previous id is restored on destruction.
   class QueryIdScope {
    public:

@@ -140,8 +140,8 @@ class BufferPool {
   /// (it never moves the disk read head). A page already cached or loading
   /// is skipped; a shard with no evictable frame skips the page and
   /// charges IoStats::prefetch_rejected (readahead running too far ahead
-  /// of the consumers is backpressure, not an error — the adaptive window
-  /// narrows on the counter). A failed or cancelled read frees its frame;
+  /// of the consumers is backpressure, not an error: the page is read on
+  /// demand later). A failed or cancelled read frees its frame;
   /// a demand Fetch of the page surfaces a persistent error itself.
   void PrefetchBatch(const std::vector<PageId>& pids) EXCLUDES(disk_->mu_);
 

@@ -108,10 +108,6 @@ void DiskManager::AttachMetrics(MetricsRegistry* registry,
   m_queue_depth_ = registry->GetGauge(
       "disk_submission_queue_pages",
       "Pages waiting on the submission ring (unclaimed requests)");
-  m_submit_to_complete_us_ = registry->GetHistogram(
-      "disk_submit_to_complete_us",
-      "Wall time from ring submission to completion-callback return",
-      1.0, 2.0, 20);
   m_backpressure_stalls_ = registry->GetCounter(
       "disk_backpressure_stalls_total",
       "Producer waits on a full submission ring");
@@ -354,14 +350,9 @@ void DiskManager::IoWorkerLoop() {
       }
       if (req.on_complete) req.on_complete(read);
       if (req.submit_us != 0) {
-        const int64_t complete_us = SteadyNowUs();
-        const int64_t service = complete_us - dispatch_us;
+        const int64_t service = SteadyNowUs() - dispatch_us;
         if (m_service_time_us_ != nullptr) {
           m_service_time_us_->Observe(static_cast<double>(service));
-        }
-        if (m_submit_to_complete_us_ != nullptr) {
-          m_submit_to_complete_us_->Observe(
-              static_cast<double>(complete_us - req.submit_us));
         }
         if (journal_ != nullptr) {
           journal_->Record(JournalEvent::kRingComplete, req.pid.page_no,

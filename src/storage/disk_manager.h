@@ -304,7 +304,6 @@ class DiskManager {
   Counter* m_backpressure_stalls_ = nullptr;
   Gauge* m_queue_depth_ = nullptr;
   Gauge* m_in_flight_ = nullptr;
-  LogHistogram* m_submit_to_complete_us_ = nullptr;
   // The ring carries prefetch reads only; the series keep their
   // class="prefetch" label.
   LogHistogram* m_queue_wait_us_ = nullptr;

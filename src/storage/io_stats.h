@@ -87,16 +87,15 @@ struct IoStats {
   AtomicCounter prefetch_reads;
 
   // Demand fetches that found their frame resident *because* a kPrefetch
-  // read loaded it (counted once per prefetched load, on first hit). The
-  // prefetch hit rate prefetch_hits / prefetch_reads is the signal
-  // AdaptiveReadaheadController (exec/readahead.h) scales the window from.
-  // Invariant at quiescent points: prefetch_hits <= prefetch_reads.
+  // read loaded it (counted once per prefetched load, on first hit), so
+  // prefetch_hits / prefetch_reads is the share of readahead the scan
+  // used. Invariant at quiescent points: prefetch_hits <= prefetch_reads.
   AtomicCounter prefetch_hits;
 
   // Prefetch requests the buffer pool dropped because the page's shard had
   // no evictable frame (readahead running too far ahead of the consumers).
-  // Nothing was read, so nothing else is charged; the adaptive readahead
-  // window treats a nonzero delta here as the signal to narrow.
+  // Nothing was read, so nothing else is charged; the scan later reads the
+  // page on demand.
   AtomicCounter prefetch_rejected;
 
   // Logical I/O: every *successful* buffer-pool page request, hit or miss.

@@ -1,6 +1,6 @@
 // The asynchronous disk submission ring (storage/disk_manager.h), the
-// readahead path built on it (BufferPool::PrefetchBatch), and the adaptive
-// readahead window (exec/readahead.h).
+// readahead path built on it (BufferPool::PrefetchBatch), and the parallel
+// scan's readahead window, paced by its workers (exec/parallel_scan.h).
 //
 //  - one completion worker drains the ring in submission order (FIFO);
 //  - demand misses are read inline and never touch the ring; readahead
@@ -10,10 +10,10 @@
 //    other loads in the shard wake it;
 //  - ColdReset cancels the queued backlog instead of waiting out its
 //    simulated latency, and cancelled reads charge nothing;
-//  - the adaptive window controller follows its integer control law
-//    (widen on consumed prefetches, narrow on waste or rejection);
+//  - a one-worker scan with readahead prefetches every page before its
+//    fetch, so it charges no demand read;
 //  - merged scan feedback is bit-for-bit identical to the serial oracle
-//    for every thread count x initial window combination.
+//    for every thread count x window combination.
 
 #include <algorithm>
 #include <atomic>
@@ -27,7 +27,6 @@
 
 #include "exec/executor.h"
 #include "exec/parallel_scan.h"
-#include "exec/readahead.h"
 #include "exec/scan_ops.h"
 #include "obs/event_journal.h"
 #include "obs/metrics_registry.h"
@@ -255,60 +254,6 @@ TEST(AsyncDiskTest, LoadingWaitCountedOncePerFetch) {
   CheckExactInvariant(*disk.io_stats(), "loading wait");
 }
 
-// ------------------------------------------------- adaptive controller
-
-TEST(AdaptiveReadaheadTest, ControlLawWidensAndNarrows) {
-  IoStats io;
-  AdaptiveReadaheadConfig cfg;
-  cfg.initial_window = 16;
-  cfg.min_window = 4;
-  cfg.max_window = 64;
-  AdaptiveReadaheadController ctl(cfg, &io, /*window_gauge=*/nullptr);
-  EXPECT_EQ(ctl.window(), 16);
-
-  // Everything staged is consumed: double, up to the cap.
-  io.prefetch_reads += 16;
-  io.prefetch_hits += 16;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 32);
-  io.prefetch_reads += 32;
-  io.prefetch_hits += 32;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 64);
-  io.prefetch_reads += 64;
-  io.prefetch_hits += 64;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 64) << "capped at max_window";
-
-  // A full window of speculative reads mostly unconsumed: halve.
-  io.prefetch_reads += 64;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 32);
-
-  // Backpressure (rejected submissions) narrows regardless of hits.
-  ++io.prefetch_rejected;
-  io.prefetch_reads += 32;
-  io.prefetch_hits += 32;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 16);
-  ++io.prefetch_rejected;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 8);
-  ++io.prefetch_rejected;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 4) << "floored at min_window";
-  ++io.prefetch_rejected;
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 4);
-
-  EXPECT_GE(ctl.widenings(), 2);
-  EXPECT_GE(ctl.narrowings(), 4);
-
-  // No new signal: the window is left alone.
-  ctl.Update();
-  EXPECT_EQ(ctl.window(), 4);
-}
-
 // --------------------------------------- feedback determinism (oracle)
 
 class AsyncScanTest : public ::testing::Test {
@@ -397,6 +342,24 @@ TEST_F(AsyncScanTest, FeedbackIdenticalAcrossThreadsAndWindows) {
       CheckExactInvariant(run.stats.io, what.c_str());
     }
   }
+}
+
+// The window is paced on finished morsels: with one worker, every morsel
+// finished moves the frontier one morsel further, so each page was
+// submitted before the worker fetches it and no page is a demand read.
+// (With two or more workers the split depends on when each one wakes.)
+TEST_F(AsyncScanTest, OneWorkerReadaheadPrefetchesEveryPage) {
+  ParallelTableScanOp scan(t_, Pushed(), {kC1}, nullptr,
+                           ParallelScanOptions{/*num_threads=*/1,
+                                               /*morsel_pages=*/8,
+                                               /*prefetch_pages=*/16});
+  RunResult run = Run(&scan);
+  const int64_t pages = static_cast<int64_t>(t_->page_count());
+  ASSERT_GT(pages, 16);
+  EXPECT_EQ(static_cast<int64_t>(run.stats.io.prefetch_reads), pages);
+  EXPECT_EQ(run.stats.io.physical_reads(), 0);
+  EXPECT_EQ(static_cast<int64_t>(run.stats.io.logical_reads), pages);
+  CheckExactInvariant(run.stats.io, "one-worker readahead");
 }
 
 // ------------------------------------------- miss-path selection (no knob)

@@ -1,8 +1,8 @@
 // B+-tree tests: every tree is built the one way the engine builds one —
-// Create, then a single BulkLoad of sorted entries — and then only read:
-// sorted drains, lower-bound seeks, composite-key ranges, duplicate keys
-// spanning leaves, height, iterator I/O, rejected loads, and a randomized
-// check against a std::set. Parameterized across page sizes so both
+// Btree::Build over sorted entries — and then only read: sorted drains,
+// lower-bound seeks, composite-key ranges, duplicate keys spanning leaves,
+// height, iterator I/O, rejected inputs, and a randomized check against a
+// std::set. Parameterized across page sizes so both
 // shallow and multi-level trees are exercised.
 
 #include <set>
@@ -32,16 +32,11 @@ class BtreeTest : public ::testing::TestWithParam<size_t> {
  protected:
   BtreeTest() : disk_(GetParam()), pool_(&disk_, 256) {}
 
-  Btree MakeTree() {
-    auto t = Btree::Create(&pool_, "t");
-    EXPECT_TRUE(t.ok());
-    return std::move(t).value();
-  }
-
-  // Create + BulkLoad, with the structural invariants checked.
+  // Btree::Build, with the structural invariants checked.
   Btree Load(const std::vector<BtreeEntry>& sorted) {
-    Btree tree = MakeTree();
-    EXPECT_OK(tree.BulkLoad(sorted));
+    auto built = Btree::Build(&pool_, "t", sorted);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    Btree tree = std::move(built).value();
     EXPECT_OK(tree.CheckInvariants());
     EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(sorted.size()));
     return tree;
@@ -63,15 +58,27 @@ class BtreeTest : public ::testing::TestWithParam<size_t> {
 };
 
 TEST_P(BtreeTest, EmptyTreeIteratesNothing) {
-  Btree tree = MakeTree();
+  Btree tree = Load({});
   EXPECT_EQ(tree.entry_count(), 0);
+  EXPECT_EQ(tree.height(), 1u);
+  EXPECT_EQ(tree.page_count(), 1u) << "one empty root leaf";
   EXPECT_TRUE(Drain(&tree).empty());
-  ASSERT_OK(tree.CheckInvariants());
-  Btree loaded = Load({});
-  EXPECT_TRUE(Drain(&loaded).empty());
 }
 
-TEST_P(BtreeTest, BulkLoadDrainsSorted) {
+TEST_P(BtreeTest, BuildWritesExactlyTheTreesPages) {
+  // A one-leaf tree is its root; three leaves get one root above them.
+  // No page beyond the tree's own, and the leaves come first.
+  Btree one = Load(Sequential(1));
+  EXPECT_EQ(one.page_count(), 1u);
+  const int64_t n = 3 * static_cast<int64_t>(one.leaf_capacity());
+  Btree three = Load(Sequential(n));
+  EXPECT_EQ(three.height(), 2u);
+  EXPECT_EQ(three.page_count(), 4u);
+  ASSERT_OK_AND_ASSIGN(BtreeIterator it, three.Begin());
+  EXPECT_EQ(it.leaf_page(), 0u);
+}
+
+TEST_P(BtreeTest, BuildDrainsSorted) {
   const std::vector<BtreeEntry> entries = Sequential(2000, 1, 10);
   Btree tree = Load(entries);
   EXPECT_EQ(Drain(&tree), entries);
@@ -169,20 +176,15 @@ TEST_P(BtreeTest, IteratorChargesBufferPoolIo) {
       << "tree traversal must go through the buffer pool";
 }
 
-TEST_P(BtreeTest, BulkLoadRejectsUnsortedOrDuplicateInput) {
-  Btree tree = MakeTree();
+TEST_P(BtreeTest, BuildRejectsUnsortedOrDuplicateInput) {
   std::vector<BtreeEntry> bad{{{2, 0}, 0}, {{1, 0}, 0}};
-  EXPECT_EQ(tree.BulkLoad(bad).code(), StatusCode::kInvalidArgument);
-  std::vector<BtreeEntry> dup{{{1, 0}, 0}, {{1, 0}, 0}};
-  EXPECT_EQ(tree.BulkLoad(dup).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(tree.entry_count(), 0);
-}
-
-TEST_P(BtreeTest, SecondBulkLoadRejected) {
-  Btree tree = Load({{{1, 0}, 1}});
-  EXPECT_EQ(tree.BulkLoad({{{2, 0}, 2}}).code(),
+  EXPECT_EQ(Btree::Build(&pool_, "t", bad).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Drain(&tree), (std::vector<BtreeEntry>{{{1, 0}, 1}}));
+  std::vector<BtreeEntry> dup{{{1, 0}, 0}, {{1, 0}, 0}};
+  EXPECT_EQ(Btree::Build(&pool_, "t", dup).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk_.io_stats()->physical_writes, 0)
+      << "a rejected input writes no page";
 }
 
 INSTANTIATE_TEST_SUITE_P(PageSizes, BtreeTest,
@@ -207,8 +209,7 @@ TEST_P(BtreeRandomLoad, MatchesReferenceSet) {
     model.insert(BtreeEntry{{rng.NextInt(0, 300), 0}, rng.NextBounded(50)});
   }
   const std::vector<BtreeEntry> sorted(model.begin(), model.end());
-  ASSERT_OK_AND_ASSIGN(Btree tree, Btree::Create(&pool, "t"));
-  ASSERT_OK(tree.BulkLoad(sorted));
+  ASSERT_OK_AND_ASSIGN(Btree tree, Btree::Build(&pool, "t", sorted));
   ASSERT_OK(tree.CheckInvariants());
   EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(sorted.size()));
 

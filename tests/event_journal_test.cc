@@ -199,7 +199,7 @@ TEST(EventJournalTest, ConcurrentDrainObservesNoTornEvents) {
 
 TEST(EventJournalTest, ToJsonHasTheDocumentedShape) {
   EventJournal j(16);
-  j.Record(JournalEvent::kReadaheadResize, 128, 64);
+  j.Record(JournalEvent::kRingDispatch, 128, 64);
   j.Record(JournalEvent::kDriftAlert, 4500, 6);
   std::string json = j.ToJson();
   EXPECT_NE(json.find("\"capacity_per_thread\": 16"), std::string::npos);
@@ -207,7 +207,7 @@ TEST(EventJournalTest, ToJsonHasTheDocumentedShape) {
   EXPECT_NE(json.find("\"dropped_torn\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"dropped_overwritten\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"events\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"readahead_resize\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\": \"ring_dispatch\""), std::string::npos);
   EXPECT_NE(json.find("\"type\": \"drift_alert\""), std::string::npos);
   EXPECT_NE(json.find("\"a\": 128"), std::string::npos);
   EXPECT_NE(json.find("\"b\": 64"), std::string::npos);
@@ -225,8 +225,7 @@ TEST(EventJournalTest, EventNamesAreStable) {
                "backpressure_end");
   EXPECT_STREQ(JournalEventName(JournalEvent::kLoadingWait),
                "loading_wait");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kReadaheadResize),
-               "readahead_resize");
+  EXPECT_STREQ(JournalEventName(JournalEvent::kNone), "none");
   EXPECT_STREQ(JournalEventName(JournalEvent::kMonitorBuild),
                "monitor_build");
   EXPECT_STREQ(JournalEventName(JournalEvent::kMonitorMerge),

@@ -724,7 +724,7 @@ TEST_F(FeedbackDriverTest, BuildWritesEachPageOnceAroundThePool) {
   for (const Index* index : db_->catalog().Indexes()) {
     pages += index->tree()->page_count();
   }
-  EXPECT_EQ(pages, 860);
+  EXPECT_EQ(pages, 854);
   const IoStats& io = *db_->disk()->io_stats();
   EXPECT_EQ(db_->buffer_pool()->cached_pages(), 0u);
   EXPECT_EQ(io.logical_reads, 0);
@@ -733,8 +733,8 @@ TEST_F(FeedbackDriverTest, BuildWritesEachPageOnceAroundThePool) {
 
 // The bulk-built index shapes the cost model reads (height, leaf capacity,
 // entries, pages) for every index of the 20k-row fixture. Each tree is 59
-// leaves of up to 340 entries (8 KiB pages) under one root, plus the empty
-// root page Create allocates and BulkLoad abandons.
+// leaves of up to 340 entries (8 KiB pages) under one root, and nothing
+// else.
 TEST_F(FeedbackDriverTest, IndexShapesArePinned) {
   Table* t1 = nullptr;
   ASSERT_NO_FATAL_FAILURE(AddT1(&t1));
@@ -745,7 +745,7 @@ TEST_F(FeedbackDriverTest, IndexShapesArePinned) {
     EXPECT_EQ(tree.height(), 2u) << index->name();
     EXPECT_EQ(tree.leaf_capacity(), 340u) << index->name();
     EXPECT_EQ(tree.entry_count(), 20'000) << index->name();
-    EXPECT_EQ(tree.page_count(), 61u) << index->name();
+    EXPECT_EQ(tree.page_count(), 60u) << index->name();
   }
   EXPECT_EQ(names, (std::vector<std::string>{"T1_c1", "T_c1", "T_c2", "T_c3",
                                              "T_c4", "T_c5"}));

@@ -77,7 +77,6 @@ TEST(LockRankTest, RanksAreAssignedAndOrdered) {
   EXPECT_LT(lock_rank::kEstimationTracker, lock_rank::kDriftMonitor);
   EXPECT_LT(lock_rank::kDriftMonitor, lock_rank::kMetricsRegistry);
   EXPECT_LT(lock_rank::kTraceCollector, lock_rank::kEventJournal);
-  EXPECT_LT(lock_rank::kEventJournal, lock_rank::kScanReadahead);
 
   DiskManager disk(kPageSize);
   EXPECT_EQ(disk.latch()->rank(), lock_rank::kDisk);

@@ -223,7 +223,7 @@ TEST_F(ParallelScanTest, ReadaheadPreservesFeedbackAndAccounting) {
           << s.label << " at threads=" << threads;
     }
 
-    // Honest accounting: the readahead thread actually ran, and every page
+    // Honest accounting: readahead actually submitted pages, and every page
     // entered the pool exactly once — charged either as a prefetch or as a
     // demand physical read, never both (a prefetched page's later fetch is
     // a logical read + buffer hit).

@@ -209,8 +209,7 @@ def check_json_agreement(text, samples):
 KNOWN_JOURNAL_EVENTS = {
     "none", "ring_submit", "ring_dispatch", "ring_complete",
     "backpressure_begin", "backpressure_end", "loading_wait",
-    "readahead_resize", "monitor_build", "monitor_merge", "eviction",
-    "drift_alert",
+    "monitor_build", "monitor_merge", "eviction", "drift_alert",
 }
 
 
