@@ -4,14 +4,14 @@
 // Two identical Databases run the same cold-cache morsel-parallel scans —
 // one with observability.journal on (the default), one with it off — and
 // the gate fails if the journal-on configuration is more than 5% slower.
-// The scans read ahead through the submission ring, so the measured path
-// includes every journaled site (ring submit/dispatch/complete,
-// backpressure, eviction, loading waits) rather than an idle journal.
+// The scans read ahead on the disk's device channels, so the measured path
+// includes every journaled storage site (prefetch scheduling as
+// ring_submit, eviction, loading waits) rather than an idle journal.
 // Timing is best-of-N to shave scheduler noise.
 //
 // Knobs: DPCF_BENCH_PAGES (default 2048; 1 KiB pages),
-// DPCF_BENCH_READ_LAT_US (default 50), DPCF_BENCH_IO_THREADS (default 8),
-// DPCF_BENCH_PREFETCH (default 64), DPCF_BENCH_REPEAT (default 3). Emits
+// DPCF_BENCH_READ_LAT_US (default 50), DPCF_BENCH_IO_THREADS (default 8
+// device channels), DPCF_BENCH_PREFETCH (default 64), DPCF_BENCH_REPEAT (default 3). Emits
 // BENCH_obs_overhead.json; the <5% gate is disabled for tiny CI-smoke
 // parameterizations, which only validate the JSON shape.
 

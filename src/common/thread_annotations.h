@@ -99,7 +99,6 @@ namespace lock_rank {
 inline constexpr int kUnranked = -1;          // exempt (tests, ad hoc)
 inline constexpr int kBufferPoolShard = 100;  // BufferPool::Shard::mu
 inline constexpr int kDisk = 200;             // DiskManager::mu_
-inline constexpr int kDiskSubmission = 250;   // DiskManager::submit_mu_
 inline constexpr int kExecMergedCpu = 300;    // ExecContext::merged_cpu_mu_
 inline constexpr int kEstimationTracker = 310;  // EstimationErrorTracker::mu_
 inline constexpr int kDriftMonitor = 315;     // DriftMonitor::mu_
@@ -112,8 +111,8 @@ inline constexpr int kEventJournal = 340;     // EventJournal::drain_mu_
 namespace lock_rank_internal {
 
 /// Per-thread stack of held ranked latches. Fixed depth: the deepest legal
-/// chain today is shard -> disk (2); 16 leaves generous headroom for the
-/// async-I/O roadmap without heap allocation on the lock path.
+/// chain today is shard -> disk (2); 16 leaves generous headroom without
+/// heap allocation on the lock path.
 struct HeldStack {
   static constexpr int kMaxDepth = 16;
   const void* mu[kMaxDepth];

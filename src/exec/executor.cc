@@ -71,9 +71,9 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
     // Every span recorded from the driver thread during this plan carries
     // the context's query id (worker threads open their own scopes).
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
-    // Driver-thread storage stalls (demand-miss I/O wait, submission-ring
-    // backpressure, loading-frame waits) land in the context's driver
-    // tally; workers install their own scopes over thread-local tallies.
+    // Driver-thread storage stalls (demand-miss I/O wait, loading waits)
+    // land in the context's driver tally; workers install their own scopes
+    // over thread-local tallies.
     StallScope stall_scope(ctx->stall());
     ScopedSpan span(ctx->trace(), "exec", "execute_plan");
     DPCF_RETURN_IF_ERROR(root->Open(ctx));

@@ -54,8 +54,8 @@ struct ReadaheadPacer {
 struct ParallelWorkerStats {
   CpuStats cpu;
   /// Blocked time this worker spent in the storage layer (demand-miss I/O
-  /// wait, submission-ring backpressure, waiting behind another thread's
-  /// kLoading frame), charged through the worker's StallScope.
+  /// wait, waiting out a read another thread or readahead started),
+  /// charged through the worker's StallScope.
   StallStats stall;
 };
 }  // namespace
@@ -122,11 +122,11 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     // the same qid as the driver's.
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
     ParallelWorkerStats& ws = worker_stats[static_cast<size_t>(w)];
-    // Blocked time in the storage layer (miss waits, ring backpressure,
-    // kLoading waits) lands in this worker's tally; folded in below next
-    // to the CPU tally. On the 1-thread path this shadows the driver's
-    // executor-installed scope for the duration of the scan, which is
-    // exactly right: the time still reaches the context via MergeStall.
+    // Blocked time in the storage layer (miss waits, loading waits) lands
+    // in this worker's tally; folded in below next to the CPU tally. On the
+    // 1-thread path this shadows the driver's executor-installed scope for
+    // the duration of the scan, which is exactly right: the time still
+    // reaches the context via MergeStall.
     StallScope stall_scope(&ws.stall);
     CpuStats* cpu = &ws.cpu;
     ScanMonitorBundle* bundle =

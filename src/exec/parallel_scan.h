@@ -36,11 +36,11 @@ struct ParallelScanOptions {
   /// enough that queue traffic is negligible next to page work.
   uint32_t morsel_pages = 32;
   /// Readahead window: the scan keeps pages submitted through
-  /// BufferPool::PrefetchBatch (onto the disk's submission ring) up to
-  /// this many pages past the pages its workers have finished, clamped to
-  /// half the pool so prefetch can never evict pages the scan still
-  /// needs. Open submits the first window before any worker starts; after
-  /// that each worker that finishes a morsel submits the pages that
+  /// BufferPool::PrefetchBatch (scheduled on the disk's device channels)
+  /// up to this many pages past the pages its workers have finished,
+  /// clamped to half the pool so prefetch can never evict pages the scan
+  /// still needs. Open submits the first window before any worker starts;
+  /// after that each worker that finishes a morsel submits the pages that
   /// moved the frontier, as one batch. No thread is added. Prefetched
   /// pages are charged to IoStats::prefetch_reads, not physical reads,
   /// and readahead never touches monitors, so feedback stays bit-for-bit

@@ -109,7 +109,8 @@ uint32_t InternalChildSlot(const char* page, const BtreeEntry& target) {
 
 std::string BtreeKey::ToString() const {
   if (k2 == 0) return std::to_string(k1);
-  return "(" + std::to_string(k1) + "," + std::to_string(k2) + ")";
+  return StrFormat("(%lld,%lld)", static_cast<long long>(k1),
+                   static_cast<long long>(k2));
 }
 
 Btree::Btree(BufferPool* pool, SegmentId segment, std::string name)

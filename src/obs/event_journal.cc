@@ -45,15 +45,7 @@ const char* JournalEventName(JournalEvent e) {
       return "none";
     case JournalEvent::kRingSubmit:
       return "ring_submit";
-    case JournalEvent::kRingDispatch:
-      return "ring_dispatch";
-    case JournalEvent::kRingComplete:
-      return "ring_complete";
-    case JournalEvent::kBackpressureBegin:
-      return "backpressure_begin";
-    case JournalEvent::kBackpressureEnd:
-      return "backpressure_end";
-    case JournalEvent::kLoadingWait:
+    case JournalEvent::kLoadWait:
       return "loading_wait";
     case JournalEvent::kMonitorBuild:
       return "monitor_build";

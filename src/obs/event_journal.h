@@ -41,15 +41,12 @@ namespace dpcf {
 
 /// Event taxonomy (DESIGN.md section 15). Arguments a/b are event-typed:
 /// page numbers, waited microseconds, counts, milli-q-errors. Values are
-/// stable across versions; 7 (readahead window resizes) is retired.
+/// stable across versions; 2-5 (the submission ring's dispatch, completion
+/// and backpressure events) and 7 (readahead window resizes) are retired.
 enum class JournalEvent : uint32_t {
   kNone = 0,
-  kRingSubmit = 1,        // a=page (the ring carries readahead only)
-  kRingDispatch = 2,      // a=page, b=queue wait us
-  kRingComplete = 3,      // a=page, b=service time us
-  kBackpressureBegin = 4, // a=queued pages at full
-  kBackpressureEnd = 5,   // a=waited us
-  kLoadingWait = 6,       // a=page, b=waited us
+  kRingSubmit = 1,        // a=page, b=channel wait us (a scheduled prefetch)
+  kLoadWait = 6,          // a=page, b=waited us (its name: loading_wait)
   kMonitorBuild = 8,      // a=monitor count
   kMonitorMerge = 9,      // a=merged bundles
   kEviction = 10,         // a=evicted page

@@ -58,8 +58,11 @@ std::string LabelsJson(const MetricLabels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + JsonEscape(labels[i].first) + "\":\"" +
-           JsonEscape(labels[i].second) + "\"";
+    out += '"';
+    out += JsonEscape(labels[i].first);
+    out += "\":\"";
+    out += JsonEscape(labels[i].second);
+    out += '"';
   }
   out += "}";
   return out;

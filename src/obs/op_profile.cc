@@ -29,7 +29,7 @@ void RenderRec(const OpProfileNode& node,
   out->append(indent);
   out->append(StrFormat(
       "    (actual rows=%lld  next=%lld  wall=%sms  sim=%sms  "
-      "io: logical=%lld hits=%lld seq=%lld rand=%lld)\n",
+      "io: logical=%lld hits=%lld seq=%lld rand=%lld",
       static_cast<long long>(p.rows), static_cast<long long>(p.next_calls),
       FormatDouble(p.wall_ms(), 2).c_str(),
       FormatDouble(SimulatedMillis(p.io, p.cpu, params), 2).c_str(),
@@ -37,15 +37,20 @@ void RenderRec(const OpProfileNode& node,
       static_cast<long long>(p.io.buffer_hits),
       static_cast<long long>(p.io.physical_seq_reads),
       static_cast<long long>(p.io.physical_rand_reads)));
+  // Readahead: pages read ahead / of those, fetched. Without it a parallel
+  // scan's prefetched pages would show only as hits that read nothing.
+  if (p.io.prefetch_reads != 0 || p.io.prefetch_hits != 0) {
+    out->append(StrFormat(" prefetch=%lld/%lld",
+                          static_cast<long long>(p.io.prefetch_reads),
+                          static_cast<long long>(p.io.prefetch_hits)));
+  }
+  out->append(")\n");
   if (!p.stall.empty()) {
     out->append(indent);
     out->append(StrFormat(
-        "    (stall: io_wait=%lldus/%lld backpressure=%lldus/%lld "
-        "loading=%lldus/%lld)\n",
+        "    (stall: io_wait=%lldus/%lld loading=%lldus/%lld)\n",
         static_cast<long long>(p.stall.io_wait_us),
         static_cast<long long>(p.stall.io_waits),
-        static_cast<long long>(p.stall.backpressure_wait_us),
-        static_cast<long long>(p.stall.backpressure_waits),
         static_cast<long long>(p.stall.loading_wait_us),
         static_cast<long long>(p.stall.loading_waits)));
   }

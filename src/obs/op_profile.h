@@ -35,9 +35,9 @@ struct OpProfile {
   double close_wall_ms = 0;
   IoStats io;    // inclusive delta across open + drain + close
   CpuStats cpu;  // inclusive delta (driver + merged workers)
-  /// Inclusive blocked-time delta (I/O wait vs submission-ring
-  /// backpressure vs waits behind another thread's load), charged through
-  /// the thread-local StallScope sinks and merged like cpu.
+  /// Inclusive blocked-time delta (I/O wait vs waits behind another
+  /// thread's or readahead's read), charged through the thread-local
+  /// StallScope sinks and merged like cpu.
   StallStats stall;
 
   double wall_ms() const {

@@ -24,11 +24,7 @@ void ChargeStall(StallKind kind, int64_t us) {
       sink->io_wait_us += us;
       ++sink->io_waits;
       break;
-    case StallKind::kBackpressureWait:
-      sink->backpressure_wait_us += us;
-      ++sink->backpressure_waits;
-      break;
-    case StallKind::kLoadingWait:
+    case StallKind::kLoadWait:
       sink->loading_wait_us += us;
       ++sink->loading_waits;
       break;
@@ -37,10 +33,8 @@ void ChargeStall(StallKind kind, int64_t us) {
 
 std::string StallStats::ToString() const {
   return StrFormat(
-      "io_wait=%lldus/%lld backpressure=%lldus/%lld loading=%lldus/%lld",
+      "io_wait=%lldus/%lld loading=%lldus/%lld",
       static_cast<long long>(io_wait_us), static_cast<long long>(io_waits),
-      static_cast<long long>(backpressure_wait_us),
-      static_cast<long long>(backpressure_waits),
       static_cast<long long>(loading_wait_us),
       static_cast<long long>(loading_waits));
 }

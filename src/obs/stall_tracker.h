@@ -1,17 +1,15 @@
 // Per-thread stall attribution for the EXPLAIN ANALYZE breakdown.
 //
-// The storage layer blocks in three distinct places — waiting for a miss
-// read to come back (I/O wait), waiting for room on the async submission
-// ring (backpressure wait), and waiting behind another thread's in-flight
-// load of the same frame (loading wait). Which query was stalled is
-// information only the *blocked* thread has, so attribution rides a
-// thread-local sink: the executor (driver thread) and the parallel scan's
-// workers install a StallScope around their work (a worker's own
-// readahead submissions included), the
+// The storage layer blocks in two distinct places — waiting out the device
+// time of the thread's own miss read (I/O wait), and waiting out a read
+// another thread or readahead started for the same page (loading wait).
+// Which query was stalled is information only the *blocked* thread has, so
+// attribution rides a thread-local sink: the executor (driver thread) and
+// the parallel scan's workers install a StallScope around their work, the
 // blocking sites call ChargeStall with the measured microseconds, and the
 // per-thread tallies are folded into the ExecContext exactly like
-// CpuStats. With no scope installed (offline paths, io workers) the
-// charge is a single thread-local load and a branch.
+// CpuStats. With no scope installed (offline paths) the charge is a single
+// thread-local load and a branch.
 
 #pragma once
 
@@ -25,37 +23,27 @@ namespace dpcf {
 /// blocked time, not simulated cost.
 struct StallStats {
   int64_t io_wait_us = 0;
-  int64_t backpressure_wait_us = 0;
   int64_t loading_wait_us = 0;
   int64_t io_waits = 0;
-  int64_t backpressure_waits = 0;
   int64_t loading_waits = 0;
 
-  int64_t total_wait_us() const {
-    return io_wait_us + backpressure_wait_us + loading_wait_us;
-  }
-  bool empty() const {
-    return io_waits == 0 && backpressure_waits == 0 && loading_waits == 0;
-  }
+  int64_t total_wait_us() const { return io_wait_us + loading_wait_us; }
+  bool empty() const { return io_waits == 0 && loading_waits == 0; }
 
   void Reset() { *this = StallStats(); }
 
   StallStats& operator+=(const StallStats& o) {
     io_wait_us += o.io_wait_us;
-    backpressure_wait_us += o.backpressure_wait_us;
     loading_wait_us += o.loading_wait_us;
     io_waits += o.io_waits;
-    backpressure_waits += o.backpressure_waits;
     loading_waits += o.loading_waits;
     return *this;
   }
 
   StallStats& operator-=(const StallStats& o) {
     io_wait_us -= o.io_wait_us;
-    backpressure_wait_us -= o.backpressure_wait_us;
     loading_wait_us -= o.loading_wait_us;
     io_waits -= o.io_waits;
-    backpressure_waits -= o.backpressure_waits;
     loading_waits -= o.loading_waits;
     return *this;
   }
@@ -64,9 +52,8 @@ struct StallStats {
 };
 
 enum class StallKind {
-  kIoWait,            // demand miss waiting on the (simulated) device
-  kBackpressureWait,  // submission ring full
-  kLoadingWait,       // another thread's load of the same frame
+  kIoWait,    // demand miss waiting on the (simulated) device
+  kLoadWait,  // a read another thread or readahead started, not yet due
 };
 
 /// RAII: installs `sink` as the calling thread's stall accumulator for the

@@ -112,8 +112,11 @@ std::string TraceCollector::ToJson() const {
       out += ", \"args\": {";
       for (size_t a = 0; a < e.args.size(); ++a) {
         if (a) out += ", ";
-        out += "\"" + JsonEscape(e.args[a].first) + "\": \"" +
-               JsonEscape(e.args[a].second) + "\"";
+        out += '"';
+        out += JsonEscape(e.args[a].first);
+        out += "\": \"";
+        out += JsonEscape(e.args[a].second);
+        out += '"';
       }
       out += "}";
     }

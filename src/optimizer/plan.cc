@@ -61,7 +61,8 @@ std::string JoinPlan::Signature() const {
   if (method == JoinMethod::kIndexNestedLoops) {
     s += ",via=" + inl_index->name();
   } else {
-    s += "," + inner_path.Signature();
+    s += ",";
+    s += inner_path.Signature();
     if (sort_outer) s += ",sortO";
     if (sort_inner) s += ",sortI";
   }

@@ -93,14 +93,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
   }
 }
 
-BufferPool::~BufferPool() {
-  // Retire queued prefetches (their completions free the frames) and wait
-  // out claimed ones, so no disk io-thread can call back into this pool
-  // once the members start being destroyed.
-  disk_->CancelPending();
-  disk_->DrainSubmissions();
-}
-
 void BufferPool::AttachObservability(MetricsRegistry* registry,
                                      TraceCollector* trace,
                                      EventJournal* journal) {
@@ -235,208 +227,162 @@ int32_t BufferPool::AcquireFrameLocked(Shard* s) {
   return victim;
 }
 
+Result<int32_t> BufferPool::LoadLocked(Shard* s, PageId pid, ReadClass cls) {
+  const int32_t f = AcquireFrameLocked(s);
+  if (f < 0) {
+    return Status::ResourceExhausted(
+        "all frames of the page's buffer-pool shard are pinned");
+  }
+  // Shard latch, then disk latch: the declared order. The disk classifies
+  // and charges the read and stamps its due time; no device time passes
+  // here, so the latch is held for bookkeeping only.
+  const Result<PageRead> read = disk_->ReadImage(pid, cls);
+  if (!read.ok()) {
+    s->free_frames.push_back(f);
+    return read.status();
+  }
+  Frame& fr = s->frames[static_cast<size_t>(f)];
+  fr.pid = pid;
+  fr.data = read->image;
+  fr.due_us = read->due_us;
+  fr.prefetched = cls == ReadClass::kPrefetch;
+  s->Insert(f);
+  if (fr.prefetched) {
+    // Unpinned and most recently used: the window of prefetched but not yet
+    // consumed pages survives until the scan cursor arrives (unless the
+    // shard is under real pressure).
+    fr.pin_count = 0;
+    s->LruPushFront(f);
+  } else {
+    fr.pin_count = 1;  // the fetching thread's pin
+  }
+  return f;
+}
+
 Result<PageGuard> BufferPool::Fetch(PageId pid) {
   const uint32_t si = static_cast<uint32_t>(shard_index(pid));
   Shard& s = *shards_[si];
   IoStats* io = disk_->io_stats();
   s.mu.lock();
-  for (;;) {
-    const int32_t hit = s.Find(pid);
-    if (hit >= 0) {
-      Frame& fr = s.frames[static_cast<size_t>(hit)];
-      if (fr.state == FrameState::kLoading) {
-        // Another fetcher, or a readahead completion, is reading this page
-        // off disk. Wait (the latch is released inside the wait) until the
-        // page's entry resolves, then re-check from the top; an entry gone
-        // means the load failed or the frame was evicted, in which case
-        // this fetch becomes the loader. The shard condvar is shared by
-        // every load in the shard, so the wait spans however many wake-ups
-        // it takes and is counted and journaled once.
-        if (s.m_loading_waits != nullptr) s.m_loading_waits->Increment();
-        const bool wait_timed =
-            journal_ != nullptr || CurrentStallSink() != nullptr;
-        std::chrono::steady_clock::time_point wait_t0;
-        if (wait_timed) wait_t0 = std::chrono::steady_clock::now();
-        do {
-          s.cv.wait(s.mu);
-        } while (PageLoadingLocked(&s, pid));
-        if (wait_timed) {
-          const int64_t waited_us = static_cast<int64_t>(
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - wait_t0)
-                  .count());
-          ChargeStall(StallKind::kLoadingWait, waited_us);
-          if (journal_ != nullptr) {
-            journal_->Record(JournalEvent::kLoadingWait, pid.page_no,
-                             static_cast<uint64_t>(waited_us));
-          }
-        }
-        continue;
-      }
-      if (fr.in_lru) s.LruRemove(hit);
-      ++fr.pin_count;
-      ++io->logical_reads;
-      ++io->buffer_hits;
-      if (fr.prefetched) {
-        // First demand hit of a readahead-loaded frame: that prefetch paid
-        // off. Count it once and clear the flag.
-        fr.prefetched = false;
-        ++io->prefetch_hits;
-        if (m_prefetch_hits_ != nullptr) m_prefetch_hits_->Increment();
-      }
-      if (s.m_hits != nullptr) s.m_hits->Increment();
-      if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
-      PageGuard guard(this, si, hit, fr.data);
-      s.mu.unlock();
-      return guard;
-    }
-    // Miss: claim a frame and publish it as kLoading so concurrent
-    // fetchers of the same page wait instead of duplicating the read.
-    const int32_t f = AcquireFrameLocked(&s);
-    if (f < 0) {
-      s.mu.unlock();
-      return Status::ResourceExhausted(
-          "all frames of the page's buffer-pool shard are pinned or loading");
-    }
-    Frame& fr = s.frames[static_cast<size_t>(f)];
-    fr.pid = pid;
-    fr.state = FrameState::kLoading;
-    fr.pin_count = 1;  // loading frames are never victims
-    fr.prefetched = false;
-    s.Insert(f);
-    if (s.m_misses != nullptr) s.m_misses->Increment();
-    const bool traced = trace_ != nullptr && trace_->enabled();
-    const bool timed = traced || m_miss_read_us_ != nullptr ||
-                       CurrentStallSink() != nullptr;
-    std::chrono::steady_clock::time_point read_t0;
-    int64_t span_begin = 0;
-    if (timed) {
-      read_t0 = std::chrono::steady_clock::now();
-      if (traced) span_begin = trace_->NowUs();
-    }
-    // The pool's only demand read: inline, off the shard latch. The frame
-    // is pinned and kLoading, so nothing else touches it meanwhile.
-    s.mu.unlock();
-    const Result<const char*> read = disk_->ReadPage(pid);
-    s.mu.lock();
-    if (timed && read.ok()) {
-      const double read_us = std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - read_t0)
-                                 .count();
-      // The fetching thread was blocked for the whole read: this query's
-      // I/O wait.
-      ChargeStall(StallKind::kIoWait, static_cast<int64_t>(read_us));
-      if (m_miss_read_us_ != nullptr) {
-        m_miss_read_us_->Observe(read_us);
-      }
-      if (traced) {
-        trace_->AddSpan("io", StrFormat("miss read %s",
-                                        pid.ToString().c_str()),
-                        span_begin);
-      }
-    }
-    if (!read.ok()) {
-      s.Erase(pid);
-      fr.state = FrameState::kFree;
-      fr.pin_count = 0;
-      s.free_frames.push_back(f);
-      s.cv.notify_all();
-      s.mu.unlock();
-      return read.status();
-    }
-    fr.data = *read;
-    fr.state = FrameState::kReady;
-    // The physical read was charged inside ReadPage; charging logical here,
-    // after the load succeeded, keeps logical == hits + physical exact even
-    // when fetches fail (satisfying no-charge-on-failure).
+  const int32_t hit = s.Find(pid);
+  if (hit >= 0) {
+    Frame& fr = s.frames[static_cast<size_t>(hit)];
+    if (fr.in_lru) s.LruRemove(hit);
+    ++fr.pin_count;
     ++io->logical_reads;
+    ++io->buffer_hits;
+    if (fr.prefetched) {
+      // First demand hit of a readahead-loaded frame: that prefetch paid
+      // off. Count it once and clear the flag.
+      fr.prefetched = false;
+      ++io->prefetch_hits;
+      if (m_prefetch_hits_ != nullptr) m_prefetch_hits_->Increment();
+    }
+    if (s.m_hits != nullptr) s.m_hits->Increment();
     if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
-    s.cv.notify_all();
-    PageGuard guard(this, si, f, fr.data);
+    // A read still on the device: another fetcher's, or readahead's. The
+    // clock is read until a fetch sees the due time pass, never after.
+    int64_t due_us = fr.due_us;
+    int64_t now_us = 0;
+    if (due_us != 0) {
+      now_us = DiskManager::NowUs();
+      if (now_us >= due_us) due_us = fr.due_us = 0;
+    }
+    PageGuard guard(this, si, hit, fr.data);
     s.mu.unlock();
+    if (due_us != 0) {
+      // Wait behind the load, pinned and off the latch. Counted and
+      // journaled once per fetch, charged to this query's stalls.
+      if (s.m_loading_waits != nullptr) s.m_loading_waits->Increment();
+      DiskManager::WaitUntil(due_us);
+      if (journal_ != nullptr || CurrentStallSink() != nullptr) {
+        const int64_t waited_us = DiskManager::NowUs() - now_us;
+        ChargeStall(StallKind::kLoadWait, waited_us);
+        if (journal_ != nullptr) {
+          journal_->Record(JournalEvent::kLoadWait, pid.page_no,
+                           static_cast<uint64_t>(waited_us));
+        }
+      }
+    }
     return guard;
   }
-}
-
-bool BufferPool::PageLoadingLocked(const Shard* s, PageId pid) {
-  const int32_t f = s->Find(pid);
-  return f >= 0 &&
-         s->frames[static_cast<size_t>(f)].state == FrameState::kLoading;
+  const bool traced = trace_ != nullptr && trace_->enabled();
+  const bool timed =
+      traced || m_miss_read_us_ != nullptr || CurrentStallSink() != nullptr;
+  std::chrono::steady_clock::time_point read_t0;
+  int64_t span_begin = 0;
+  if (timed) {
+    read_t0 = std::chrono::steady_clock::now();
+    if (traced) span_begin = trace_->NowUs();
+  }
+  const Result<int32_t> loaded = LoadLocked(&s, pid, ReadClass::kDemand);
+  if (!loaded.ok()) {
+    s.mu.unlock();
+    return loaded.status();
+  }
+  // The physical read was charged inside ReadImage; charging logical here,
+  // after the load succeeded, keeps logical == hits + physical exact even
+  // when fetches fail (satisfying no-charge-on-failure).
+  ++io->logical_reads;
+  if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
+  if (s.m_misses != nullptr) s.m_misses->Increment();
+  const Frame& fr = s.frames[static_cast<size_t>(*loaded)];
+  const int64_t due_us = fr.due_us;
+  PageGuard guard(this, si, *loaded, fr.data);
+  s.mu.unlock();
+  // The device time of this fetch's own read, waited out off the latch;
+  // concurrent fetchers of the page wait behind the same due time.
+  DiskManager::WaitUntil(due_us);
+  if (timed) {
+    const double read_us = std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - read_t0)
+                               .count();
+    // The fetching thread was blocked for the whole read: this query's
+    // I/O wait.
+    ChargeStall(StallKind::kIoWait, static_cast<int64_t>(read_us));
+    if (m_miss_read_us_ != nullptr) m_miss_read_us_->Observe(read_us);
+    if (traced) {
+      trace_->AddSpan("io", StrFormat("miss read %s", pid.ToString().c_str()),
+                      span_begin);
+    }
+  }
+  return guard;
 }
 
 void BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
-  // Publish a kLoading frame per still-uncached page (one shard latch at a
-  // time, never two), then hand the whole batch to the ring in a single
-  // SubmitBatch. Completions run on disk io-threads and resolve each frame
-  // to ready-unpinned-MRU — or free it again on error or cancellation —
-  // with no thread ever waiting on a prefetched page.
-  std::vector<ReadRequest> batch;
-  batch.reserve(pids.size());
+  // One shard latch at a time, never two. Each read is scheduled on the
+  // device and its frame published before the next page is looked at; no
+  // thread waits on any of them here.
   IoStats* io = disk_->io_stats();
+  size_t scheduled = 0;
   for (PageId pid : pids) {
-    const uint32_t si = static_cast<uint32_t>(shard_index(pid));
-    Shard& s = *shards_[si];
+    Shard& s = *shards_[shard_index(pid)];
     MutexLock lock(&s.mu);
     if (s.Find(pid) >= 0) continue;
-    const int32_t f = AcquireFrameLocked(&s);
-    if (f < 0) {
+    const Result<int32_t> loaded = LoadLocked(&s, pid, ReadClass::kPrefetch);
+    if (loaded.ok()) {
+      ++scheduled;
+    } else if (loaded.status().code() == StatusCode::kResourceExhausted) {
       // A full shard just means readahead is running too far ahead of
       // the consumers: skip the page (the scan reads it on demand) and
       // count it.
       ++io->prefetch_rejected;
-      continue;
     }
-    Frame& fr = s.frames[static_cast<size_t>(f)];
-    fr.pid = pid;
-    fr.state = FrameState::kLoading;
-    fr.pin_count = 1;
-    fr.prefetched = false;
-    s.Insert(f);
-    batch.push_back(ReadRequest{
-        pid, [this, si, f](const Result<const char*>& read) {
-          Shard& sh = *shards_[si];
-          {
-            MutexLock relock(&sh.mu);
-            Frame& loaded = sh.frames[static_cast<size_t>(f)];
-            if (read.ok()) {
-              // Ready, unpinned, most recently used: the window of
-              // prefetched-but-unconsumed pages survives until the scan
-              // cursor arrives (unless the shard is under real pressure).
-              loaded.data = *read;
-              loaded.state = FrameState::kReady;
-              loaded.prefetched = true;
-              loaded.pin_count = 0;
-              sh.LruPushFront(f);
-            } else {
-              // Disk error or CancelPending: nothing was read, nothing
-              // was charged; give the frame back. Demand fetches of the
-              // page will surface a persistent error themselves.
-              sh.Erase(loaded.pid);
-              loaded.state = FrameState::kFree;
-              loaded.pin_count = 0;
-              sh.free_frames.push_back(f);
-            }
-          }
-          sh.cv.notify_all();
-        }});
   }
-  disk_->SubmitBatch(std::move(batch));
+  if (scheduled > 0 && trace_ != nullptr && trace_->enabled()) {
+    trace_->AddInstant("io", StrFormat("prefetch batch n=%zu", scheduled));
+  }
 }
 
 Status BufferPool::ColdReset() {
-  // A speculative readahead backlog must not stall (or fail) the reset:
-  // retire everything still queued — the Cancelled completions free their
-  // kLoading frames without charging anything — and wait for the claimed
-  // reads to finish resolving their frames.
-  disk_->CancelPending();
-  disk_->DrainSubmissions();
-  // Pass 1: verify quiescence, one shard at a time in index order. A pin or
-  // in-flight load appearing *after* its shard was checked would be a caller
-  // bug — ColdReset's contract requires a quiescent pool, as before.
+  // Pass 1: verify quiescence, one shard at a time in index order. A pin
+  // appearing *after* its shard was checked would be a caller bug —
+  // ColdReset's contract requires a quiescent pool, as before. A readahead
+  // frame whose read is not yet due is unpinned and simply forgotten below.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     for (const Frame& fr : shard->frames) {
-      if (fr.pin_count > 0 || fr.state == FrameState::kLoading) {
+      if (fr.pin_count > 0) {
         return Status::InvalidArgument(StrFormat(
             "ColdReset with pinned page %s", fr.pid.ToString().c_str()));
       }
@@ -451,7 +397,7 @@ Status BufferPool::ColdReset() {
     shard->free_frames.clear();
     for (size_t i = 0; i < frames; ++i) {
       Frame& fr = shard->frames[i];
-      fr.state = FrameState::kFree;
+      fr.due_us = 0;
       fr.in_lru = false;
       fr.prefetched = false;
       fr.lru_prev = fr.lru_next = -1;

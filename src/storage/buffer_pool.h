@@ -24,35 +24,26 @@
 // that evicts and a ColdReset allocate nothing, and ColdReset walks the
 // frames, O(capacity), not a node per cached page.
 //
-// Miss protocol (LOADING): on a miss the fetching thread claims a frame,
-// publishes it in the shard's page table in the kLoading state, and *drops
-// the shard latch for the disk read*. A second fetcher of the same page
-// finds the kLoading entry and waits on the shard's condvar (releasing the
-// latch) instead of issuing a duplicate read; fetchers of other pages in the
-// shard proceed unimpeded. The loader re-latches to flip the frame to
-// kReady and wakes the waiters, who re-check from the top. Page *data*
-// reads happen outside the latch: a frame's image pointer is set under the
-// latch when its load completes, and the image it points at never changes.
-//
-// The kind of read picks the path (DESIGN.md section 14). A demand miss is
-// read inline by the fetching thread: its caller blocks on the page either
-// way, so handing the read to another thread would only add a hand-off.
-// Readahead is read by nobody in particular: PrefetchBatch() publishes a
-// kLoading frame per page and hands the whole batch to the disk's
-// submission ring in one SubmitBatch; the completions (on disk io-threads)
-// resolve each frame to ready-unpinned-MRU and wake the shard's waiters, so
-// a demand fetch that arrives early waits behind the kLoading frame exactly
-// as it would behind another fetcher's inline read.
+// Miss protocol (DESIGN.md section 10): Fetch() and PrefetchBatch() share
+// one load step. It claims a frame, reads the page through the disk under
+// the shard latch — the disk classifies and charges the read and stamps it
+// with the time the simulated device finishes it, but sleeps nothing — and
+// publishes the frame at once with that due time: pinned for a demand
+// fetch, unpinned, most recently used and marked prefetched for readahead.
+// Any fetch that finds a frame not yet due pins it, drops the latch and
+// sleeps until the due time. For the loader that sleep is its I/O wait; for
+// every other fetcher, a demand fetch of a page readahead scheduled
+// included, it is a loading wait. So a page is read once however many
+// threads ask for it, nobody waits on a latch for the device, and a read
+// that is due by the time its page is fetched costs no wait at all.
 //
 // Accounting is exact, not approximate: logical_reads is charged only when
 // a fetch succeeds (hit, wait-behind-loader, or completed load), so
 //   logical_reads == buffer_hits + physical_reads()
 // holds under any interleaving, including ResourceExhausted failures.
 //
-// Lock order: any shard latch before DiskManager::mu_. No pool path takes
-// the disk latch under a shard latch (every disk call is made with no
-// shard latch held); the order stays declared and enforced so that a path
-// which ever does cannot invert it. No code path holds two shard latches at
+// Lock order: any shard latch before DiskManager::mu_; every load takes the
+// disk latch under its shard latch. No code path holds two shard latches at
 // once — aggregate operations such as cached_pages()/ColdReset() visit
 // shards one at a time in increasing shard-index order. The order is
 // machine-checked two ways: ACQUIRED_BEFORE on each shard's latch (clang
@@ -62,7 +53,6 @@
 
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -123,32 +113,31 @@ class BufferPool {
   BufferPool(DiskManager* disk, size_t capacity_pages,
              BufferPoolOptions options = BufferPoolOptions{});
 
-  /// Cancels and drains the submission ring first: a readahead completion
-  /// callback must never run against a destroyed pool.
-  ~BufferPool();
-
-  /// Pins the page, reading it from disk on the calling thread on a miss.
-  /// Fails with ResourceExhausted if every frame of the page's shard is
-  /// pinned or loading. Nothing is charged to IoStats on failure.
+  /// Pins the page, reading it from disk on a miss, and returns once the
+  /// page's read is due (the calling thread sleeps until then, off the
+  /// latch). Fails with ResourceExhausted if every frame of the page's
+  /// shard is pinned. Nothing is charged to IoStats on failure.
   Result<PageGuard> Fetch(PageId pid) EXCLUDES(disk_->mu_);
 
-  /// Readahead: publishes a kLoading frame per still-uncached page and
-  /// submits the whole batch through the disk's submission ring in one
-  /// SubmitBatch call, without waiting for any of it. Each completed load
-  /// is left unpinned and most recently used, so a later Fetch is a hit,
-  /// and is charged to IoStats::prefetch_reads instead of a physical read
-  /// (it never moves the disk read head). A page already cached or loading
-  /// is skipped; a shard with no evictable frame skips the page and
-  /// charges IoStats::prefetch_rejected (readahead running too far ahead
-  /// of the consumers is backpressure, not an error: the page is read on
-  /// demand later). A failed or cancelled read frees its frame;
-  /// a demand Fetch of the page surfaces a persistent error itself.
+  /// Readahead: schedules a prefetch read of each still-uncached page on
+  /// the disk's device channels, without waiting for any of it. Each frame
+  /// is published at once, unpinned and most recently used, so a later
+  /// Fetch is a hit (which waits out the read if it is not yet due); the
+  /// read is charged to IoStats::prefetch_reads when it is scheduled,
+  /// instead of a physical read (it never moves the disk read head). A page
+  /// already cached is skipped; a shard with no evictable frame skips the
+  /// page and charges IoStats::prefetch_rejected (readahead running too far
+  /// ahead of the consumers is not an error: the page is read on demand
+  /// later). A failed read publishes nothing; a demand Fetch of the page
+  /// surfaces a persistent error itself.
   void PrefetchBatch(const std::vector<PageId>& pids) EXCLUDES(disk_->mu_);
 
   /// Empties the pool: the next Fetch of any page is a physical read.
-  /// Fails if any page is still pinned or loading. Two shard-ordered passes
-  /// (check, then clear), one latch at a time; callers must be at a
-  /// quiescent point, as with the monolithic pool.
+  /// Fails if any page is still pinned. Reads not yet due are forgotten
+  /// with their frames, not waited for, and the disk's device is made cold
+  /// (DiskManager::ResetReadHead). Two shard-ordered passes (check, then
+  /// clear), one latch at a time; callers must be at a quiescent point, as
+  /// with the monolithic pool.
   Status ColdReset() EXCLUDES(disk_->mu_);
 
   size_t capacity() const { return capacity_pages_; }
@@ -168,11 +157,11 @@ class BufferPool {
 
   /// Resolves this pool's metric handles (per-shard hits / misses /
   /// loading-waits, pool-wide logical reads / prefetch hits, miss-read
-  /// latency histogram) from `registry`, wires `trace` for miss and
-  /// prefetch spans and `journal` for loading-wait / eviction events. Any
-  /// argument may be null. Call once, at a quiescent point (Database's
-  /// constructor does); publishing afterwards is relaxed-atomic or
-  /// lock-free only and adds nothing to the unattached hot path.
+  /// latency histogram) from `registry`, wires `trace` for miss spans and
+  /// prefetch-batch instants and `journal` for loading-wait / eviction
+  /// events. Any argument may be null. Call once, at a quiescent point
+  /// (Database's constructor does); publishing afterwards is relaxed-atomic
+  /// or lock-free only and adds nothing to the unattached hot path.
   void AttachObservability(MetricsRegistry* registry, TraceCollector* trace,
                            EventJournal* journal = nullptr);
 
@@ -188,20 +177,19 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  enum class FrameState : uint8_t {
-    kFree,     // on the shard free list; pid meaningless
-    kLoading,  // published in the page table; disk read in flight
-    kReady,    // contents valid
-  };
-
+  // A frame is free (on the shard free list; pid meaningless) or published
+  // in the shard's page table under pid.
   struct Frame {
     PageId pid;
-    const char* data = nullptr;  // the disk's image of pid, once kReady
-    FrameState state = FrameState::kFree;
+    const char* data = nullptr;  // the disk's image of pid
+    // When the simulated device finishes pid's read (DiskManager::NowUs
+    // microseconds); no fetch hands the page out before then. 0 once a
+    // fetch has seen it pass, or when the read had no latency.
+    int64_t due_us = 0;
     int32_t pin_count = 0;
-    // On the shard LRU (pin_count == 0 and kReady); lru_prev/lru_next are
-    // the neighbouring frame indexes toward the head (most recent) and the
-    // tail (the next victim), -1 at either end.
+    // On the shard LRU (published and pin_count == 0); lru_prev/lru_next
+    // are the neighbouring frame indexes toward the head (most recent) and
+    // the tail (the next victim), -1 at either end.
     bool in_lru = false;
     // Loaded by a kPrefetch read and not yet demanded: the first demand hit
     // charges IoStats::prefetch_hits and clears this (so one prefetched
@@ -223,9 +211,6 @@ class BufferPool {
     // ACQUIRED_BEFORE edge (enforced under DPCF_LOCK_RANK on any compiler;
     // the shared shard rank also aborts if two shard latches ever nest).
     mutable Mutex mu ACQUIRED_BEFORE(disk->mu_);
-    /// Signaled whenever a kLoading frame resolves (to kReady or back to
-    /// the free list on error); waiters re-check the page table.
-    std::condition_variable_any cv;
     std::vector<Frame> frames GUARDED_BY(mu);
     std::vector<int32_t> free_frames GUARDED_BY(mu);
     // Page table: frame index per slot, -1 empty, keyed by frames[f].pid.
@@ -233,7 +218,7 @@ class BufferPool {
     // `slot_bits` bits of its hash.
     std::vector<int32_t> slots GUARDED_BY(mu);
     int slot_bits GUARDED_BY(mu) = 0;  // log2(slots.size())
-    size_t cached GUARDED_BY(mu) = 0;  // published (loading or ready) frames
+    size_t cached GUARDED_BY(mu) = 0;  // published frames
     int32_t lru_head GUARDED_BY(mu) = -1;  // most recently unpinned
     int32_t lru_tail GUARDED_BY(mu) = -1;  // the next victim
 
@@ -256,11 +241,18 @@ class BufferPool {
 
   /// Returns a usable frame index in `s`: a free frame, or the LRU victim
   /// (unpublished; the bytes it pointed at are the disk's, so nothing is
-  /// written). -1 if every frame is pinned or loading.
+  /// written). -1 if every frame is pinned.
   int32_t AcquireFrameLocked(Shard* s) REQUIRES(s->mu);
 
-  /// True while `pid` is published in `s` and its read is in flight.
-  static bool PageLoadingLocked(const Shard* s, PageId pid) REQUIRES(s->mu);
+  /// The one load step of Fetch and PrefetchBatch: claims a frame in `s`
+  /// for `pid` (which must be absent), reads the page through the disk
+  /// under the shard latch, and publishes the frame with the read's due
+  /// time — pinned for a kDemand read, unpinned, most recently used and
+  /// marked prefetched for a kPrefetch one. ResourceExhausted if no frame
+  /// can be claimed, the read's error if it fails; either way nothing is
+  /// published or charged.
+  Result<int32_t> LoadLocked(Shard* s, PageId pid, ReadClass cls)
+      REQUIRES(s->mu);
 
   void Unpin(uint32_t shard, int32_t frame);
 

@@ -56,12 +56,11 @@ std::vector<Index*> Catalog::Indexes() const {
 Database::Database(DatabaseOptions options)
     : options_(options),
       trace_(options.observability.tracing),
-      disk_(DiskManagerOptions{options.page_size, options.io_threads,
-                               /*queue_depth=*/256}),
+      disk_(DiskManagerOptions{options.page_size, options.io_threads}),
       pool_(&disk_, options.buffer_pool_pages) {
   MetricsRegistry* registry =
       options_.observability.metrics ? &metrics_ : nullptr;
-  disk_.AttachMetrics(registry, &trace_, journal());
+  disk_.AttachMetrics(registry, journal());
   pool_.AttachObservability(registry, &trace_, journal());
   if (registry != nullptr) {
     // Info gauge: constant 1, the label names the SIMD ISA the predicate

@@ -68,9 +68,9 @@ struct ObservabilityOptions {
 struct DatabaseOptions {
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_pages = 4096;
-  /// Completion workers for the readahead submission ring — the simulated
-  /// device queue depth (DiskManagerOptions::io_threads). Demand misses are
-  /// read inline by the fetching thread and never use them.
+  /// Device channels readahead's reads queue on — the simulated device
+  /// queue depth (DiskManagerOptions::io_threads). Demand reads do not
+  /// queue on them.
   int io_threads = 2;
   ObservabilityOptions observability;
 };
@@ -132,8 +132,8 @@ class Database {
   DatabaseOptions options_;
   MetricsRegistry metrics_;
   TraceCollector trace_;
-  // Declared before disk_/pool_ so it is destroyed after them: the disk's
-  // io workers (joined in ~DiskManager) may record events to the end.
+  // Declared before disk_/pool_, which record into it, so it outlives
+  // them.
   EventJournal journal_;
   DiskManager disk_;
   BufferPool pool_;

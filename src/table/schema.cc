@@ -31,7 +31,7 @@ std::string Schema::ToString() const {
       parts.push_back(StrFormat("%s CHAR(%u)", c.name.c_str(), c.size));
     }
   }
-  return "(" + Join(parts, ", ") + ")";
+  return StrFormat("(%s)", Join(parts, ", ").c_str());
 }
 
 }  // namespace dpcf

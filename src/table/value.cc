@@ -39,7 +39,7 @@ std::string TupleToString(const Tuple& t) {
   std::vector<std::string> parts;
   parts.reserve(t.size());
   for (const Value& v : t) parts.push_back(v.ToString());
-  return "(" + Join(parts, ", ") + ")";
+  return StrFormat("(%s)", Join(parts, ", ").c_str());
 }
 
 }  // namespace dpcf

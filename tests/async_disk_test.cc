@@ -1,25 +1,26 @@
-// The asynchronous disk submission ring (storage/disk_manager.h), the
-// readahead path built on it (BufferPool::PrefetchBatch), and the parallel
-// scan's readahead window, paced by its workers (exec/parallel_scan.h).
+// The disk's device model (storage/disk_manager.h: a read returns at once
+// with the time the simulated device finishes it), the readahead path
+// built on it (BufferPool::PrefetchBatch), and the parallel scan's
+// readahead window, paced by its workers (exec/parallel_scan.h).
 //
-//  - one completion worker drains the ring in submission order (FIFO);
-//  - demand misses are read inline and never touch the ring; readahead
-//    always goes through it, and the exact accounting invariant
-//    logical_reads == buffer_hits + physical_reads() holds;
-//  - a fetch waiting behind a loading page counts one wait, however many
-//    other loads in the shard wake it;
-//  - ColdReset cancels the queued backlog instead of waiting out its
-//    simulated latency, and cancelled reads charge nothing;
+//  - a demand read is due one latency after it is issued; prefetches queue
+//    on the device channels, so with one channel n of them end no earlier
+//    than n latencies after submission; with no latency nothing is due;
+//  - a fetch of a page whose read is not yet due waits once, however many
+//    other reads the shard has in flight, and the exact accounting
+//    invariant logical_reads == buffer_hits + physical_reads() holds;
+//  - ColdReset forgets reads that are not yet due instead of waiting them
+//    out, and leaves the device idle;
+//  - with no latency a parallel readahead scan never waits behind a load;
 //  - a one-worker scan with readahead prefetches every page before its
 //    fetch, so it charges no demand read;
 //  - merged scan feedback is bit-for-bit identical to the serial oracle
 //    for every thread count x window combination.
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
+#include <chrono>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -63,134 +64,127 @@ void CheckExactInvariant(const IoStats& io, const char* what) {
       << what;
 }
 
-// ------------------------------------------------------------ raw ring
+// ------------------------------------------------------------ device model
 
-TEST(AsyncDiskTest, SingleWorkerCompletesInSubmissionOrder) {
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
-                                      /*queue_depth=*/64});
-  const PageNo kPages = 24;
+TEST(AsyncDiskTest, DemandReadIsDueOneLatencyLater) {
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1});
+  SegmentId seg = FillSegment(&disk, 2);
+  // No latency: nothing to wait for, and no clock is read for it.
+  ASSERT_OK_AND_ASSIGN(PageRead now, disk.ReadImage(PageId{seg, 0},
+                                                    ReadClass::kDemand));
+  EXPECT_EQ(now.due_us, 0);
+  EXPECT_EQ(now.image[0], 0);
+
+  constexpr int64_t kLatencyUs = 50'000;
+  disk.set_read_latency_us(kLatencyUs);
+  const int64_t before_us = DiskManager::NowUs();
+  ASSERT_OK_AND_ASSIGN(PageRead later, disk.ReadImage(PageId{seg, 1},
+                                                      ReadClass::kDemand));
+  const int64_t after_us = DiskManager::NowUs();
+  EXPECT_GE(later.due_us, before_us + kLatencyUs);
+  EXPECT_LE(later.due_us, after_us + kLatencyUs);
+  EXPECT_EQ(later.image[0], 1);
+  // The read returned without sleeping; the charge is made at once.
+  EXPECT_LT(after_us - before_us, kLatencyUs);
+  EXPECT_EQ(disk.io_stats()->physical_reads(), 2);
+}
+
+// One channel serves prefetches one after another: the i-th is due no
+// earlier than (i + 1) latencies after the batch was submitted, and a
+// demand fetch of the last page waits for it exactly once.
+TEST(AsyncDiskTest, OneChannelQueuesPrefetchesBackToBack) {
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1});
+  const PageNo kPages = 8;
   SegmentId seg = FillSegment(&disk, kPages);
+  constexpr int64_t kLatencyUs = 2000;
+  disk.set_read_latency_us(kLatencyUs);
 
-  std::vector<const char*> images(kPages, nullptr);
-  std::mutex order_mu;
-  std::vector<PageNo> completed;
-  std::vector<ReadRequest> batch;
+  const int64_t submitted_us = DiskManager::NowUs();
+  int64_t prev_due_us = submitted_us;
   for (PageNo p = 0; p < kPages; ++p) {
-    batch.push_back(ReadRequest{
-        PageId{seg, p},
-        [&order_mu, &completed, &images, p](const Result<const char*>& read) {
-          EXPECT_TRUE(read.ok()) << read.status().ToString();
-          std::lock_guard<std::mutex> hold(order_mu);
-          completed.push_back(p);
-          if (read.ok()) images[p] = *read;
-        }});
+    ASSERT_OK_AND_ASSIGN(PageRead read, disk.ReadImage(PageId{seg, p},
+                                                       ReadClass::kPrefetch));
+    EXPECT_GE(read.due_us, prev_due_us + kLatencyUs) << "page " << p;
+    prev_due_us = read.due_us;
   }
-  disk.SubmitBatch(std::move(batch));
-  disk.DrainSubmissions();
-
-  ASSERT_EQ(completed.size(), kPages);
-  for (PageNo p = 0; p < kPages; ++p) {
-    EXPECT_EQ(completed[p], p) << "ring is FIFO with one worker";
-    ASSERT_NE(images[p], nullptr) << "page " << p;
-    EXPECT_EQ(images[p][0], static_cast<char>(p)) << "page " << p;
-  }
-  EXPECT_EQ(disk.pending_submissions(), 0u);
-  // The ring carries readahead: charged as prefetch reads, never as
-  // demand reads, so the read head stays where the demand stream left it.
+  EXPECT_GE(prev_due_us, submitted_us + kPages * kLatencyUs);
   EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_reads),
             static_cast<int64_t>(kPages));
   EXPECT_EQ(disk.io_stats()->physical_reads(), 0);
-}
 
-TEST(AsyncDiskTest, SubmitBeyondQueueDepthBackpressuresNotDrops) {
-  // 4x more requests than ring slots: producers must block, not drop.
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/2,
-                                      /*queue_depth=*/8});
-  const PageNo kPages = 32;
-  SegmentId seg = FillSegment(&disk, kPages);
-
-  // Each completion writes only its own slot; DrainSubmissions orders
-  // every callback's return before the checks below.
-  std::vector<const char*> images(kPages, nullptr);
-  std::atomic<int> ok_count{0};
-  std::vector<ReadRequest> batch;
-  for (PageNo p = 0; p < kPages; ++p) {
-    batch.push_back(ReadRequest{
-        PageId{seg, p},
-        [&ok_count, &images, p](const Result<const char*>& read) {
-          if (!read.ok()) return;
-          images[p] = *read;
-          ok_count.fetch_add(1);
-        }});
-  }
-  disk.SubmitBatch(std::move(batch));
-  disk.DrainSubmissions();
-  EXPECT_EQ(ok_count.load(), static_cast<int>(kPages));
-  for (PageNo p = 0; p < kPages; ++p) {
-    ASSERT_NE(images[p], nullptr) << "page " << p;
-    EXPECT_EQ(images[p][0], static_cast<char>(p));
-  }
-}
-
-TEST(AsyncDiskTest, DestructorCancelsQueuedReads) {
-  const PageNo kPages = 64;
-  std::atomic<int> cancelled{0};
-  std::atomic<int> completed{0};
+  // Through the pool: the batch is scheduled on the idle channel, and the
+  // fetch of its last page returns once that page is due.
+  disk.ResetReadHead();
+  disk.io_stats()->Reset();
+  MetricsRegistry registry;
+  BufferPool pool(&disk, /*capacity_pages=*/16,
+                  BufferPoolOptions{/*num_shards=*/1});
+  pool.AttachObservability(&registry, nullptr);
+  std::vector<PageId> pids;
+  for (PageNo p = 0; p < kPages; ++p) pids.push_back(PageId{seg, p});
+  const int64_t batch_us = DiskManager::NowUs();
+  pool.PrefetchBatch(pids);
   {
-    DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
-                                        /*queue_depth=*/256});
-    SegmentId seg = FillSegment(&disk, kPages);
-    disk.set_read_latency_us(1000);  // the backlog would take ~64 ms
-    std::vector<ReadRequest> batch;
-    for (PageNo p = 0; p < kPages; ++p) {
-      batch.push_back(ReadRequest{
-          PageId{seg, p},
-          [&cancelled, &completed](const Result<const char*>& read) {
-            (read.ok() ? completed : cancelled).fetch_add(1);
-          }});
-    }
-    disk.SubmitBatch(std::move(batch));
-    // Destroy with the ring still mostly full.
+    ASSERT_OK_AND_ASSIGN(PageGuard last, pool.Fetch(pids.back()));
+    EXPECT_GE(DiskManager::NowUs(), batch_us + kPages * kLatencyUs);
+    EXPECT_EQ(last.data()[0], static_cast<char>(kPages - 1));
   }
-  EXPECT_EQ(cancelled.load() + completed.load(),
-            static_cast<int>(kPages))
-      << "every submission gets exactly one completion call";
-  EXPECT_GT(cancelled.load(), 0) << "the backlog was retired, not slept";
+  EXPECT_EQ(registry
+                .GetCounter("buffer_pool_loading_waits_total", "",
+                            {{"shard", "0"}})
+                ->value(),
+            1);
+  EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_reads),
+            static_cast<int64_t>(kPages));
+  EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_hits), 1);
+  CheckExactInvariant(*disk.io_stats(), "one channel");
 }
 
 // ---------------------------------------------------- pool integration
 
-TEST(AsyncDiskTest, ColdResetCancelsPendingPrefetches) {
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
-                                      /*queue_depth=*/256});
-  const PageNo kPages = 64;
+TEST(AsyncDiskTest, ColdResetForgetsReadsNotYetDue) {
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1});
+  const PageNo kPages = 8;
   SegmentId seg = FillSegment(&disk, kPages);
-  disk.set_read_latency_us(1000);  // ~64 ms if the backlog were slept
+  // A second per read: waiting out even one of them would be unmistakable.
+  constexpr int64_t kLatencyUs = 1'000'000;
+  disk.set_read_latency_us(kLatencyUs);
 
-  BufferPool pool(&disk, /*capacity_pages=*/128,
+  BufferPool pool(&disk, /*capacity_pages=*/16,
                   BufferPoolOptions{/*num_shards=*/2});
   std::vector<PageId> pids;
   for (PageNo p = 0; p < kPages; ++p) pids.push_back(PageId{seg, p});
   pool.PrefetchBatch(pids);
-  ASSERT_OK(pool.ColdReset());  // cancels the queue instead of draining it
-
+  ASSERT_EQ(pool.cached_pages(), kPages);
+  // Let the device get under way: the first read has started, and the
+  // reset must not wait for it either.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int64_t reset_us = DiskManager::NowUs();
+  ASSERT_OK(pool.ColdReset());
+  EXPECT_LT(DiskManager::NowUs() - reset_us, kLatencyUs / 10)
+      << "the reset waited for the device";
   EXPECT_EQ(pool.cached_pages(), 0u);
-  EXPECT_EQ(disk.pending_submissions(), 0u);
-  // Cancelled reads charged nothing: at most the one or two requests a
-  // worker had already claimed count as prefetch reads.
-  EXPECT_LT(static_cast<int64_t>(disk.io_stats()->prefetch_reads),
+  // The reads were charged when they were scheduled.
+  EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_reads),
             static_cast<int64_t>(kPages));
-  // The pool still works after the cancellation.
+
+  // The device is idle again: a new prefetch does not queue behind the
+  // eight forgotten reads.
+  const int64_t after_us = DiskManager::NowUs();
+  ASSERT_OK_AND_ASSIGN(PageRead read, disk.ReadImage(PageId{seg, 0},
+                                                     ReadClass::kPrefetch));
+  EXPECT_LT(read.due_us, after_us + 2 * kLatencyUs);
+
+  // The pool still works after the reset.
   disk.set_read_latency_us(0);
   auto guard = pool.Fetch(PageId{seg, 5});
   ASSERT_OK(guard.status());
   EXPECT_EQ(guard.value().data()[0], 5);
-  CheckExactInvariant(*disk.io_stats(), "after cold-reset cancellation");
+  CheckExactInvariant(*disk.io_stats(), "after cold reset");
 }
 
 TEST(AsyncDiskTest, InvariantHoldsUnderEvictionChurn) {
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/2,
-                                      /*queue_depth=*/64});
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/2});
   const PageNo kPages = 128;
   SegmentId seg = FillSegment(&disk, kPages);
 
@@ -213,17 +207,14 @@ TEST(AsyncDiskTest, InvariantHoldsUnderEvictionChurn) {
       }
     }
   }
-  disk.DrainSubmissions();
   CheckExactInvariant(*disk.io_stats(), "eviction churn");
 }
 
 TEST(AsyncDiskTest, LoadingWaitCountedOncePerFetch) {
-  // One shard and one io worker: the ring completes p0, then p1, and each
-  // completion notifies the shard condvar. A Fetch of p1 is woken by p0's
-  // completion first, finds p1 still loading, and keeps waiting — one
-  // wait, not one per wake-up.
-  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1,
-                                      /*queue_depth=*/64});
+  // One shard and one device channel: p0 is due one latency after the
+  // batch, p1 two. A Fetch of p1 finds its read not yet due while p0's is
+  // in flight in the same shard, and waits for p1 alone — one wait.
+  DiskManager disk(DiskManagerOptions{kPageSize, /*io_threads=*/1});
   SegmentId seg = FillSegment(&disk, 2);
   disk.set_read_latency_us(50'000);
   MetricsRegistry registry;
@@ -245,7 +236,7 @@ TEST(AsyncDiskTest, LoadingWaitCountedOncePerFetch) {
             1);
   int64_t wait_events = 0;
   for (const EventJournal::Event& e : journal.Snapshot()) {
-    if (e.type != JournalEvent::kLoadingWait) continue;
+    if (e.type != JournalEvent::kLoadWait) continue;
     ++wait_events;
     EXPECT_EQ(e.a, 1u);
     EXPECT_GT(e.b, 0u) << "the one event carries the whole wait";
@@ -366,22 +357,41 @@ TEST_F(AsyncScanTest, OneWorkerReadaheadPrefetchesEveryPage) {
 
 class MissPathSelectionTest : public SyntheticDbTest {
  protected:
-  int64_t RingSubmissions() {
-    return db_->metrics()->GetCounter("disk_async_submitted_total", "")
+  int64_t RegistryPrefetchReads() {
+    return db_->metrics()
+        ->GetCounter("disk_reads_total", "", {{"class", "prefetch"}})
         ->value();
+  }
+  int64_t PrefetchObservations(const char* family) {
+    return db_->metrics()
+        ->GetHistogram(family, "", 1.0, 2.0, 20, {{"class", "prefetch"}})
+        ->count();
+  }
+  int64_t LoadingWaits() {
+    int64_t waits = 0;
+    for (size_t s = 0; s < db_->buffer_pool()->num_shards(); ++s) {
+      waits += db_->metrics()
+                   ->GetCounter("buffer_pool_loading_waits_total", "",
+                                {{"shard", std::to_string(s)}})
+                   ->value();
+    }
+    return waits;
   }
 };
 
-TEST_F(MissPathSelectionTest, ColdSerialScanNeverTouchesTheRing) {
+TEST_F(MissPathSelectionTest, ColdSerialScanReadsNothingAhead) {
   ASSERT_OK(db_->ColdCache());
   TableScanOp scan(t_, Predicate(), {kC1}, nullptr);
   ExecContext ctx(db_->buffer_pool());
   ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
   EXPECT_GT(run.stats.io.physical_reads(), 0) << "the scan really missed";
-  EXPECT_EQ(RingSubmissions(), 0) << "demand misses are read inline";
+  EXPECT_EQ(static_cast<int64_t>(run.stats.io.prefetch_reads), 0);
+  EXPECT_EQ(RegistryPrefetchReads(), 0) << "demand misses are not prefetches";
 }
 
-TEST_F(MissPathSelectionTest, ParallelReadaheadGoesThroughTheRing) {
+// Each scheduled prefetch feeds the device's queue-wait and service-time
+// histograms once.
+TEST_F(MissPathSelectionTest, ParallelReadaheadFeedsTheDeviceHistograms) {
   ASSERT_OK(db_->ColdCache());
   ParallelTableScanOp scan(t_, Predicate(), {kC1}, nullptr,
                            ParallelScanOptions{/*num_threads=*/2, 8,
@@ -390,9 +400,27 @@ TEST_F(MissPathSelectionTest, ParallelReadaheadGoesThroughTheRing) {
   ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
   const int64_t prefetch_reads = run.stats.io.prefetch_reads;
   EXPECT_GT(prefetch_reads, 0);
-  EXPECT_LE(prefetch_reads, RingSubmissions())
-      << "every prefetch read was a ring submission";
+  EXPECT_EQ(RegistryPrefetchReads(), prefetch_reads);
+  EXPECT_EQ(PrefetchObservations("disk_queue_wait_us"), prefetch_reads);
+  EXPECT_EQ(PrefetchObservations("disk_service_time_us"), prefetch_reads);
   CheckExactInvariant(run.stats.io, "parallel readahead");
+}
+
+// With no device latency every read is due the moment it is made, so a
+// parallel scan with readahead never waits behind another load, however
+// its workers and its readahead interleave.
+TEST_F(MissPathSelectionTest, ZeroLatencyReadaheadNeverWaitsBehindALoad) {
+  for (int threads : {2, 4}) {
+    ASSERT_OK(db_->ColdCache());
+    ParallelTableScanOp scan(t_, Predicate(), {kC1}, nullptr,
+                             ParallelScanOptions{threads, /*morsel_pages=*/8,
+                                                 /*prefetch_pages=*/64});
+    ExecContext ctx(db_->buffer_pool());
+    ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
+    EXPECT_GT(static_cast<int64_t>(run.stats.io.prefetch_reads), 0);
+    EXPECT_EQ(LoadingWaits(), 0) << "threads=" << threads;
+    CheckExactInvariant(run.stats.io, "zero-latency readahead");
+  }
 }
 
 }  // namespace

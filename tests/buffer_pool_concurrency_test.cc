@@ -113,9 +113,9 @@ TEST_P(BufferPoolConcurrencyTest, SamePageColdFetchYieldsOnePhysicalRead) {
     WriteStamp(buf.data(), 9000 + p);
     ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
-  // Slow the simulated device so every thread reliably arrives while the
-  // loader still has the page in kLoading (the window would otherwise be
-  // nanoseconds and the waiters' path would rarely run).
+  // Slow the simulated device so every thread reliably arrives before the
+  // loader's read is due (the window would otherwise be nanoseconds and
+  // the waiters' path would rarely run).
   disk.set_read_latency_us(200);
 
   // Capacity >= page count: no eviction, so the counters below are exact.

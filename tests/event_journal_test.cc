@@ -27,13 +27,13 @@ using Event = EventJournal::Event;
 TEST(EventJournalTest, RecordsAndSnapshotsInOrder) {
   EventJournal j(16);
   j.Record(JournalEvent::kRingSubmit, 7, 0);
-  j.Record(JournalEvent::kRingDispatch, 7, 12);
-  j.Record(JournalEvent::kRingComplete, 7, 90);
+  j.Record(JournalEvent::kEviction, 7, 12);
+  j.Record(JournalEvent::kLoadWait, 7, 90);
   std::vector<Event> events = j.Snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].type, JournalEvent::kRingSubmit);
-  EXPECT_EQ(events[1].type, JournalEvent::kRingDispatch);
-  EXPECT_EQ(events[2].type, JournalEvent::kRingComplete);
+  EXPECT_EQ(events[1].type, JournalEvent::kEviction);
+  EXPECT_EQ(events[2].type, JournalEvent::kLoadWait);
   EXPECT_EQ(events[0].a, 7u);
   EXPECT_EQ(events[2].b, 90u);
   // Timestamps are monotone for a single writer.
@@ -166,7 +166,7 @@ TEST(EventJournalTest, ConcurrentDrainObservesNoTornEvents) {
       const uint64_t base = static_cast<uint64_t>(w) << 32;
       for (uint64_t i = 0; i < kEventsPerWriter; ++i) {
         const uint64_t a = base | i;
-        j.Record(JournalEvent::kRingComplete, a, a ^ kMask);
+        j.Record(JournalEvent::kLoadWait, a, a ^ kMask);
       }
     });
   }
@@ -174,7 +174,7 @@ TEST(EventJournalTest, ConcurrentDrainObservesNoTornEvents) {
   std::thread reader([&j, &stop, &intact] {
     while (!stop.load(std::memory_order_acquire)) {
       for (const Event& e : j.Drain()) {
-        ASSERT_EQ(e.type, JournalEvent::kRingComplete);
+        ASSERT_EQ(e.type, JournalEvent::kLoadWait);
         ASSERT_EQ(e.b, e.a ^ kMask) << "torn event leaked from the seqlock";
         ++intact;
       }
@@ -199,7 +199,7 @@ TEST(EventJournalTest, ConcurrentDrainObservesNoTornEvents) {
 
 TEST(EventJournalTest, ToJsonHasTheDocumentedShape) {
   EventJournal j(16);
-  j.Record(JournalEvent::kRingDispatch, 128, 64);
+  j.Record(JournalEvent::kRingSubmit, 128, 64);
   j.Record(JournalEvent::kDriftAlert, 4500, 6);
   std::string json = j.ToJson();
   EXPECT_NE(json.find("\"capacity_per_thread\": 16"), std::string::npos);
@@ -207,7 +207,7 @@ TEST(EventJournalTest, ToJsonHasTheDocumentedShape) {
   EXPECT_NE(json.find("\"dropped_torn\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"dropped_overwritten\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"events\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"ring_dispatch\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\": \"ring_submit\""), std::string::npos);
   EXPECT_NE(json.find("\"type\": \"drift_alert\""), std::string::npos);
   EXPECT_NE(json.find("\"a\": 128"), std::string::npos);
   EXPECT_NE(json.find("\"b\": 64"), std::string::npos);
@@ -215,15 +215,7 @@ TEST(EventJournalTest, ToJsonHasTheDocumentedShape) {
 
 TEST(EventJournalTest, EventNamesAreStable) {
   EXPECT_STREQ(JournalEventName(JournalEvent::kRingSubmit), "ring_submit");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kRingDispatch),
-               "ring_dispatch");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kRingComplete),
-               "ring_complete");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kBackpressureBegin),
-               "backpressure_begin");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kBackpressureEnd),
-               "backpressure_end");
-  EXPECT_STREQ(JournalEventName(JournalEvent::kLoadingWait),
+  EXPECT_STREQ(JournalEventName(JournalEvent::kLoadWait),
                "loading_wait");
   EXPECT_STREQ(JournalEventName(JournalEvent::kNone), "none");
   EXPECT_STREQ(JournalEventName(JournalEvent::kMonitorBuild),
@@ -232,6 +224,12 @@ TEST(EventJournalTest, EventNamesAreStable) {
                "monitor_merge");
   EXPECT_STREQ(JournalEventName(JournalEvent::kEviction), "eviction");
   EXPECT_STREQ(JournalEventName(JournalEvent::kDriftAlert), "drift_alert");
+  // Retired values stay unused: no event is ever recorded under them.
+  for (uint32_t retired : {2u, 3u, 4u, 5u, 7u}) {
+    EXPECT_STREQ(JournalEventName(static_cast<JournalEvent>(retired)),
+                 "unknown")
+        << retired;
+  }
 }
 
 TEST(EventJournalTest, ZeroCapacityIsClampedNotFatal) {

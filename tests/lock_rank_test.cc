@@ -55,14 +55,9 @@ void AcquireInOrder(Mutex* outer, Mutex* inner) NO_THREAD_SAFETY_ANALYSIS {
 
 TEST(LockRankTest, RanksAreAssignedAndOrdered) {
   // The storage pair is the load-bearing edge: pool shard strictly before
-  // disk, mirroring ACQUIRED_BEFORE(disk->mu_).
+  // disk, mirroring ACQUIRED_BEFORE(disk->mu_). Every buffer-pool load
+  // takes the disk latch under its shard latch.
   EXPECT_LT(lock_rank::kBufferPoolShard, lock_rank::kDisk);
-  // The submission ring sits between the disk latch and the leaves: a
-  // producer may enqueue while holding the disk latch is NOT allowed
-  // (submission happens before any disk work), but the ring latch must
-  // never be held when a leaf latch is taken by a completion callback.
-  EXPECT_LT(lock_rank::kDisk, lock_rank::kDiskSubmission);
-  EXPECT_LT(lock_rank::kDiskSubmission, lock_rank::kExecMergedCpu);
   // Leaf subsystems all rank above the storage latches so they may be
   // taken from anywhere in the engine.
   EXPECT_LT(lock_rank::kDisk, lock_rank::kExecMergedCpu);
@@ -80,7 +75,6 @@ TEST(LockRankTest, RanksAreAssignedAndOrdered) {
 
   DiskManager disk(kPageSize);
   EXPECT_EQ(disk.latch()->rank(), lock_rank::kDisk);
-  EXPECT_EQ(disk.submission_latch()->rank(), lock_rank::kDiskSubmission);
   Mutex unranked;
   EXPECT_EQ(unranked.rank(), lock_rank::kUnranked);
 }
@@ -106,9 +100,9 @@ TEST(LockRankTest, OrderedAcquisitionStaysSilent) {
 
 TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
   // Exercise the real pool's latch traffic under the rank checker: misses
-  // that evict (shard latch, dropped for the disk read, retaken to
-  // publish) and a cold reset (ring drain, one shard latch at a time,
-  // then the disk latch to forget the read head).
+  // that evict and readahead (the disk latch taken under the shard latch
+  // for each read) and a cold reset (one shard latch at a time, then the
+  // disk latch to make the device cold).
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
   const PageNo kPages = 64;
@@ -121,6 +115,7 @@ TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
     auto guard = pool.Fetch(PageId{seg, p});
     ASSERT_OK(guard.status());
   }
+  pool.PrefetchBatch({PageId{seg, 0}, PageId{seg, 1}});
   ASSERT_OK(pool.ColdReset());
   SUCCEED();
 }
@@ -147,18 +142,6 @@ TEST(LockRankDeathTest, RealPoolFetchWhileHoldingDiskLatchAborts) {
   testing::AppendZeroPages(&disk, seg, 1);
   BufferPool pool(&disk, 4);
   EXPECT_DEATH(FetchWhileHoldingDiskLatch(&pool, PageId{seg, 0}),
-               "dpcf lock-rank violation");
-}
-
-TEST(LockRankDeathTest, SubmissionRingAfterLeafLatchAborts) {
-  // A completion callback runs with no disk-manager latch held precisely
-  // so it may take leaf latches (merged-CPU accumulators, metrics). The
-  // reverse — re-entering the submission ring while a leaf latch is held,
-  // e.g. submitting more I/O from inside a merged-feedback critical
-  // section — is rank 250 under a held rank 300 and must die.
-  Mutex leaf_mu(lock_rank::kExecMergedCpu);
-  Mutex ring_mu(lock_rank::kDiskSubmission);
-  EXPECT_DEATH(AcquireInOrder(&leaf_mu, &ring_mu),
                "dpcf lock-rank violation");
 }
 

@@ -13,7 +13,6 @@
 #include "exec/exec_context.h"
 #include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
-#include "storage/disk_manager.h"
 
 namespace dpcf {
 
@@ -34,9 +33,8 @@ struct Bundle {
   Status MergeFrom(const Bundle& other);
 };
 
-Status Drive(FeedbackSink* sink, TraceCollector* trace, DiskManager* disk,
-             ExecContext* ctx, uint64_t qid, Counter* counter,
-             Bundle* bundle) {
+Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
+             uint64_t qid, Counter* counter, Bundle* bundle) {
   Mutex mu;
   StallStats stalls;
 #if defined(CASE_discarded_status_member_call)
@@ -54,8 +52,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, DiskManager* disk,
   TraceCollector::QueryIdScope{qid};  // BUG UNDER TEST: tags nothing
 #elif defined(CASE_unnamed_stall_scope)
   StallScope{&stalls};  // BUG UNDER TEST: attributes nothing
-#elif defined(CASE_unnamed_submission_guard)
-  DiskManager::SubmissionGuard{disk};  // BUG UNDER TEST: batches nothing
 #elif defined(CASE_unnamed_worker_region)
   ExecContext::WorkerRegion{ctx};  // BUG UNDER TEST: marks no region
 #endif
@@ -74,7 +70,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, DiskManager* disk,
     ScopedSpan span(trace, "exec", "scan");
     TraceCollector::QueryIdScope qid_scope{qid};
     StallScope stall_scope(&stalls);
-    DiskManager::SubmissionGuard batch(disk);
     ExecContext::WorkerRegion region(ctx);
   }
   return Status::OK();

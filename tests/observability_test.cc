@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/monitor_manager.h"
 #include "exec/executor.h"
 #include "exec/parallel_scan.h"
@@ -372,6 +373,50 @@ TEST_F(ObservabilityExecTest, ProfilingOffCapturesNothing) {
   EXPECT_EQ(scan.profile().next_calls, 0);
 }
 
+// A readahead scan's io line counts the pages it read ahead and, of those,
+// the ones it fetched; without them its prefetched pages would show only as
+// hits that read nothing. With one worker and a window (4 pages) smaller
+// than a morsel (8), the pacer prefetches the first half of each morsel and
+// the worker reads the second half on demand, so the scan also stalls on
+// I/O and its stall line is printed.
+TEST_F(ObservabilityExecTest, ReadaheadScanShowsPrefetchInExplain) {
+  ASSERT_OK(db_->ColdCache());
+  ParallelTableScanOp scan(t_, Predicate(), {0}, nullptr,
+                           ParallelScanOptions{/*num_threads=*/1,
+                                               /*morsel_pages=*/8,
+                                               /*prefetch_pages=*/4});
+  ExecContext ctx(db_->buffer_pool());
+  ctx.set_profiling(true);
+  ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
+  ASSERT_NE(run.stats.profile, nullptr);
+  const long long prefetched = run.stats.io.prefetch_reads;
+  const long long prefetch_hits = run.stats.io.prefetch_hits;
+  ASSERT_GT(prefetched, 0);
+  ASSERT_GT(run.stats.io.physical_reads(), 0);
+
+  const std::string plan =
+      RenderAnnotatedPlan(*run.stats.profile, run.stats.monitors);
+  EXPECT_NE(plan.find(StrFormat("prefetch=%lld/%lld)", prefetched,
+                                prefetch_hits)),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("(stall: io_wait="), std::string::npos) << plan;
+  EXPECT_NE(plan.find(" loading="), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("backpressure"), std::string::npos) << plan;
+
+  // A scan that reads nothing ahead prints no prefetch field.
+  ASSERT_OK(db_->ColdCache());
+  TableScanOp serial(t_, Predicate(), {0}, nullptr);
+  ExecContext serial_ctx(db_->buffer_pool());
+  serial_ctx.set_profiling(true);
+  ASSERT_OK_AND_ASSIGN(RunResult serial_run,
+                       ExecutePlan(&serial, &serial_ctx));
+  ASSERT_NE(serial_run.stats.profile, nullptr);
+  EXPECT_EQ(RenderAnnotatedPlan(*serial_run.stats.profile, {})
+                .find("prefetch="),
+            std::string::npos);
+}
+
 TEST(RenderAnnotatedPlanTest, AttachesEstimatesByLabelAndMechanism) {
   OpProfileNode node;
   node.describe = "TableScan(T, C1<10)";
@@ -403,7 +448,6 @@ TEST_F(PrefetchHitTest, FirstDemandFetchAfterPrefetchChargesOneHit) {
   const PageId pid{t_->file()->segment(), 0};
 
   pool->PrefetchBatch({pid});
-  db_->disk()->DrainSubmissions();
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_reads), 1);
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_hits), 0);
 
@@ -418,7 +462,6 @@ TEST_F(PrefetchHitTest, FirstDemandFetchAfterPrefetchChargesOneHit) {
 
   // A prefetch of an already-cached page is a no-op, not a second read.
   pool->PrefetchBatch({pid});
-  db_->disk()->DrainSubmissions();
   EXPECT_EQ(static_cast<int64_t>(io->prefetch_reads), 1);
 }
 

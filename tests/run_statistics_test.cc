@@ -14,16 +14,14 @@ namespace {
 
 MonitorRecord Rec(double actual_dpc, double est_dpc, double actual_card = 0,
                   double est_card = -1) {
-  MonitorRecord r;
-  r.table = "T";
-  r.label = "k";
-  r.expr_text = "C1<10";
-  r.mechanism = "prefix-exact";
-  r.actual_dpc = actual_dpc;
-  r.estimated_dpc = est_dpc;
-  r.actual_cardinality = actual_card;
-  r.estimated_cardinality = est_card;
-  return r;
+  return MonitorRecord{.table = "T",
+                       .label = "k",
+                       .expr_text = "C1<10",
+                       .mechanism = "prefix-exact",
+                       .actual_dpc = actual_dpc,
+                       .actual_cardinality = actual_card,
+                       .estimated_dpc = est_dpc,
+                       .estimated_cardinality = est_card};
 }
 
 TEST(DpcErrorFactorTest, NoEstimateIsZero) {

@@ -43,6 +43,11 @@ namespace {
 
 using testing::AppendZeroPages;
 
+// The disk's read as a buffer-pool miss issues it.
+Status DemandRead(DiskManager* disk, PageId pid) {
+  return disk->ReadImage(pid, ReadClass::kDemand).status();
+}
+
 TEST(DiskManagerTest, SegmentsAndAllocation) {
   DiskManager disk(512);
   SegmentId a = disk.CreateSegment("a");
@@ -68,19 +73,20 @@ TEST(DiskManagerTest, ReadWriteRoundtrip) {
   const std::vector<char> expected = in;
   ASSERT_OK_AND_ASSIGN(const PageNo p, disk.AppendPage(seg, in.data()));
   in.assign(256, 0);  // the disk stored its own copy of the image
-  ASSERT_OK_AND_ASSIGN(const char* out, disk.ReadPage(PageId{seg, p}));
-  EXPECT_EQ(std::memcmp(expected.data(), out, 256), 0);
+  ASSERT_OK_AND_ASSIGN(const PageRead out,
+                       disk.ReadImage(PageId{seg, p}, ReadClass::kDemand));
+  EXPECT_EQ(std::memcmp(expected.data(), out.image, 256), 0);
 }
 
 TEST(DiskManagerTest, RejectsUnknownPages) {
   DiskManager disk(256);
   std::vector<char> buf(256);
-  EXPECT_EQ(disk.ReadPage(PageId{0, 0}).status().code(),
+  EXPECT_EQ(DemandRead(&disk, PageId{0, 0}).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(disk.AppendPage(0, buf.data()).status().code(),
             StatusCode::kOutOfRange);
   SegmentId seg = disk.CreateSegment("t");
-  EXPECT_EQ(disk.ReadPage(PageId{seg, 3}).status().code(),
+  EXPECT_EQ(DemandRead(&disk, PageId{seg, 3}).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(disk.AppendPage(seg + 1, buf.data()).status().code(),
             StatusCode::kOutOfRange);
@@ -93,14 +99,14 @@ TEST(DiskManagerTest, SequentialVsRandomClassification) {
   SegmentId seg = disk.CreateSegment("t");
   AppendZeroPages(&disk, seg, 10);
   // First read: random (head position unknown).
-  ASSERT_OK(disk.ReadPage(PageId{seg, 0}).status());
+  ASSERT_OK(DemandRead(&disk, PageId{seg, 0}));
   // 1..4: each follows its predecessor => sequential.
   for (PageNo p = 1; p <= 4; ++p) {
-    ASSERT_OK(disk.ReadPage(PageId{seg, p}).status());
+    ASSERT_OK(DemandRead(&disk, PageId{seg, p}));
   }
   // Jump: random, then a new sequential run.
-  ASSERT_OK(disk.ReadPage(PageId{seg, 8}).status());
-  ASSERT_OK(disk.ReadPage(PageId{seg, 9}).status());
+  ASSERT_OK(DemandRead(&disk, PageId{seg, 8}));
+  ASSERT_OK(DemandRead(&disk, PageId{seg, 9}));
   const IoStats& io = *disk.io_stats();
   EXPECT_EQ(io.physical_rand_reads, 2);
   EXPECT_EQ(io.physical_seq_reads, 5);
@@ -112,9 +118,9 @@ TEST(DiskManagerTest, CrossSegmentReadIsRandom) {
   SegmentId b = disk.CreateSegment("b");
   AppendZeroPages(&disk, a, 2);
   AppendZeroPages(&disk, b, 1);
-  ASSERT_OK(disk.ReadPage(PageId{a, 0}).status());
-  ASSERT_OK(disk.ReadPage(PageId{b, 0}).status());  // random: new segment
-  ASSERT_OK(disk.ReadPage(PageId{a, 1}).status());  // random: jumped away
+  ASSERT_OK(DemandRead(&disk, PageId{a, 0}));
+  ASSERT_OK(DemandRead(&disk, PageId{b, 0}));  // random: new segment
+  ASSERT_OK(DemandRead(&disk, PageId{a, 1}));  // random: jumped away
   EXPECT_EQ(disk.io_stats()->physical_rand_reads, 3);
   EXPECT_EQ(disk.io_stats()->physical_seq_reads, 0);
 }
@@ -123,9 +129,9 @@ TEST(DiskManagerTest, ResetReadHeadMakesNextReadRandom) {
   DiskManager disk(256);
   SegmentId seg = disk.CreateSegment("t");
   AppendZeroPages(&disk, seg, 2);
-  ASSERT_OK(disk.ReadPage(PageId{seg, 0}).status());
+  ASSERT_OK(DemandRead(&disk, PageId{seg, 0}));
   disk.ResetReadHead();
-  ASSERT_OK(disk.ReadPage(PageId{seg, 1}).status());  // would be seq
+  ASSERT_OK(DemandRead(&disk, PageId{seg, 1}));  // would be seq
   EXPECT_EQ(disk.io_stats()->physical_rand_reads, 2);
 }
 
@@ -169,7 +175,6 @@ TEST_F(BufferPoolTest, FetchHandsOutTheDiskImage) {
   }
   const PageId prefetched{seg_, 7};
   pool_.PrefetchBatch({prefetched});
-  disk_.DrainSubmissions();
   ASSERT_OK_AND_ASSIGN(PageGuard loaded, pool_.Fetch(prefetched));
   EXPECT_EQ(loaded.data(), disk_.RawPage(prefetched));
   const IoStats& io = *disk_.io_stats();
@@ -227,8 +232,8 @@ TEST_F(BufferPoolTest, FailedDemandReadLeavesNoTrace) {
   const int64_t seq = io.physical_seq_reads;
   const int64_t rand = io.physical_rand_reads;
   // Page 16 lies past the segment's end. Each miss claims the free frame
-  // and publishes it as loading before the read fails; the failure must
-  // unpublish it, so the second attempt is a fresh miss, not a stale hit.
+  // before the read fails; the failure must give it back unpublished, so
+  // the second attempt is a fresh miss, not a stale hit.
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto bad = pool_.Fetch(PageId{seg_, 16});
     EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);

@@ -464,8 +464,8 @@ NONDET_SCOPE = ("src/core/", "src/exec/")
 NONDET_BARRIERS = (
     "src/common/random",          # the seeded-RNG plumbing itself
     "src/obs/",                   # spans/metrics timing, never state
-    "src/storage/buffer_pool",    # miss-read latency histogram timing
-    "src/storage/disk_manager",   # submission-ring latency timing
+    "src/storage/buffer_pool",    # miss timing, waits until a read is due
+    "src/storage/disk_manager",   # device due-time stamps
 )
 CLOCK_NAMES = {"steady_clock", "system_clock", "high_resolution_clock"}
 
