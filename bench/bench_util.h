@@ -165,8 +165,7 @@ inline void MaybeDumpObservability(Database* db,
   WriteFileOrDie(dir, "journal.json",
                  db->journal() != nullptr
                      ? db->journal()->ToJson()
-                     : std::string("{\"capacity_per_thread\": 0, "
-                                   "\"threads\": 0, \"dropped_torn\": 0, "
+                     : std::string("{\"capacity\": 0, \"threads\": 0, "
                                    "\"dropped_overwritten\": 0, "
                                    "\"events\": []}\n"));
   WriteFileOrDie(dir, "explain.txt",

@@ -104,7 +104,7 @@ inline constexpr int kEstimationTracker = 310;  // EstimationErrorTracker::mu_
 inline constexpr int kDriftMonitor = 315;     // DriftMonitor::mu_
 inline constexpr int kMetricsRegistry = 320;  // MetricsRegistry::mu_
 inline constexpr int kTraceCollector = 330;   // TraceCollector::mu_
-inline constexpr int kEventJournal = 340;     // EventJournal::drain_mu_
+inline constexpr int kEventJournal = 340;     // EventJournal::mu_
 }  // namespace lock_rank
 
 #if defined(DPCF_LOCK_RANK) && DPCF_LOCK_RANK

@@ -92,8 +92,6 @@ class ScanMonitorBundle {
 
   Status AddRequest(ScanExprRequest request);
 
-  size_t num_requests() const { return entries_.size(); }
-  double sample_fraction() const { return sample_fraction_; }
   uint64_t seed() const { return seed_; }
 
   /// True if at least one request needs per-row evaluation on sampled

@@ -39,7 +39,6 @@ class GroupedPageCounter {
   int64_t pages_satisfying() const { return pages_satisfying_; }
   int64_t rows_satisfying() const { return rows_satisfying_; }
   int64_t pages_seen() const { return pages_seen_; }
-  bool current_page_flag() const { return page_flag_; }
 
   /// Folds a counter that processed a *disjoint* set of pages into this
   /// one. Under the grouped-page-access property each page is processed by

@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/bitvector_filter.h"
-#include "obs/stall_tracker.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
 
@@ -66,29 +65,6 @@ class ExecContext {
     return total;
   }
 
-  /// Driver-thread stall tally: the executor installs a StallScope over it
-  /// for the run, so storage-layer blocking on the driver thread lands
-  /// here. Parallel workers fold their own tallies in via MergeStall().
-  StallStats* stall() { return &stall_; }
-
-  /// Folds a worker's thread-local stall tally into the context. Safe to
-  /// call concurrently from scan workers as each finishes.
-  void MergeStall(const StallStats& delta) EXCLUDES(merged_cpu_mu_) {
-    MutexLock lock(&merged_cpu_mu_);
-    merged_stall_ += delta;
-  }
-
-  /// Snapshot of driver + merged worker stalls; same quiescent-point
-  /// contract as cpu_stats().
-  StallStats stall_stats() const EXCLUDES(merged_cpu_mu_) {
-    assert(active_workers_.load(std::memory_order_acquire) == 0 &&
-           "stall_stats() called while scan workers are live");
-    StallStats total = stall_;
-    MutexLock lock(&merged_cpu_mu_);
-    total += merged_stall_;
-    return total;
-  }
-
   /// RAII marker for the window in which non-driver worker threads (the
   /// morsel workers) exist. cpu_stats() asserts that no region is live.
   class WorkerRegion {
@@ -111,7 +87,8 @@ class ExecContext {
   }
 
   /// Per-operator profiling (obs/op_profile.h). Off by default; the
-  /// Operator wrappers snapshot IoStats/CpuStats around every call when on.
+  /// Operator wrappers snapshot IoStats/CpuStats and the pool's StallStats
+  /// around every call when on.
   bool profiling() const { return profiling_; }
   void set_profiling(bool on) { profiling_ = on; }
 
@@ -163,13 +140,10 @@ class ExecContext {
  private:
   BufferPool* pool_;
   uint64_t seed_;
-  CpuStats cpu_;      // driver thread only
-  StallStats stall_;  // driver thread only (via the executor's StallScope)
-  // Leaf rank: MergeCpu/MergeStall hold no other latch and call out to
-  // nothing.
+  CpuStats cpu_;  // driver thread only
+  // Leaf rank: MergeCpu holds no other latch and calls out to nothing.
   mutable Mutex merged_cpu_mu_{lock_rank::kExecMergedCpu};
   CpuStats merged_cpu_ GUARDED_BY(merged_cpu_mu_);
-  StallStats merged_stall_ GUARDED_BY(merged_cpu_mu_);
   // Count of live WorkerRegions; its own synchronization (like
   // AtomicCounter, no GUARDED_BY needed).
   std::atomic<int> active_workers_{0};

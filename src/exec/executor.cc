@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
 
 namespace dpcf {
@@ -71,10 +70,6 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
     // Every span recorded from the driver thread during this plan carries
     // the context's query id (worker threads open their own scopes).
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
-    // Driver-thread storage stalls (demand-miss I/O wait, loading waits)
-    // land in the context's driver tally; workers install their own scopes
-    // over thread-local tallies.
-    StallScope stall_scope(ctx->stall());
     ScopedSpan span(ctx->trace(), "exec", "execute_plan");
     DPCF_RETURN_IF_ERROR(root->Open(ctx));
     Tuple t;

@@ -37,13 +37,14 @@ auto Traced(ExecContext* ctx, const char* verb, const Operator& op,
 // Runs `call`, adding its wall time to *wall_ms and its inclusive
 // IoStats/CpuStats/StallStats deltas to *profile. Workers (if any) are
 // joined inside the call, so the quiescent-point contract of cpu_stats()
-// holds at both snapshots.
+// holds at both snapshots, and the disk's and the pool's counters are
+// settled.
 template <typename Call>
 auto Profiled(ExecContext* ctx, OpProfile* profile, double* wall_ms,
               Call&& call) {
   const IoStats io_before = SnapshotIo(ctx);
   const CpuStats cpu_before = ctx->cpu_stats();
-  const StallStats stall_before = ctx->stall_stats();
+  const StallStats stall_before = ctx->pool()->stalls();
   // Wall-time profiling timestamp (OpProfile::*_wall_ms), not feedback.
   // NOLINTNEXTLINE(dpcf-nondeterminism)
   const auto t0 = SteadyClock::now();
@@ -55,7 +56,7 @@ auto Profiled(ExecContext* ctx, OpProfile* profile, double* wall_ms,
   CpuStats cpu_delta = ctx->cpu_stats();
   cpu_delta -= cpu_before;
   profile->cpu += cpu_delta;
-  StallStats stall_delta = ctx->stall_stats();
+  StallStats stall_delta = ctx->pool()->stalls();
   stall_delta -= stall_before;
   profile->stall += stall_delta;
   return result;

@@ -8,55 +8,43 @@
 #include "exec/executor.h"
 #include "exec/scan_ops.h"
 #include "obs/event_journal.h"
-#include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
 
 namespace dpcf {
 
 namespace {
 
-/// Readahead paced by the scan's own workers: pages [0, submitted) have
-/// gone to BufferPool::PrefetchBatch, and the frontier is kept `window`
-/// pages past the pages the workers have finished (not merely claimed),
-/// so the window stays ahead of what the scan has consumed.
+/// Readahead paced by the scan's own workers: the pages submitted to
+/// BufferPool::PrefetchBatch reach `window` pages past the pages the
+/// workers have finished (not merely claimed), so the window stays ahead
+/// of what the scan has consumed.
 struct ReadaheadPacer {
   BufferPool* pool;
   SegmentId segment;
   int64_t total_pages;
   int64_t window;  // 0: readahead off
   std::atomic<int64_t> finished{0};
-  std::atomic<int64_t> submitted{0};
 
-  /// Adds `pages` to the finished count; if that moves the frontier, the
-  /// caller whose CAS wins submits the pages it gained as one batch.
-  /// Advance(0) before any worker starts primes [0, window), so the
+  /// Adds `pages` to the finished count and submits, as one batch, the
+  /// pages by which that add moved the frontier (finished + window): each
+  /// add owns its own slice, so no page is submitted twice. Advance(0),
+  /// called once before any worker starts, primes [0, window), so the
   /// prefetch/demand split of the first pages does not depend on how
   /// quickly the first worker gets going.
   void Advance(int64_t pages) {
     if (window <= 0) return;
-    const int64_t done = finished.fetch_add(pages) + pages;
-    const int64_t target = std::min(done + window, total_pages);
-    int64_t from = submitted.load();
-    do {
-      if (from >= target) return;
-    } while (!submitted.compare_exchange_weak(from, target));
+    const int64_t before = finished.fetch_add(pages);
+    const int64_t from =
+        pages == 0 ? 0 : std::min(before + window, total_pages);
+    const int64_t to = std::min(before + pages + window, total_pages);
+    if (from >= to) return;
     std::vector<PageId> batch;
-    batch.reserve(static_cast<size_t>(target - from));
-    for (int64_t p = from; p < target; ++p) {
+    batch.reserve(static_cast<size_t>(to - from));
+    for (int64_t p = from; p < to; ++p) {
       batch.push_back(PageId{segment, static_cast<PageNo>(p)});
     }
     pool->PrefetchBatch(batch);
   }
-};
-
-/// One worker's tallies during a scan, folded into the ExecContext
-/// (MergeCpu, MergeStall) as the worker finishes.
-struct ParallelWorkerStats {
-  CpuStats cpu;
-  /// Blocked time this worker spent in the storage layer (demand-miss I/O
-  /// wait, waiting out a read another thread or readahead started),
-  /// charged through the worker's StallScope.
-  StallStats stall;
 };
 }  // namespace
 
@@ -81,8 +69,6 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
 
   MorselQueue queue(file->page_count(), options_.morsel_pages);
   morsel_out_.assign(queue.num_morsels(), {});
-  std::vector<ParallelWorkerStats> worker_stats(
-      static_cast<size_t>(num_workers));
   drain_morsel_ = 0;
   drain_row_ = 0;
 
@@ -121,14 +107,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     // its morsel spans (and any buffer-pool miss spans beneath them) carry
     // the same qid as the driver's.
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
-    ParallelWorkerStats& ws = worker_stats[static_cast<size_t>(w)];
-    // Blocked time in the storage layer (miss waits, loading waits) lands
-    // in this worker's tally; folded in below next to the CPU tally. On the
-    // 1-thread path this shadows the driver's executor-installed scope for
-    // the duration of the scan, which is exactly right: the time still
-    // reaches the context via MergeStall.
-    StallScope stall_scope(&ws.stall);
-    CpuStats* cpu = &ws.cpu;
+    CpuStats cpu;  // this worker's tally, folded in as it finishes
     ScanMonitorBundle* bundle =
         monitors_ == nullptr
             ? nullptr
@@ -153,8 +132,8 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
         const PageGuard page = std::move(guard).value();
         // The morsel's survivors are buffered, not streamed, so nothing
         // downstream can change between evaluating and observing a page.
-        const uint32_t survivors = step_.Eval(page.data(), cpu, &scratch);
-        step_.Observe(p, bundle, cpu, ctx->filter_slots(), &scratch);
+        const uint32_t survivors = step_.Eval(page.data(), &cpu, &scratch);
+        step_.Observe(p, bundle, &cpu, ctx->filter_slots(), &scratch);
         for (uint32_t i = 0; i < survivors; ++i) {
           out.emplace_back();
           MaterializeProjection(RowView(scratch.block.row(scratch.sel[i]),
@@ -172,8 +151,7 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
     // Each worker folds its CPU tally into the context as it finishes;
     // MergeCpu latches, so workers may race each other here but never
     // corrupt the totals.
-    ctx->MergeCpu(ws.cpu);
-    ctx->MergeStall(ws.stall);
+    ctx->MergeCpu(cpu);
     return Status::OK();
   });
   DPCF_RETURN_IF_ERROR(status);

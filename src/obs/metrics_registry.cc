@@ -9,16 +9,6 @@ namespace dpcf {
 
 namespace {
 
-// fetch_add on atomic<double> is C++20; spell it as a CAS loop so the
-// registry does not depend on library support that gcc/clang gained at
-// different times.
-void AtomicAddDouble(std::atomic<double>* a, double d) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + d,
-                                   std::memory_order_relaxed)) {
-  }
-}
-
 // Prometheus text exposition: inside a quoted label value, backslash,
 // double-quote and newline must be escaped (\\, \", \n) or the line is
 // unparseable and silently corrupts every sample after it.
@@ -91,7 +81,7 @@ LogHistogram::LogHistogram(double lower_bound, double growth, size_t num_buckets
 
 void LogHistogram::Observe(double v) {
   count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&sum_, v);
+  sum_.fetch_add(v, std::memory_order_relaxed);
   for (size_t i = 0; i < bounds_.size(); ++i) {
     if (v <= bounds_[i]) {
       buckets_[i].fetch_add(1, std::memory_order_relaxed);

@@ -3,9 +3,9 @@
 //
 // When ExecContext::profiling() is on, the Operator base class wraps every
 // Open/Next/Close call and accumulates wall time, row counts and the
-// *inclusive* IoStats/CpuStats deltas (children execute inside their
-// parent's calls, so a node's delta covers its whole subtree — exclusive
-// values fall out at render time by subtracting the children). After the
+// *inclusive* IoStats/CpuStats/StallStats deltas (children execute inside
+// their parent's calls, so a node's delta covers its whole subtree —
+// exclusive values fall out at render time by subtracting the children). After the
 // run the executor captures the operator tree into an OpProfileNode tree,
 // and RenderAnnotatedPlan pairs each node's own monitor records with the
 // optimizer estimates the feedback driver attached, giving estimated vs
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/run_statistics.h"
-#include "obs/stall_tracker.h"
 #include "storage/io_stats.h"
 
 namespace dpcf {
@@ -35,9 +34,8 @@ struct OpProfile {
   double close_wall_ms = 0;
   IoStats io;    // inclusive delta across open + drain + close
   CpuStats cpu;  // inclusive delta (driver + merged workers)
-  /// Inclusive blocked-time delta (I/O wait vs waits behind another
-  /// thread's or readahead's read), charged through the thread-local
-  /// StallScope sinks and merged like cpu.
+  /// Inclusive delta of the buffer pool's wait counters (I/O waits vs
+  /// waits behind another thread's or readahead's read), taken like io.
   StallStats stall;
 
   double wall_ms() const {

@@ -47,7 +47,6 @@ class OptimizerHints {
                             : std::optional<double>(it->second);
   }
 
-  size_t num_cardinality_hints() const { return cardinality_.size(); }
   size_t num_dpc_hints() const { return dpc_.size(); }
   void Clear() {
     cardinality_.clear();

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "obs/event_journal.h"
 #include "obs/metrics_registry.h"
-#include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
 
 namespace dpcf {
@@ -216,7 +215,7 @@ int32_t BufferPool::AcquireFrameLocked(Shard* s) {
     s->free_frames.pop_back();
     return f;
   }
-  if (s->lru_tail < 0) return -1;
+  assert(s->lru_tail >= 0);
   const int32_t victim = s->lru_tail;
   s->LruRemove(victim);
   const PageId evicted = s->frames[static_cast<size_t>(victim)].pid;
@@ -228,8 +227,12 @@ int32_t BufferPool::AcquireFrameLocked(Shard* s) {
 }
 
 Result<int32_t> BufferPool::LoadLocked(Shard* s, PageId pid, ReadClass cls) {
-  const int32_t f = AcquireFrameLocked(s);
-  if (f < 0) {
+  // A frame must be claimable before the read is charged, but the victim
+  // is evicted only once the read has succeeded: a read of a page that
+  // does not exist throws no cached page out. The shard latch is held
+  // throughout, so the frame checked for here is still there after the
+  // read.
+  if (s->free_frames.empty() && s->lru_tail < 0) {
     return Status::ResourceExhausted(
         "all frames of the page's buffer-pool shard are pinned");
   }
@@ -237,10 +240,8 @@ Result<int32_t> BufferPool::LoadLocked(Shard* s, PageId pid, ReadClass cls) {
   // and charges the read and stamps its due time; no device time passes
   // here, so the latch is held for bookkeeping only.
   const Result<PageRead> read = disk_->ReadImage(pid, cls);
-  if (!read.ok()) {
-    s->free_frames.push_back(f);
-    return read.status();
-  }
+  if (!read.ok()) return read.status();
+  const int32_t f = AcquireFrameLocked(s);
   Frame& fr = s->frames[static_cast<size_t>(f)];
   fr.pid = pid;
   fr.data = read->image;
@@ -292,29 +293,22 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     s.mu.unlock();
     if (due_us != 0) {
       // Wait behind the load, pinned and off the latch. Counted and
-      // journaled once per fetch, charged to this query's stalls.
+      // journaled once per fetch.
       if (s.m_loading_waits != nullptr) s.m_loading_waits->Increment();
       DiskManager::WaitUntil(due_us);
-      if (journal_ != nullptr || CurrentStallSink() != nullptr) {
-        const int64_t waited_us = DiskManager::NowUs() - now_us;
-        ChargeStall(StallKind::kLoadWait, waited_us);
-        if (journal_ != nullptr) {
-          journal_->Record(JournalEvent::kLoadWait, pid.page_no,
-                           static_cast<uint64_t>(waited_us));
-        }
+      const int64_t waited_us = DiskManager::NowUs() - now_us;
+      ++stalls_.loading_waits;
+      stalls_.loading_wait_us += waited_us;
+      if (journal_ != nullptr) {
+        journal_->Record(JournalEvent::kLoadWait, pid.page_no,
+                         static_cast<uint64_t>(waited_us));
       }
     }
     return guard;
   }
   const bool traced = trace_ != nullptr && trace_->enabled();
-  const bool timed =
-      traced || m_miss_read_us_ != nullptr || CurrentStallSink() != nullptr;
-  std::chrono::steady_clock::time_point read_t0;
-  int64_t span_begin = 0;
-  if (timed) {
-    read_t0 = std::chrono::steady_clock::now();
-    if (traced) span_begin = trace_->NowUs();
-  }
+  const auto read_t0 = std::chrono::steady_clock::now();
+  const int64_t span_begin = traced ? trace_->NowUs() : 0;
   const Result<int32_t> loaded = LoadLocked(&s, pid, ReadClass::kDemand);
   if (!loaded.ok()) {
     s.mu.unlock();
@@ -333,18 +327,16 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
   // The device time of this fetch's own read, waited out off the latch;
   // concurrent fetchers of the page wait behind the same due time.
   DiskManager::WaitUntil(due_us);
-  if (timed) {
-    const double read_us = std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - read_t0)
-                               .count();
-    // The fetching thread was blocked for the whole read: this query's
-    // I/O wait.
-    ChargeStall(StallKind::kIoWait, static_cast<int64_t>(read_us));
-    if (m_miss_read_us_ != nullptr) m_miss_read_us_->Observe(read_us);
-    if (traced) {
-      trace_->AddSpan("io", StrFormat("miss read %s", pid.ToString().c_str()),
-                      span_begin);
-    }
+  const double read_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - read_t0)
+                             .count();
+  // The fetching thread was blocked for the whole read: an I/O wait.
+  ++stalls_.io_waits;
+  stalls_.io_wait_us += static_cast<int64_t>(read_us);
+  if (m_miss_read_us_ != nullptr) m_miss_read_us_->Observe(read_us);
+  if (traced) {
+    trace_->AddSpan("io", StrFormat("miss read %s", pid.ToString().c_str()),
+                    span_begin);
   }
   return guard;
 }

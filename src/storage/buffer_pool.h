@@ -25,11 +25,13 @@
 // frames, O(capacity), not a node per cached page.
 //
 // Miss protocol (DESIGN.md section 10): Fetch() and PrefetchBatch() share
-// one load step. It claims a frame, reads the page through the disk under
-// the shard latch — the disk classifies and charges the read and stamps it
-// with the time the simulated device finishes it, but sleeps nothing — and
-// publishes the frame at once with that due time: pinned for a demand
-// fetch, unpinned, most recently used and marked prefetched for readahead.
+// one load step. Under the shard latch it checks that a frame can be
+// claimed, reads the page through the disk — the disk classifies and
+// charges the read and stamps it with the time the simulated device
+// finishes it, but sleeps nothing — and only then claims the frame
+// (evicting the LRU victim if it must) and publishes it with that due
+// time: pinned for a demand fetch, unpinned, most recently used and marked
+// prefetched for readahead.
 // Any fetch that finds a frame not yet due pins it, drops the latch and
 // sleeps until the due time. For the loader that sleep is its I/O wait; for
 // every other fetcher, a demand fetch of a page readahead scheduled
@@ -40,7 +42,10 @@
 // Accounting is exact, not approximate: logical_reads is charged only when
 // a fetch succeeds (hit, wait-behind-loader, or completed load), so
 //   logical_reads == buffer_hits + physical_reads()
-// holds under any interleaving, including ResourceExhausted failures.
+// holds under any interleaving, including ResourceExhausted failures. The
+// pool counts its fetchers' waits itself (stalls()), as the disk counts
+// IoStats: every demand miss is one I/O wait, every fetch that waits out a
+// read not yet due one loading wait.
 //
 // Lock order: any shard latch before DiskManager::mu_; every load takes the
 // disk latch under its shard latch. No code path holds two shard latches at
@@ -60,6 +65,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "storage/disk_manager.h"
+#include "storage/io_stats.h"
 #include "storage/page.h"
 
 namespace dpcf {
@@ -155,6 +161,10 @@ class BufferPool {
 
   DiskManager* disk() const { return disk_; }
 
+  /// Waits of this pool's fetchers, cumulative for the pool's lifetime;
+  /// callers take before/after deltas at quiescent points.
+  const StallStats& stalls() const { return stalls_; }
+
   /// Resolves this pool's metric handles (per-shard hits / misses /
   /// loading-waits, pool-wide logical reads / prefetch hits, miss-read
   /// latency histogram) from `registry`, wires `trace` for miss spans and
@@ -240,17 +250,18 @@ class BufferPool {
   };
 
   /// Returns a usable frame index in `s`: a free frame, or the LRU victim
-  /// (unpublished; the bytes it pointed at are the disk's, so nothing is
-  /// written). -1 if every frame is pinned.
+  /// (unpublished, and journaled as an eviction; the bytes it pointed at
+  /// are the disk's, so nothing is written). The caller has checked that
+  /// one of the two exists.
   int32_t AcquireFrameLocked(Shard* s) REQUIRES(s->mu);
 
-  /// The one load step of Fetch and PrefetchBatch: claims a frame in `s`
-  /// for `pid` (which must be absent), reads the page through the disk
-  /// under the shard latch, and publishes the frame with the read's due
-  /// time — pinned for a kDemand read, unpinned, most recently used and
-  /// marked prefetched for a kPrefetch one. ResourceExhausted if no frame
-  /// can be claimed, the read's error if it fails; either way nothing is
-  /// published or charged.
+  /// The one load step of Fetch and PrefetchBatch: checks that a frame in
+  /// `s` can be claimed for `pid` (which must be absent), reads the page
+  /// through the disk under the shard latch, then claims the frame and
+  /// publishes it with the read's due time — pinned for a kDemand read,
+  /// unpinned, most recently used and marked prefetched for a kPrefetch
+  /// one. ResourceExhausted if no frame can be claimed, the read's error if
+  /// it fails; either way nothing is evicted, published or charged.
   Result<int32_t> LoadLocked(Shard* s, PageId pid, ReadClass cls)
       REQUIRES(s->mu);
 
@@ -266,6 +277,8 @@ class BufferPool {
   LogHistogram* m_miss_read_us_ = nullptr;
   TraceCollector* trace_ = nullptr;
   EventJournal* journal_ = nullptr;
+  // Relaxed atomics, counted without a latch (like DiskManager's IoStats).
+  StallStats stalls_;
   // Immutable after the ctor (the Shard contents are latched, the vector
   // itself never changes).
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -149,6 +149,40 @@ struct IoStats {
   std::string ToString() const;
 };
 
+/// Time the buffer pool's fetchers spent blocked, counted by the pool the
+/// way the disk counts IoStats: relaxed atomics, read as before/after
+/// deltas at quiescent points (operator profiling does, for EXPLAIN
+/// ANALYZE's stall line). Microseconds are wall-clock: stalls are real
+/// blocked time, not simulated cost.
+struct StallStats {
+  // Demand misses, each waiting out its own read until it is due: one per
+  // physical read, with the miss's measured wall time.
+  AtomicCounter io_waits;
+  AtomicCounter io_wait_us;
+  // Fetches that found their page's read (another fetcher's, or
+  // readahead's) not yet due, and waited it out.
+  AtomicCounter loading_waits;
+  AtomicCounter loading_wait_us;
+
+  bool empty() const { return io_waits == 0 && loading_waits == 0; }
+
+  StallStats& operator+=(const StallStats& o) {
+    io_waits += o.io_waits;
+    io_wait_us += o.io_wait_us;
+    loading_waits += o.loading_waits;
+    loading_wait_us += o.loading_wait_us;
+    return *this;
+  }
+
+  StallStats& operator-=(const StallStats& o) {
+    io_waits -= o.io_waits;
+    io_wait_us -= o.io_wait_us;
+    loading_waits -= o.loading_waits;
+    loading_wait_us -= o.loading_wait_us;
+    return *this;
+  }
+};
+
 /// Tunable simulated device parameters (milliseconds per page / per op).
 ///
 /// Defaults model a paper-era (2008) commodity drive behind a DBMS doing

@@ -68,8 +68,6 @@ class TableBuilder {
   /// Sorts (if clustered) and writes all buffered rows.
   Status Finish();
 
-  int64_t buffered_rows() const { return buffered_rows_; }
-
  private:
   Table* table_;
   RowCodec codec_;

@@ -9,7 +9,8 @@
 //
 //  - correctly ordered pool -> disk acquisition stays silent, both on bare
 //    ranked mutexes and through the real BufferPool miss path (shard latch,
-//    eviction, disk latch, cold reset);
+//    eviction, disk latch, the journal latch under the shard latch, cold
+//    reset);
 //  - a deliberate disk -> pool inversion dies with the lock-rank
 //    diagnostic (death test);
 //  - nesting two latches of the same rank (two buffer-pool shards) dies,
@@ -24,6 +25,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/event_journal.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "tests/test_util.h"
@@ -64,14 +66,16 @@ TEST(LockRankTest, RanksAreAssignedAndOrdered) {
   EXPECT_LT(lock_rank::kDisk, lock_rank::kEstimationTracker);
   EXPECT_LT(lock_rank::kDisk, lock_rank::kMetricsRegistry);
   EXPECT_LT(lock_rank::kDisk, lock_rank::kTraceCollector);
-  // Obs leaf band (PR 9): the drift monitor registers per-series gauges
-  // while holding its own latch, so it must rank strictly below the
-  // registry; the journal's drain latch is never held on the Record path
-  // but still ranks as an obs leaf so Snapshot/Drain may be called while
-  // holding any storage or estimation latch.
+  // Obs leaf band: the drift monitor registers per-series gauges while
+  // holding its own latch, so it must rank strictly below the registry.
+  // The journal's latch is taken by every Record: under a shard latch
+  // (evictions, scheduled prefetches) and under the drift monitor's latch
+  // (drift alerts), so it ranks above both, and above every other leaf so
+  // Snapshot/Drain may be called while holding any of them.
   EXPECT_LT(lock_rank::kEstimationTracker, lock_rank::kDriftMonitor);
   EXPECT_LT(lock_rank::kDriftMonitor, lock_rank::kMetricsRegistry);
   EXPECT_LT(lock_rank::kTraceCollector, lock_rank::kEventJournal);
+  EXPECT_LT(lock_rank::kDriftMonitor, lock_rank::kEventJournal);
 
   DiskManager disk(kPageSize);
   EXPECT_EQ(disk.latch()->rank(), lock_rank::kDisk);
@@ -101,8 +105,9 @@ TEST(LockRankTest, OrderedAcquisitionStaysSilent) {
 TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
   // Exercise the real pool's latch traffic under the rank checker: misses
   // that evict and readahead (the disk latch taken under the shard latch
-  // for each read) and a cold reset (one shard latch at a time, then the
-  // disk latch to make the device cold).
+  // for each read, and the journal's latch under the shard latch for each
+  // eviction and scheduled prefetch) and a cold reset (one shard latch at
+  // a time, then the disk latch to make the device cold).
   DiskManager disk(kPageSize);
   SegmentId seg = disk.CreateSegment("t");
   const PageNo kPages = 64;
@@ -111,13 +116,24 @@ TEST(LockRankTest, RealPoolToDiskPathStaysSilent) {
     ASSERT_OK(disk.AppendPage(seg, buf.data()).status());
   }
   BufferPool pool(&disk, 16, BufferPoolOptions{/*num_shards=*/2});
+  EventJournal journal(256);
+  disk.AttachMetrics(nullptr, &journal);
+  pool.AttachObservability(nullptr, nullptr, &journal);
   for (PageNo p = 0; p < kPages; ++p) {  // misses, most of them evicting
     auto guard = pool.Fetch(PageId{seg, p});
     ASSERT_OK(guard.status());
   }
   pool.PrefetchBatch({PageId{seg, 0}, PageId{seg, 1}});
   ASSERT_OK(pool.ColdReset());
-  SUCCEED();
+  int evictions = 0;
+  int submits = 0;
+  for (const EventJournal::Event& e : journal.Snapshot()) {
+    evictions += e.type == JournalEvent::kEviction;
+    submits += e.type == JournalEvent::kRingSubmit;
+  }
+  // Both kinds were recorded under a shard latch.
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(submits, 0);
 }
 
 #if defined(DPCF_LOCK_RANK) && DPCF_LOCK_RANK
@@ -157,9 +173,8 @@ TEST(LockRankDeathTest, DriftMonitorAfterRegistryAborts) {
 }
 
 TEST(LockRankDeathTest, JournalDrainUnderDrainAborts) {
-  // Record() is lock-free so it may run under any latch; the drain latch
-  // itself is an obs leaf — re-entering a journal drain from code already
-  // draining (or from any same-or-higher-ranked section) must die.
+  // The journal's latch is the highest rank: re-entering a journal from
+  // code already holding its latch (or any same-ranked one) must die.
   Mutex drain_a(lock_rank::kEventJournal);
   Mutex drain_b(lock_rank::kEventJournal);
   EXPECT_DEATH(AcquireInOrder(&drain_a, &drain_b),

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/exec_context.h"
-#include "obs/stall_tracker.h"
 #include "obs/trace_collector.h"
 
 namespace dpcf {
@@ -36,7 +35,6 @@ struct Bundle {
 Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
              uint64_t qid, Counter* counter, Bundle* bundle) {
   Mutex mu;
-  StallStats stalls;
 #if defined(CASE_discarded_status_member_call)
   sink->Apply(
       42);  // BUG UNDER TEST: Status dropped, call split across lines
@@ -50,8 +48,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
   ScopedSpan(trace, "exec", "scan");  // BUG UNDER TEST: span closes at once
 #elif defined(CASE_unnamed_query_id_scope)
   TraceCollector::QueryIdScope{qid};  // BUG UNDER TEST: tags nothing
-#elif defined(CASE_unnamed_stall_scope)
-  StallScope{&stalls};  // BUG UNDER TEST: attributes nothing
 #elif defined(CASE_unnamed_worker_region)
   ExecContext::WorkerRegion{ctx};  // BUG UNDER TEST: marks no region
 #endif
@@ -69,7 +65,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
     MutexLock lock(&mu);
     ScopedSpan span(trace, "exec", "scan");
     TraceCollector::QueryIdScope qid_scope{qid};
-    StallScope stall_scope(&stalls);
     ExecContext::WorkerRegion region(ctx);
   }
   return Status::OK();

@@ -417,6 +417,60 @@ TEST_F(ObservabilityExecTest, ReadaheadScanShowsPrefetchInExplain) {
             std::string::npos);
 }
 
+// The stall line's counts are deltas of the buffer pool's own wait
+// counters, taken like IoStats: every demand miss is one I/O wait, so the
+// root's io_waits equal its physical reads, and every fetch that waits out
+// a read not yet due is one loading wait, as the registry's per-shard
+// loading-wait counters count them. With one worker and with two.
+TEST_F(ObservabilityExecTest, StallCountsMatchReadsAndLoadingWaits) {
+  BufferPool* pool = db_->buffer_pool();
+  auto registry_loading_waits = [&] {
+    int64_t total = 0;
+    for (size_t si = 0; si < pool->num_shards(); ++si) {
+      total += db_->metrics()
+                   ->GetCounter("buffer_pool_loading_waits_total", "",
+                                {{"shard", StrFormat("%zu", si)}})
+                   ->value();
+    }
+    return total;
+  };
+  db_->disk()->set_read_latency_us(50);
+  for (const int workers : {1, 2}) {
+    ASSERT_OK(db_->ColdCache());
+    ParallelTableScanOp scan(t_, Predicate(), {0}, nullptr,
+                             ParallelScanOptions{workers,
+                                                 /*morsel_pages=*/16,
+                                                 /*prefetch_pages=*/8});
+    ExecContext ctx(pool);
+    ctx.set_profiling(true);
+    const int64_t loading_before = registry_loading_waits();
+    ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&scan, &ctx));
+    ASSERT_NE(run.stats.profile, nullptr);
+    const OpProfile& root = run.stats.profile->profile;
+    EXPECT_GT(static_cast<int64_t>(root.stall.io_waits), 0) << workers;
+    EXPECT_EQ(static_cast<int64_t>(root.stall.io_waits),
+              root.io.physical_reads())
+        << workers;
+    EXPECT_EQ(static_cast<int64_t>(root.stall.loading_waits),
+              registry_loading_waits() - loading_before)
+        << workers;
+  }
+
+  // Fetches outside ExecutePlan are counted too: one miss, and one fetch
+  // of a page whose prefetch is still on the (slow) device.
+  db_->disk()->set_read_latency_us(2000);
+  ASSERT_OK(db_->ColdCache());
+  const StallStats before = pool->stalls();
+  { ASSERT_OK_AND_ASSIGN(PageGuard g, pool->Fetch({t_->file()->segment(), 0})); }
+  pool->PrefetchBatch({PageId{t_->file()->segment(), 1}});
+  { ASSERT_OK_AND_ASSIGN(PageGuard g, pool->Fetch({t_->file()->segment(), 1})); }
+  StallStats delta = pool->stalls();
+  delta -= before;
+  EXPECT_EQ(static_cast<int64_t>(delta.io_waits), 1);
+  EXPECT_GE(static_cast<int64_t>(delta.io_wait_us), 1000);
+  EXPECT_EQ(static_cast<int64_t>(delta.loading_waits), 1);
+}
+
 TEST(RenderAnnotatedPlanTest, AttachesEstimatesByLabelAndMechanism) {
   OpProfileNode node;
   node.describe = "TableScan(T, C1<10)";

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/event_journal.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "tests/test_util.h"
@@ -231,9 +232,9 @@ TEST_F(BufferPoolTest, FailedDemandReadLeavesNoTrace) {
   const int64_t logical = io.logical_reads;
   const int64_t seq = io.physical_seq_reads;
   const int64_t rand = io.physical_rand_reads;
-  // Page 16 lies past the segment's end. Each miss claims the free frame
-  // before the read fails; the failure must give it back unpublished, so
-  // the second attempt is a fresh miss, not a stale hit.
+  // Page 16 lies past the segment's end. A miss claims its frame only
+  // once the read has succeeded, so the free frame stays free and
+  // unpublished, and the second attempt is a fresh miss, not a stale hit.
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto bad = pool_.Fetch(PageId{seg_, 16});
     EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
@@ -250,6 +251,39 @@ TEST_F(BufferPoolTest, FailedDemandReadLeavesNoTrace) {
   EXPECT_EQ(io.buffer_hits, 3);
   ASSERT_OK(pool_.ColdReset());
   EXPECT_EQ(pool_.cached_pages(), 0u);
+}
+
+// With every frame holding a page, a demand fetch or a prefetch of a page
+// that does not exist must not evict a cached page before its read fails:
+// all four pages stay resident, re-fetching them reads nothing, and no
+// eviction is journaled.
+TEST_F(BufferPoolTest, FailedReadOnAFullPoolEvictsNothing) {
+  EventJournal journal(64);
+  pool_.AttachObservability(nullptr, nullptr, &journal);
+  const PageId missing{seg_, 16};  // past the segment's end
+  for (const bool prefetch : {false, true}) {
+    ASSERT_OK(pool_.ColdReset());
+    for (PageNo p = 0; p < 4; ++p) {
+      ASSERT_OK(pool_.Fetch(PageId{seg_, p}).status());
+    }
+    ASSERT_EQ(pool_.cached_pages(), 4u);
+    if (prefetch) {
+      pool_.PrefetchBatch({missing});
+    } else {
+      EXPECT_EQ(pool_.Fetch(missing).status().code(),
+                StatusCode::kOutOfRange);
+    }
+    EXPECT_EQ(pool_.cached_pages(), 4u) << "prefetch=" << prefetch;
+    const int64_t reads = disk_.io_stats()->physical_reads();
+    for (PageNo p = 0; p < 4; ++p) {
+      ASSERT_OK(pool_.Fetch(PageId{seg_, p}).status());
+    }
+    EXPECT_EQ(disk_.io_stats()->physical_reads(), reads)
+        << "prefetch=" << prefetch;
+  }
+  for (const EventJournal::Event& e : journal.Snapshot()) {
+    EXPECT_NE(e.type, JournalEvent::kEviction) << "page " << e.a;
+  }
 }
 
 TEST_F(BufferPoolTest, ColdResetRefusesPinnedPages) {

@@ -222,8 +222,7 @@ def check_journal(text):
     except json.JSONDecodeError as e:
         fail(f"journal.json does not parse: {e}")
         return None
-    for field in ("capacity_per_thread", "threads", "dropped_torn",
-                  "dropped_overwritten"):
+    for field in ("capacity", "threads", "dropped_overwritten"):
         if not isinstance(doc.get(field), int) or doc[field] < 0:
             fail(f"journal.json '{field}' is not a non-negative int: "
                  f"{doc.get(field)!r}")
@@ -250,14 +249,12 @@ def check_journal(text):
             fail(f"journal event {i} thread {e['thread']} out of range "
                  f"(threads={doc['threads']})")
             return None
-    if doc["threads"] > 0 and len(events) > \
-            doc["capacity_per_thread"] * doc["threads"]:
-        fail(f"journal.json holds {len(events)} events, more than "
-             f"capacity {doc['capacity_per_thread']} x {doc['threads']} "
-             "threads")
+    if len(events) > doc["capacity"]:
+        fail(f"journal.json holds {len(events)} events, more than its "
+             f"capacity {doc['capacity']}")
         return None
-    ok(f"journal.json: {len(events)} events across {doc['threads']} "
-       f"thread ring(s), sorted and well-typed")
+    ok(f"journal.json: {len(events)} events, thread indexes below "
+       f"{doc['threads']}, sorted and well-typed")
     return doc
 
 
