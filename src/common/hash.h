@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace dpcf {
 
@@ -26,14 +25,5 @@ inline uint64_t Mix64(uint64_t x) {
 inline uint64_t Mix64Seeded(uint64_t x, uint64_t seed) {
   return Mix64(x ^ (seed * 0xff51afd7ed558ccdULL));
 }
-
-/// Combines two hashes (boost::hash_combine style, 64-bit).
-inline uint64_t HashCombine(uint64_t h, uint64_t v) {
-  return h ^ (Mix64(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-/// FNV-1a over bytes; used for hashing string values and canonical
-/// expression keys (not on the per-row hot path for fixed-width columns).
-uint64_t HashBytes(std::string_view bytes, uint64_t seed = 0);
 
 }  // namespace dpcf

@@ -99,7 +99,6 @@ namespace lock_rank {
 inline constexpr int kUnranked = -1;          // exempt (tests, ad hoc)
 inline constexpr int kBufferPoolShard = 100;  // BufferPool::Shard::mu
 inline constexpr int kDisk = 200;             // DiskManager::mu_
-inline constexpr int kExecMergedCpu = 300;    // ExecContext::merged_cpu_mu_
 inline constexpr int kEstimationTracker = 310;  // EstimationErrorTracker::mu_
 inline constexpr int kDriftMonitor = 315;     // DriftMonitor::mu_
 inline constexpr int kMetricsRegistry = 320;  // MetricsRegistry::mu_
@@ -157,8 +156,9 @@ inline void PushRank(const void* mu, int r) {
 
 inline void PopRank(const void* mu) {
   HeldStack& s = Held();
-  // Scoped MutexLock makes this LIFO, but condition_variable_any unlocks
-  // through the BasicLockable interface mid-scope, so erase by identity.
+  // Scoped MutexLocks release in LIFO order, but Mutex is a BasicLockable
+  // whose unlock() any holder may call in any order, so erase by identity
+  // rather than popping the top.
   for (int i = s.depth - 1; i >= 0; --i) {
     if (s.mu[i] == mu) {
       for (int j = i; j + 1 < s.depth; ++j) {
@@ -201,18 +201,6 @@ class CAPABILITY("mutex") Mutex {
     lock_rank_internal::PopRank(this);
 #endif
     mu_.unlock();
-  }
-  bool try_lock() TRY_ACQUIRE(true) {
-#if defined(DPCF_LOCK_RANK) && DPCF_LOCK_RANK
-    // A try_lock that would invert the order is the same discipline bug
-    // even though it cannot deadlock by itself; check before trying.
-    lock_rank_internal::CheckRank(this, rank_);
-    if (!mu_.try_lock()) return false;
-    lock_rank_internal::PushRank(this, rank_);
-    return true;
-#else
-    return mu_.try_lock();
-#endif
   }
 
   int rank() const { return rank_; }

@@ -60,9 +60,6 @@ class DpcHistogram {
   std::optional<double> DensityFor(int64_t lo, int64_t hi) const;
 
   size_t size() const { return observations_.size(); }
-  const std::vector<Observation>& observations() const {
-    return observations_;
-  }
 
  private:
   const Observation* BestOverlap(int64_t lo, int64_t hi) const;

@@ -50,13 +50,6 @@ Status ScanMonitorBundle::AddRequest(ScanExprRequest request) {
   return Status::OK();
 }
 
-bool ScanMonitorBundle::HasSampledRequests() const {
-  for (const Entry& e : entries_) {
-    if (e.mode != ScanMonitorMode::kPrefixExact) return true;
-  }
-  return false;
-}
-
 std::unique_ptr<ScanMonitorBundle> ScanMonitorBundle::Clone() const {
   auto clone = std::make_unique<ScanMonitorBundle>(pushed_, schema_,
                                                    sample_fraction_, seed_);

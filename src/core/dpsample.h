@@ -92,12 +92,6 @@ class ScanMonitorBundle {
 
   Status AddRequest(ScanExprRequest request);
 
-  uint64_t seed() const { return seed_; }
-
-  /// True if at least one request needs per-row evaluation on sampled
-  /// pages (i.e. monitoring is not free for this scan).
-  bool HasSampledRequests() const;
-
   /// A fresh bundle with the same configuration and requests but zeroed
   /// counters — one per scan worker.
   std::unique_ptr<ScanMonitorBundle> Clone() const;

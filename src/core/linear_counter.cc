@@ -45,12 +45,4 @@ void LinearCounter::Reset() {
   std::fill(words_.begin(), words_.end(), 0);
 }
 
-uint32_t RecommendedLinearCounterBits(int64_t expected_distinct) {
-  // Whang et al. table: a load factor around 8-12 keeps the standard error
-  // near 1%; we round to the next multiple of 64 with sane clamps.
-  int64_t bits = std::max<int64_t>(1024, expected_distinct / 4);
-  bits = std::min<int64_t>(bits, int64_t{1} << 24);
-  return static_cast<uint32_t>((bits + 63) & ~int64_t{63});
-}
-
 }  // namespace dpcf

@@ -57,10 +57,4 @@ class LinearCounter {
   std::vector<uint64_t> words_;
 };
 
-/// Recommended bitmap size for an expected number of distinct pages: load
-/// factor <= ~8 distinct values per bit keeps relative error small while
-/// spending well under one bit per page (paper Section III-A). Returns a
-/// multiple of 64 between 1Ki and 16Mi bits.
-uint32_t RecommendedLinearCounterBits(int64_t expected_distinct);
-
 }  // namespace dpcf

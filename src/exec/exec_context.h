@@ -10,15 +10,11 @@
 
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/bitvector_filter.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
@@ -37,57 +33,14 @@ class ExecContext {
 
   BufferPool* pool() const { return pool_; }
 
-  /// Driver-thread tally. Single-threaded Volcano operators increment
-  /// through this pointer on the per-row hot path; parallel workers must
-  /// NOT touch it — they keep a thread-local CpuStats and fold it in via
-  /// MergeCpu().
+  /// The run's one CPU tally. Volcano operators increment it through this
+  /// pointer on the per-row hot path. A parallel scan's workers keep their
+  /// own tallies, and the scan adds them in here after joining the
+  /// workers, so only one thread ever touches it.
   CpuStats* cpu() { return &cpu_; }
 
-  /// Folds a worker's thread-local tally into the context. Safe to call
-  /// concurrently from scan workers as each finishes.
-  void MergeCpu(const CpuStats& delta) EXCLUDES(merged_cpu_mu_) {
-    MutexLock lock(&merged_cpu_mu_);
-    merged_cpu_ += delta;
-  }
-
-  /// Snapshot of driver-thread + merged worker CPU counters. The driver
-  /// part is read unlatched, so this must only run at quiescent points —
-  /// no WorkerRegion live (workers joined, their tallies folded in via
-  /// MergeCpu). The contract is enforced with a debug-build assertion, not
-  /// a comment: parallel operators hold a WorkerRegion for exactly the
-  /// window in which non-driver threads run.
-  CpuStats cpu_stats() const EXCLUDES(merged_cpu_mu_) {
-    assert(active_workers_.load(std::memory_order_acquire) == 0 &&
-           "cpu_stats() called while scan workers are live");
-    CpuStats total = cpu_;
-    MutexLock lock(&merged_cpu_mu_);
-    total += merged_cpu_;
-    return total;
-  }
-
-  /// RAII marker for the window in which non-driver worker threads (the
-  /// morsel workers) exist. cpu_stats() asserts that no region is live.
-  class WorkerRegion {
-   public:
-    [[nodiscard]] explicit WorkerRegion(ExecContext* ctx) : ctx_(ctx) {
-      ctx_->active_workers_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    WorkerRegion(const WorkerRegion&) = delete;
-    WorkerRegion& operator=(const WorkerRegion&) = delete;
-    ~WorkerRegion() {
-      ctx_->active_workers_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-
-   private:
-    ExecContext* ctx_;
-  };
-
-  int active_worker_regions() const {
-    return active_workers_.load(std::memory_order_acquire);
-  }
-
   /// Per-operator profiling (obs/op_profile.h). Off by default; the
-  /// Operator wrappers snapshot IoStats/CpuStats and the pool's StallStats
+  /// Operator wrappers snapshot IoStats, cpu() and the pool's StallStats
   /// around every call when on.
   bool profiling() const { return profiling_; }
   void set_profiling(bool on) { profiling_ = on; }
@@ -140,13 +93,7 @@ class ExecContext {
  private:
   BufferPool* pool_;
   uint64_t seed_;
-  CpuStats cpu_;  // driver thread only
-  // Leaf rank: MergeCpu holds no other latch and calls out to nothing.
-  mutable Mutex merged_cpu_mu_{lock_rank::kExecMergedCpu};
-  CpuStats merged_cpu_ GUARDED_BY(merged_cpu_mu_);
-  // Count of live WorkerRegions; its own synchronization (like
-  // AtomicCounter, no GUARDED_BY needed).
-  std::atomic<int> active_workers_{0};
+  CpuStats cpu_;
   bool profiling_ = false;
   TraceCollector* trace_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;

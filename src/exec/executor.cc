@@ -1,29 +1,10 @@
 #include "exec/executor.h"
 
 #include <chrono>
-#include <thread>
 
 #include "obs/trace_collector.h"
 
 namespace dpcf {
-
-Status RunOnWorkers(int num_threads,
-                    const std::function<Status(int)>& worker) {
-  if (num_threads <= 1) return worker(0);
-  std::vector<Status> statuses(static_cast<size_t>(num_threads),
-                               Status::OK());
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_threads));
-  for (int w = 0; w < num_threads; ++w) {
-    threads.emplace_back(
-        [w, &worker, &statuses] { statuses[static_cast<size_t>(w)] = worker(w); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
 
 namespace {
 void DescribeRec(const Operator& op, int depth, std::string* out) {
@@ -60,7 +41,7 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
   RunResult result;
   DiskManager* disk = ctx->pool()->disk();
   const IoStats io_before = *disk->io_stats();
-  const CpuStats cpu_before = ctx->cpu_stats();
+  const CpuStats cpu_before = *ctx->cpu();
 
   // Monotonic endpoints for RunStatistics::wall_ms — wall-time *reporting*
   // (the paper's measured-run methodology), never feedback state.
@@ -90,7 +71,7 @@ Result<RunResult> ExecutePlan(Operator* root, ExecContext* ctx,
 
   stats.io = *disk->io_stats();
   stats.io -= io_before;
-  stats.cpu = ctx->cpu_stats();
+  stats.cpu = *ctx->cpu();
   stats.cpu -= cpu_before;
 
   stats.simulated_ms = SimulatedMillis(stats.io, stats.cpu, params);

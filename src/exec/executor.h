@@ -1,14 +1,12 @@
 // Plan driver: runs an operator tree to completion and gathers the
-// statistics-xml-style run report. Also home of the morsel-parallel
-// execution primitives (work queue + worker pool) used by the parallel
-// scan operators.
+// statistics-xml-style run report. Also home of the morsel work queue the
+// parallel scan's workers claim their pages from.
 
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/run_statistics.h"
@@ -48,12 +46,6 @@ class MorselQueue {
   uint32_t num_morsels_;
   std::atomic<uint32_t> next_{0};
 };
-
-/// Runs `worker(worker_index)` on `num_threads` OS threads, joins them all,
-/// and returns the first non-OK status (by worker index). num_threads <= 1
-/// runs inline on the calling thread — the serial path spawns nothing.
-Status RunOnWorkers(int num_threads,
-                    const std::function<Status(int)>& worker);
 
 /// Output of one full execution.
 struct RunResult {

@@ -36,14 +36,14 @@ auto Traced(ExecContext* ctx, const char* verb, const Operator& op,
 
 // Runs `call`, adding its wall time to *wall_ms and its inclusive
 // IoStats/CpuStats/StallStats deltas to *profile. Workers (if any) are
-// joined inside the call, so the quiescent-point contract of cpu_stats()
-// holds at both snapshots, and the disk's and the pool's counters are
-// settled.
+// joined inside the call and their tallies added to ctx->cpu(), so both
+// snapshots see settled counters: the context's, the disk's and the
+// pool's.
 template <typename Call>
 auto Profiled(ExecContext* ctx, OpProfile* profile, double* wall_ms,
               Call&& call) {
   const IoStats io_before = SnapshotIo(ctx);
-  const CpuStats cpu_before = ctx->cpu_stats();
+  const CpuStats cpu_before = *ctx->cpu();
   const StallStats stall_before = ctx->pool()->stalls();
   // Wall-time profiling timestamp (OpProfile::*_wall_ms), not feedback.
   // NOLINTNEXTLINE(dpcf-nondeterminism)
@@ -53,7 +53,7 @@ auto Profiled(ExecContext* ctx, OpProfile* profile, double* wall_ms,
   IoStats io_delta = SnapshotIo(ctx);
   io_delta -= io_before;
   profile->io += io_delta;
-  CpuStats cpu_delta = ctx->cpu_stats();
+  CpuStats cpu_delta = *ctx->cpu();
   cpu_delta -= cpu_before;
   profile->cpu += cpu_delta;
   StallStats stall_delta = ctx->pool()->stalls();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 #include <utility>
 
 #include "common/string_util.h"
@@ -72,19 +73,23 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
   drain_morsel_ = 0;
   drain_row_ = 0;
 
-  // Thread-local monitor clones; worker 0 reuses the operator's own bundle
-  // so the serial (1-thread) path involves no copy at all.
-  std::vector<std::unique_ptr<ScanMonitorBundle>> worker_bundles(
-      static_cast<size_t>(num_workers));
+  // Everything a worker produces comes back through the join: each worker
+  // writes its slot once, as it ends, and the scan reads the slots after
+  // joining every worker, so the workers share no latch. Worker 0 scans
+  // into the operator's own bundle, so the serial (1-thread) path involves
+  // no copy at all; the others get thread-local clones.
+  struct WorkerSlot {
+    Status status;
+    CpuStats cpu;
+    std::unique_ptr<ScanMonitorBundle> bundle;  // workers >= 1
+  };
+  std::vector<WorkerSlot> slots(static_cast<size_t>(num_workers));
   if (monitors_ != nullptr) {
     for (int w = 1; w < num_workers; ++w) {
-      worker_bundles[static_cast<size_t>(w)] = monitors_->Clone();
+      slots[static_cast<size_t>(w)].bundle = monitors_->Clone();
     }
   }
 
-  // Non-driver threads (the morsel workers) exist only inside this
-  // region; cpu_stats() asserts no region is live.
-  ExecContext::WorkerRegion worker_region(ctx);
   TraceCollector* const tc = ctx->trace();
   EventJournal* const journal = ctx->journal();
   if (journal != nullptr && monitors_ != nullptr) {
@@ -102,17 +107,16 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
   readahead.Advance(0);
 
   std::atomic<bool> stop{false};
-  Status status = RunOnWorkers(num_workers, [&](int w) -> Status {
+  auto scan_morsels = [&](int w, CpuStats* cpu) -> Status {
     // Query-id tagging is thread-local; each worker re-opens the scope so
     // its morsel spans (and any buffer-pool miss spans beneath them) carry
     // the same qid as the driver's.
     TraceCollector::QueryIdScope qid_scope(ctx->query_id());
-    CpuStats cpu;  // this worker's tally, folded in as it finishes
     ScanMonitorBundle* bundle =
         monitors_ == nullptr
             ? nullptr
             : (w == 0 ? monitors_.get()
-                      : worker_bundles[static_cast<size_t>(w)].get());
+                      : slots[static_cast<size_t>(w)].bundle.get());
     // Worker-local page state; the step itself is shared.
     HeapPageStep::Scratch scratch(schema);
     scratch.batch_rows = batch_rows;
@@ -132,8 +136,8 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
         const PageGuard page = std::move(guard).value();
         // The morsel's survivors are buffered, not streamed, so nothing
         // downstream can change between evaluating and observing a page.
-        const uint32_t survivors = step_.Eval(page.data(), &cpu, &scratch);
-        step_.Observe(p, bundle, &cpu, ctx->filter_slots(), &scratch);
+        const uint32_t survivors = step_.Eval(page.data(), cpu, &scratch);
+        step_.Observe(p, bundle, cpu, ctx->filter_slots(), &scratch);
         for (uint32_t i = 0; i < survivors; ++i) {
           out.emplace_back();
           MaterializeProjection(RowView(scratch.block.row(scratch.sel[i]),
@@ -148,22 +152,36 @@ Status ParallelTableScanOp::OpenImpl(ExecContext* ctx) {
                      {"pages", StrFormat("%u", end - begin)}});
       }
     }
-    // Each worker folds its CPU tally into the context as it finishes;
-    // MergeCpu latches, so workers may race each other here but never
-    // corrupt the totals.
-    ctx->MergeCpu(cpu);
     return Status::OK();
-  });
-  DPCF_RETURN_IF_ERROR(status);
+  };
+  auto work = [&](int w) {
+    // The tally lives on this worker's stack until it ends, so nothing on
+    // the per-row path shares a cache line with another worker.
+    CpuStats cpu;
+    WorkerSlot& slot = slots[static_cast<size_t>(w)];
+    slot.status = scan_morsels(w, &cpu);
+    slot.cpu = cpu;
+  };
+  if (num_workers == 1) {
+    work(0);  // the serial path starts no thread
+  } else {
+    // A jthread joins as it is destroyed, so every worker has ended when
+    // this block does, on every path out of it.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<size_t>(num_workers));
+    for (int w = 0; w < num_workers; ++w) threads.emplace_back(work, w);
+  }
 
-  // Fold the monitor bundles back into the operator's own. The workers
-  // have joined: no concurrency here, and merge order is fixed (by worker
-  // index) so feedback stays bit-for-bit deterministic.
+  for (const WorkerSlot& slot : slots) *ctx->cpu() += slot.cpu;
+  for (const WorkerSlot& slot : slots) DPCF_RETURN_IF_ERROR(slot.status);
+
+  // Fold the monitor bundles back into the operator's own, in worker
+  // order, so feedback stays bit-for-bit deterministic.
   if (monitors_ != nullptr) {
     ScopedSpan merge_span(tc, "monitor", "monitor merge");
     for (int w = 1; w < num_workers; ++w) {
       DPCF_RETURN_IF_ERROR(
-          monitors_->MergeFrom(*worker_bundles[static_cast<size_t>(w)]));
+          monitors_->MergeFrom(*slots[static_cast<size_t>(w)].bundle));
     }
     if (journal != nullptr) {
       journal->Record(JournalEvent::kMonitorMerge,

@@ -2,7 +2,8 @@
 // fixed-size morsels dispatched from an atomic work queue (MorselQueue);
 // N workers each scan their claimed morsels with a thread-local
 // ScanMonitorBundle clone and thread-local CpuStats, and the per-worker
-// state is folded back (MergeFrom / operator+=) when the scan completes.
+// state comes back through the join and is folded in (MergeFrom /
+// operator+=) once every worker has ended.
 // Every worker runs the serial scan's page step: one shared, const
 // HeapPageStep (exec/scan_ops.h) and a worker-local Scratch, calling Eval
 // and Observe back to back on each page.

@@ -128,12 +128,6 @@ bool Predicate::IsPrefixOf(const Predicate& pushed) const {
   return true;
 }
 
-Predicate Predicate::Prefix(size_t n) const {
-  assert(n <= atoms_.size());
-  return Predicate(
-      std::vector<PredicateAtom>(atoms_.begin(), atoms_.begin() + n));
-}
-
 std::string Predicate::ToString(const Schema& schema) const {
   if (atoms_.empty()) return "TRUE";
   std::vector<std::string> parts;

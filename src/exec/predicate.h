@@ -98,9 +98,6 @@ class Predicate {
   /// turn off predicate short-circuiting for any prefix").
   bool IsPrefixOf(const Predicate& pushed) const;
 
-  /// The conjunction of the first n atoms.
-  Predicate Prefix(size_t n) const;
-
   /// "C2<500000 AND C3=7"; empty predicate renders as "TRUE".
   std::string ToString(const Schema& schema) const;
 

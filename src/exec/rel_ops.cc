@@ -88,57 +88,4 @@ std::vector<const Operator*> AggregateCountOp::children() const {
   return {child_.get()};
 }
 
-bool TupleAtom::Eval(const Tuple& t) const {
-  const Value& v = t[static_cast<size_t>(idx)];
-  int c = v.Compare(operand);
-  switch (op) {
-    case CmpOp::kEq:
-      return c == 0;
-    case CmpOp::kNe:
-      return c != 0;
-    case CmpOp::kLt:
-      return c < 0;
-    case CmpOp::kLe:
-      return c <= 0;
-    case CmpOp::kGt:
-      return c > 0;
-    case CmpOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
-TupleFilterOp::TupleFilterOp(OperatorPtr child, std::vector<TupleAtom> atoms)
-    : child_(std::move(child)), atoms_(std::move(atoms)) {}
-
-Status TupleFilterOp::OpenImpl(ExecContext* ctx) { return child_->Open(ctx); }
-
-Result<bool> TupleFilterOp::NextImpl(ExecContext* ctx, Tuple* out) {
-  while (true) {
-    auto more = child_->Next(ctx, out);
-    if (!more.ok()) return more.status();
-    if (!*more) return false;
-    bool pass = true;
-    for (const TupleAtom& a : atoms_) {
-      ++ctx->cpu()->predicate_atom_evals;
-      if (!a.Eval(*out)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) return true;
-  }
-}
-
-Status TupleFilterOp::CloseImpl(ExecContext* ctx) { return child_->Close(ctx); }
-
-std::string TupleFilterOp::Describe() const {
-  return StrFormat("Filter(%zu atoms)", atoms_.size());
-}
-
-
-std::vector<const Operator*> TupleFilterOp::children() const {
-  return {child_.get()};
-}
-
 }  // namespace dpcf

@@ -1,12 +1,9 @@
-// Relational-engine operators: Sort, COUNT aggregation, tuple-level filter.
+// Relational-engine operators: Sort and COUNT aggregation.
 // These run above the storage engine and never see PIDs.
 
 #pragma once
 
-#include <optional>
-
 #include "exec/operator.h"
-#include "exec/predicate.h"
 
 namespace dpcf {
 
@@ -49,34 +46,6 @@ class AggregateCountOp : public Operator {
   OperatorPtr child_;
   int64_t count_ = 0;
   bool emitted_ = false;
-};
-
-/// One comparison against a tuple position (not raw row bytes) — residual
-/// filtering in the relational engine.
-struct TupleAtom {
-  int idx = 0;
-  CmpOp op = CmpOp::kEq;
-  Value operand;
-
-  bool Eval(const Tuple& t) const;
-};
-
-/// Conjunctive filter over materialized tuples.
-class TupleFilterOp : public Operator {
- public:
-  TupleFilterOp(OperatorPtr child, std::vector<TupleAtom> atoms);
-
-  std::string Describe() const override;
-  std::vector<const Operator*> children() const override;
-
- protected:
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Tuple* out) override;
-  Status CloseImpl(ExecContext* ctx) override;
-
- private:
-  OperatorPtr child_;
-  std::vector<TupleAtom> atoms_;
 };
 
 }  // namespace dpcf

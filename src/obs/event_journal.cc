@@ -19,16 +19,14 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-// The calling thread's index: given once, on the thread's first Record in
-// any journal, and never reused.
+}  // namespace
+
 uint32_t ThisThreadIndex() {
   static std::atomic<uint32_t> next{0};
   thread_local const uint32_t index =
       next.fetch_add(1, std::memory_order_relaxed);
   return index;
 }
-
-}  // namespace
 
 const char* JournalEventName(JournalEvent e) {
   switch (e) {

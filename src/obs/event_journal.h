@@ -13,8 +13,7 @@
 // the drift monitor's latch for drift alerts). Record writes one slot under
 // it and allocates nothing; the timestamp is taken under the latch, so ring
 // order is timestamp order. Each event carries the recording thread's
-// index, a process-wide ordinal a thread is given once, on its first
-// Record: threads alive at the same time never share one.
+// index (ThisThreadIndex): threads alive at the same time never share one.
 
 #pragma once
 
@@ -42,6 +41,12 @@ enum class JournalEvent : uint32_t {
 
 /// Stable lower_snake_case name for the JSON dump ("ring_submit", ...).
 const char* JournalEventName(JournalEvent e);
+
+/// The calling thread's process-wide ordinal: given once, the first time
+/// the thread asks (its first journal Record or trace event), and never
+/// reused. Journal events carry it as `thread` and trace events as `tid`,
+/// so one thread has one number in journal.json and trace.json alike.
+uint32_t ThisThreadIndex();
 
 class EventJournal {
  public:

@@ -1,6 +1,7 @@
 #include "obs/trace_collector.h"
 
 #include "common/string_util.h"
+#include "obs/event_journal.h"
 
 namespace dpcf {
 
@@ -26,25 +27,16 @@ int64_t TraceCollector::NowUs() const {
       .count();
 }
 
-int TraceCollector::InternTidLocked() {
-  const std::thread::id self = std::this_thread::get_id();
-  auto it = tids_.find(self);
-  if (it != tids_.end()) return it->second;
-  const int tid = static_cast<int>(tids_.size());
-  tids_.emplace(self, tid);
-  return tid;
-}
-
 void TraceCollector::Record(Event event) {
   if (tls_query_id != 0) {
     event.args.emplace_back("qid", std::to_string(tls_query_id));
   }
+  event.tid = ThisThreadIndex();
   MutexLock lock(&mu_);
   if (events_.size() >= max_events_) {
     ++dropped_;
     return;
   }
-  event.tid = InternTidLocked();
   events_.push_back(std::move(event));
 }
 
@@ -87,7 +79,6 @@ size_t TraceCollector::dropped_events() const {
 void TraceCollector::Clear() {
   MutexLock lock(&mu_);
   events_.clear();
-  tids_.clear();
   dropped_ = 0;
 }
 
@@ -99,7 +90,7 @@ std::string TraceCollector::ToJson() const {
     out += i ? ",\n" : "\n";
     out += StrFormat(
         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", "
-        "\"ts\": %lld, \"pid\": 1, \"tid\": %d",
+        "\"ts\": %lld, \"pid\": 1, \"tid\": %u",
         JsonEscape(e.name).c_str(), JsonEscape(e.category).c_str(), e.phase,
         static_cast<long long>(e.ts_us), e.tid);
     if (e.phase == 'X') {

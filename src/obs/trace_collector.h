@@ -17,9 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,8 +64,9 @@ class TraceCollector {
   int64_t NowUs() const;
 
   /// Records a complete event spanning [begin_us, NowUs()] on the calling
-  /// thread. No-op when disabled. Thread ids are interned to small
-  /// integers; events beyond the cap are counted as dropped, not stored.
+  /// thread. No-op when disabled. An event's tid is the thread's
+  /// ThisThreadIndex (obs/event_journal.h), the journal's number for the
+  /// same thread; events beyond the cap are counted as dropped, not stored.
   void AddSpan(const char* category, std::string name, int64_t begin_us,
                TraceArgs args = {}) EXCLUDES(mu_);
 
@@ -93,20 +92,18 @@ class TraceCollector {
     std::string name;
     int64_t ts_us = 0;
     int64_t dur_us = 0;  // complete events only
-    int tid = 0;
+    uint32_t tid = 0;
     TraceArgs args;
   };
 
   void Record(Event event) EXCLUDES(mu_);
-  int InternTidLocked() REQUIRES(mu_);
 
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> enabled_;
   size_t max_events_ = 1 << 20;
-  // Highest rank: AddSpan may run below any other latch domain.
+  // A leaf: Record takes no other latch while holding this one.
   mutable Mutex mu_{lock_rank::kTraceCollector};
   std::vector<Event> events_ GUARDED_BY(mu_);
-  std::map<std::thread::id, int> tids_ GUARDED_BY(mu_);
   size_t dropped_ GUARDED_BY(mu_) = 0;
 };
 

@@ -150,9 +150,6 @@ class DiskManager {
   /// PageRead) with no latch held, so reads issued by different threads
   /// overlap. 0 (the default) means reads are due at once.
   void set_read_latency_us(int64_t us);
-  int64_t read_latency_us() const {
-    return read_latency_us_.load(std::memory_order_relaxed);
-  }
 
   /// Resolves this disk's metric handles (reads by class, writes, the
   /// latency-knob gauge, and the prefetch class's queue-wait and

@@ -48,17 +48,15 @@ class RowView {
   const Schema* schema_;
 };
 
-/// Column-at-a-time view of the rows of one heap page (the batch row
-/// decoder behind the vectorized predicate kernels, DESIGN.md section 12).
+/// Zero-copy view of the rows of one heap page, the input of the
+/// vectorized predicate kernels (DESIGN.md section 12).
 ///
-/// Rebind it to a page image with Reset(), then ask for columns:
-/// INT64 columns are gathered once into a contiguous array so downstream
-/// comparators run tight, branch-predictable loops; CHAR columns are
-/// fixed-width page bytes already and are read in place via row().
-/// Columns are decoded lazily — a conjunct whose selection vector empties
-/// before atom k never pays for atom k's column — and at most once per
-/// page, no matter how many predicate atoms or monitor expressions touch
-/// them. Valid only while the underlying page stays pinned, like RowView.
+/// Rebind it to a page image with Reset(). Nothing is gathered or
+/// decoded: the kernels read every column, INT64 and CHAR alike, in place
+/// at its schema offset in rows row_stride() bytes apart, so a conjunct
+/// whose selection vector empties before atom k never touches atom k's
+/// column. Valid only while the underlying page stays pinned, like
+/// RowView.
 class RowBlock {
  public:
   explicit RowBlock(const Schema* schema)

@@ -101,12 +101,6 @@ TEST(HashTest, SeededHashesDiffer) {
   EXPECT_GT(differing, 990);
 }
 
-TEST(HashTest, HashBytesMatchesForEqualInput) {
-  EXPECT_EQ(HashBytes("hello"), HashBytes("hello"));
-  EXPECT_NE(HashBytes("hello"), HashBytes("hellp"));
-  EXPECT_NE(HashBytes("hello", 1), HashBytes("hello", 2));
-}
-
 TEST(RngTest, Deterministic) {
   Rng a(99), b(99);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

@@ -285,18 +285,6 @@ TEST_F(ExecOpsTest, AggregateCountCountsRows) {
   EXPECT_EQ(result->output[0][0].AsInt64(), 123);
 }
 
-TEST_F(ExecOpsTest, TupleFilterApplies) {
-  auto scan = std::make_unique<TableScanOp>(
-      t_, Predicate({PredicateAtom::Int64(kC1, CmpOp::kLe, 100)}),
-      std::vector<int>{kC1});
-  TupleFilterOp filter(std::move(scan),
-                       {TupleAtom{0, CmpOp::kGt, Value::Int64(90)}});
-  ExecContext ctx(db_->buffer_pool());
-  auto result = ExecutePlan(&filter, &ctx);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->output.size(), 10u);
-}
-
 TEST_F(ExecOpsTest, DescribeTreeRendersNestedPlan) {
   auto scan = std::make_unique<TableScanOp>(t_, Predicate(),
                                             std::vector<int>{});

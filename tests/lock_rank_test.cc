@@ -62,7 +62,6 @@ TEST(LockRankTest, RanksAreAssignedAndOrdered) {
   EXPECT_LT(lock_rank::kBufferPoolShard, lock_rank::kDisk);
   // Leaf subsystems all rank above the storage latches so they may be
   // taken from anywhere in the engine.
-  EXPECT_LT(lock_rank::kDisk, lock_rank::kExecMergedCpu);
   EXPECT_LT(lock_rank::kDisk, lock_rank::kEstimationTracker);
   EXPECT_LT(lock_rank::kDisk, lock_rank::kMetricsRegistry);
   EXPECT_LT(lock_rank::kDisk, lock_rank::kTraceCollector);

@@ -89,14 +89,6 @@ TEST(LinearCounterTest, BitsRoundedUpToWord) {
   EXPECT_EQ(tiny.numbits(), 64u);
 }
 
-TEST(LinearCounterTest, RecommendedBitsScaleWithExpectation) {
-  EXPECT_GE(RecommendedLinearCounterBits(100), 1024u);
-  uint32_t small = RecommendedLinearCounterBits(10'000);
-  uint32_t big = RecommendedLinearCounterBits(10'000'000);
-  EXPECT_LT(small, big);
-  EXPECT_EQ(big % 64, 0u);
-}
-
 // -------------------------------------------------------------- Bitvector
 
 TEST(BitvectorFilterTest, DirectModeIsExactWhenDomainFits) {
@@ -193,7 +185,6 @@ TEST_F(BundleTest, PrefixRequestIsExactAndFree) {
   req.label = "prefix";
   req.expr = pushed;
   ASSERT_OK(bundle.AddRequest(req));
-  EXPECT_FALSE(bundle.HasSampledRequests());
 
   CpuStats cpu;
   Drive(&bundle, pushed, /*pages=*/10, /*rows=*/10, /*modulo=*/7, &cpu);
@@ -215,7 +206,6 @@ TEST_F(BundleTest, FullFractionNonPrefixIsExactButCharged) {
   req.label = "nonprefix";
   req.expr = Predicate({PredicateAtom::Int64(1, CmpOp::kEq, 3)});
   ASSERT_OK(bundle.AddRequest(req));
-  EXPECT_TRUE(bundle.HasSampledRequests());
 
   CpuStats cpu;
   Drive(&bundle, pushed, 10, 10, /*modulo=*/7, &cpu);

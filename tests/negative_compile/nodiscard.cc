@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "exec/exec_context.h"
 #include "obs/trace_collector.h"
 
 namespace dpcf {
@@ -32,8 +31,8 @@ struct Bundle {
   Status MergeFrom(const Bundle& other);
 };
 
-Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
-             uint64_t qid, Counter* counter, Bundle* bundle) {
+Status Drive(FeedbackSink* sink, TraceCollector* trace, uint64_t qid,
+             Counter* counter, Bundle* bundle) {
   Mutex mu;
 #if defined(CASE_discarded_status_member_call)
   sink->Apply(
@@ -48,8 +47,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
   ScopedSpan(trace, "exec", "scan");  // BUG UNDER TEST: span closes at once
 #elif defined(CASE_unnamed_query_id_scope)
   TraceCollector::QueryIdScope{qid};  // BUG UNDER TEST: tags nothing
-#elif defined(CASE_unnamed_worker_region)
-  ExecContext::WorkerRegion{ctx};  // BUG UNDER TEST: marks no region
 #endif
 
   // Control: the same shapes, used correctly.
@@ -65,7 +62,6 @@ Status Drive(FeedbackSink* sink, TraceCollector* trace, ExecContext* ctx,
     MutexLock lock(&mu);
     ScopedSpan span(trace, "exec", "scan");
     TraceCollector::QueryIdScope qid_scope{qid};
-    ExecContext::WorkerRegion region(ctx);
   }
   return Status::OK();
 }

@@ -4,7 +4,9 @@
 // prefetch-hit accounting.
 
 #include <memory>
+#include <semaphore>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "exec/parallel_scan.h"
 #include "exec/scan_ops.h"
 #include "obs/estimation_error_tracker.h"
+#include "obs/event_journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/op_profile.h"
 #include "obs/trace_collector.h"
@@ -222,6 +225,51 @@ TEST(TraceCollectorTest, ExecutePlanTagsSpansWithContextQueryId) {
     ++tagged;
   }
   EXPECT_EQ(spans, tagged) << json;
+}
+
+// The tid of the one trace event named `name` in `json`, or -1.
+long long TraceTidOf(const std::string& json, const std::string& name) {
+  const size_t at = json.find("\"name\": \"" + name + "\"");
+  if (at == std::string::npos) return -1;
+  const std::string key = "\"tid\": ";
+  return std::stoll(json.substr(json.find(key, at) + key.size()));
+}
+
+// A thread has one number in trace.json and journal.json alike. Thread a
+// journals before thread b, and b traces before a, so numbering the two
+// files apart (each in its own first-seen order) would swap them.
+TEST(TraceCollectorTest, SpanTidIsTheJournalThreadIndex) {
+  EventJournal journal;
+  TraceCollector trace(/*enabled=*/true);
+  std::binary_semaphore a_journaled{0};
+  std::binary_semaphore b_done{0};
+  std::thread a([&] {
+    journal.Record(JournalEvent::kMonitorBuild, /*a=*/1);
+    a_journaled.release();
+    b_done.acquire();
+    trace.AddSpan("exec", "a", trace.NowUs());
+  });
+  std::thread b([&] {
+    a_journaled.acquire();
+    trace.AddSpan("exec", "b", trace.NowUs());
+    journal.Record(JournalEvent::kMonitorBuild, /*a=*/2);
+    b_done.release();
+  });
+  a.join();
+  b.join();
+
+  const std::vector<EventJournal::Event> events = journal.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events[0].a, 1u);
+  ASSERT_EQ(events[1].a, 2u);
+  EXPECT_NE(events[0].thread_index, events[1].thread_index);
+  const std::string json = trace.ToJson();
+  EXPECT_EQ(TraceTidOf(json, "a"),
+            static_cast<long long>(events[0].thread_index))
+      << json;
+  EXPECT_EQ(TraceTidOf(json, "b"),
+            static_cast<long long>(events[1].thread_index))
+      << json;
 }
 
 TEST(TraceCollectorTest, CapDropsAndCounts) {
@@ -554,25 +602,6 @@ TEST(MonitorManagerStatsTest, MetricsOffPublishesNothing) {
       db.metrics()->GetCounter("monitor_scan_expressions_total", "")
           ->value(),
       0);
-}
-
-// ----------------------------------------------------------- worker regions
-
-TEST(WorkerRegionTest, TracksLiveRegions) {
-  ExecContext ctx(nullptr);
-  EXPECT_EQ(ctx.active_worker_regions(), 0);
-  {
-    ExecContext::WorkerRegion outer(&ctx);
-    EXPECT_EQ(ctx.active_worker_regions(), 1);
-    {
-      ExecContext::WorkerRegion inner(&ctx);
-      EXPECT_EQ(ctx.active_worker_regions(), 2);
-    }
-    EXPECT_EQ(ctx.active_worker_regions(), 1);
-  }
-  EXPECT_EQ(ctx.active_worker_regions(), 0);
-  // Quiescent again: the unlatched driver read is safe.
-  (void)ctx.cpu_stats();
 }
 
 }  // namespace

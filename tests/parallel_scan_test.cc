@@ -1,7 +1,8 @@
 // Parallel-vs-serial equivalence for the morsel-parallel scan: identical
-// output tuples in identical order, and bit-for-bit identical merged DPC
-// feedback (exact and sampled), at any thread count. Also unit-tests the
-// merge operations of the underlying mergeable sketches.
+// output tuples in identical order, bit-for-bit identical merged DPC
+// feedback (exact and sampled) and identical CPU charges, at any thread
+// count; and a failing worker's status and pins. Also unit-tests the merge
+// operations of the underlying mergeable sketches.
 
 #include <memory>
 #include <set>
@@ -14,7 +15,9 @@
 #include "core/linear_counter.h"
 #include "exec/executor.h"
 #include "exec/parallel_scan.h"
+#include "exec/rel_ops.h"
 #include "exec/scan_ops.h"
+#include "obs/op_profile.h"
 #include "optimizer/plan.h"
 #include "tests/test_util.h"
 
@@ -147,6 +150,22 @@ class ParallelScanTest : public SyntheticDbTest {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
   }
+
+  // Every CpuStats field: a worker tally lost or counted twice at the join
+  // moves at least one of them.
+  static void ExpectSameCpu(const CpuStats& got, const CpuStats& want,
+                            int threads) {
+    EXPECT_EQ(got.rows_processed, want.rows_processed)
+        << "threads=" << threads;
+    EXPECT_EQ(got.predicate_atom_evals, want.predicate_atom_evals)
+        << "threads=" << threads;
+    EXPECT_EQ(got.monitor_hash_ops, want.monitor_hash_ops)
+        << "threads=" << threads;
+    EXPECT_EQ(got.monitor_row_ops, want.monitor_row_ops)
+        << "threads=" << threads;
+    EXPECT_EQ(got.hash_table_ops, want.hash_table_ops)
+        << "threads=" << threads;
+  }
 };
 
 TEST_F(ParallelScanTest, MatchesSerialTuplesAndFeedback) {
@@ -186,6 +205,8 @@ TEST_F(ParallelScanTest, MatchesSerialTuplesAndFeedback) {
     // Identical logical I/O too: every page read exactly once per run.
     EXPECT_EQ(parallel_run.stats.io.logical_reads,
               serial_run.stats.io.logical_reads);
+    // And identical CPU charges: every worker's tally comes back.
+    ExpectSameCpu(parallel_run.stats.cpu, serial_run.stats.cpu, threads);
   }
 }
 
@@ -236,6 +257,7 @@ TEST_F(ParallelScanTest, ReadaheadPreservesFeedbackAndAccounting) {
     EXPECT_EQ(parallel_run.stats.io.logical_reads,
               serial_run.stats.io.logical_reads)
         << "threads=" << threads;
+    ExpectSameCpu(parallel_run.stats.cpu, serial_run.stats.cpu, threads);
   }
 }
 
@@ -254,6 +276,67 @@ TEST_F(ParallelScanTest, EmptyPredicateFullScanMatches) {
   // Per-row CPU accounting folds back from the workers.
   EXPECT_EQ(parallel_run.stats.cpu.rows_processed,
             serial_run.stats.cpu.rows_processed);
+}
+
+// Profiling reads the tally ExecutePlan reads. Under a COUNT, the root's
+// inclusive CPU is the run's, field for field, and the scan's own profile
+// carries what its two workers charged: the scan adds their tallies in
+// before its Open returns.
+TEST_F(ParallelScanTest, ProfiledScanCarriesItsWorkersCpu) {
+  TableScanOp serial(t_, Pushed(), {kC1}, MakeBundle());
+  const RunResult serial_run = Run(&serial);
+  ASSERT_GT(serial_run.stats.cpu.rows_processed, 0);
+
+  AggregateCountOp count(std::make_unique<ParallelTableScanOp>(
+      t_, Pushed(), std::vector<int>{kC1}, MakeBundle(),
+      ParallelScanOptions{2, 8}));
+  ASSERT_OK(db_->ColdCache());
+  ExecContext ctx(db_->buffer_pool());
+  ctx.set_profiling(true);
+  ASSERT_OK_AND_ASSIGN(RunResult run, ExecutePlan(&count, &ctx));
+  ASSERT_NE(run.stats.profile, nullptr);
+  const OpProfileNode& root = *run.stats.profile;
+  ExpectSameCpu(root.profile.cpu, run.stats.cpu, 2);
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0].profile.cpu.rows_processed,
+            serial_run.stats.cpu.rows_processed);
+}
+
+// A worker whose fetch fails hands its status back through the join, and
+// no worker leaves a page pinned. The test pins the table's first 8 pages,
+// every frame of an 8-frame pool, so the scan's first morsel re-pins them
+// (hits) and any other page has no frame to load into.
+TEST_F(ParallelScanTest, FailedWorkerReturnsItsStatusAndLeaksNoPin) {
+  DatabaseOptions opts;
+  opts.buffer_pool_pages = 8;
+  Database db(opts);
+  BufferPool* pool = db.buffer_pool();
+  ASSERT_EQ(pool->num_shards(), 1u);
+  SyntheticOptions sopts;
+  sopts.num_rows = 2000;
+  sopts.seed = 5;
+  sopts.build_indexes = false;
+  ASSERT_OK_AND_ASSIGN(Table * t, BuildSyntheticTable(&db, "T", sopts));
+  const SegmentId segment = t->file()->segment();
+  ASSERT_GT(t->file()->page_count(), 16u);
+
+  {
+    std::vector<PageGuard> held;
+    for (PageNo p = 0; p < 8; ++p) {
+      ASSERT_OK_AND_ASSIGN(PageGuard guard, pool->Fetch(PageId{segment, p}));
+      held.push_back(std::move(guard));
+    }
+    ParallelTableScanOp scan(t, Predicate(), {kC1}, nullptr,
+                             ParallelScanOptions{2, 8});
+    ExecContext ctx(pool);
+    Result<RunResult> run = ExecutePlan(&scan, &ctx);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
+        << run.status().ToString();
+  }
+  // Only the test's pins were left, and they are gone: the pool resets.
+  ASSERT_OK(db.ColdCache());
+  EXPECT_EQ(pool->cached_pages(), 0u);
 }
 
 TEST_F(ParallelScanTest, PlannerLowersToParallelScan) {

@@ -135,14 +135,6 @@ TEST_F(PredicateTest, PrefixDetection) {
           pushed));
 }
 
-TEST_F(PredicateTest, PrefixSlicing) {
-  Predicate p({PredicateAtom::Int64(0, CmpOp::kLt, 10),
-               PredicateAtom::Int64(1, CmpOp::kEq, 7)});
-  EXPECT_EQ(p.Prefix(0).size(), 0u);
-  EXPECT_EQ(p.Prefix(1).ToString(schema_), "a<10");
-  EXPECT_EQ(p.Prefix(2).ToString(schema_), "a<10 AND b=7");
-}
-
 TEST_F(PredicateTest, ToStringAndCanonicalKey) {
   Predicate p({PredicateAtom::Int64(1, CmpOp::kEq, 7),
                PredicateAtom::Int64(0, CmpOp::kLt, 10)});
