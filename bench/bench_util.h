@@ -7,8 +7,8 @@
 //   DPCF_SCAN_THREADS morsel workers for monitored scans (default 1)
 //   DPCF_PREFETCH     readahead window in pages      (default 0 = off)
 //   DPCF_OBS_DIR      when set, benches that support it enable tracing and
-//                     dump metrics.prom / metrics.json / trace.json /
-//                     journal.json / explain.txt there (validated by
+//                     dump metrics.prom / trace.json / journal.json /
+//                     explain.txt there (validated by
 //                     tools/check_observability.py)
 // Each binary prints the series of one paper table/figure as an aligned
 // text table plus a one-line SUMMARY, so `for b in build/bench/*; do $b;
@@ -108,10 +108,10 @@ inline SyntheticPair BuildSyntheticPair(bool with_t1) {
   SyntheticPair out;
   DatabaseOptions db_opts;
   db_opts.buffer_pool_pages = 4096;
+  out.db = std::make_unique<Database>(db_opts);
   // An observability dump was requested: record trace events from the
   // start so the dump covers the whole bench, not just the final query.
-  db_opts.observability.tracing = ObsDir() != nullptr;
-  out.db = std::make_unique<Database>(db_opts);
+  out.db->trace()->set_enabled(ObsDir() != nullptr);
   SyntheticOptions opts;
   opts.num_rows = SyntheticRows();
   opts.seed = 42;
@@ -148,7 +148,7 @@ inline void WriteFileOrDie(const std::string& dir, const char* file,
 }
 
 /// When DPCF_OBS_DIR is set, dumps the Database's observability state
-/// there: metrics.prom (Prometheus text), metrics.json, trace.json
+/// there: metrics.prom (Prometheus text), trace.json
 /// (chrome://tracing / Perfetto), journal.json (flight-recorder events),
 /// and explain.txt (`annotated_plan` plus `error_report`, typically
 /// FeedbackOutcome::annotated_plan and the driver's
@@ -160,7 +160,6 @@ inline void MaybeDumpObservability(Database* db,
   const char* dir = ObsDir();
   if (dir == nullptr) return;
   WriteFileOrDie(dir, "metrics.prom", db->metrics()->PrometheusText());
-  WriteFileOrDie(dir, "metrics.json", db->metrics()->ToJson());
   WriteFileOrDie(dir, "trace.json", db->trace()->ToJson());
   WriteFileOrDie(dir, "journal.json",
                  db->journal() != nullptr

@@ -47,33 +47,20 @@
 // Data members: readable/writable only while holding the named mutex.
 #define GUARDED_BY(x) DPCF_THREAD_ANNOTATION(guarded_by(x))
 
-// Pointer members: the *pointee* is protected by the named mutex.
-#define PT_GUARDED_BY(x) DPCF_THREAD_ANNOTATION(pt_guarded_by(x))
-
 // Functions: the caller must already hold (or must NOT hold) the mutex.
 #define REQUIRES(...) \
   DPCF_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  DPCF_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) DPCF_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // Functions: acquire/release the mutex as a side effect (lock wrappers).
 #define ACQUIRE(...) DPCF_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  DPCF_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) DPCF_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  DPCF_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  DPCF_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
-// Lock-ordering declarations: acquiring this mutex while holding one that
-// is declared ACQUIRED_BEFORE it (or vice versa) is a compile error under
+// Lock-ordering declaration: acquiring a mutex declared ACQUIRED_BEFORE
+// another while already holding that other one is a compile error under
 // -Wthread-safety-beta. This is how the pool -> disk order is encoded.
 #define ACQUIRED_BEFORE(...) \
   DPCF_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) \
-  DPCF_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 // Returns the capability itself from a getter (lets annotations on other
 // classes name this object's mutex).

@@ -1,42 +1,31 @@
 #include "obs/estimation_error_tracker.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/string_util.h"
 
 namespace dpcf {
 
-void QErrorHistogram::Observe(double q) {
-  if (!(q >= 1.0)) q = 1.0;  // q-errors are >= 1 by construction
-  ++count_;
-  sum_ += q;
-  max_ = std::max(max_, q);
-  // Bucket i spans (2^i, 2^(i+1)]; q == 1 lands in bucket 0.
-  size_t bucket = 0;
-  double bound = 2.0;
-  while (q > bound && bucket + 1 < buckets_.size()) {
-    bound *= 2.0;
-    ++bucket;
-  }
-  ++buckets_[bucket];
+namespace {
+
+// q-errors are >= 1 by construction.
+void Observe(double q, LogHistogram* hist, double* max) {
+  q = std::max(q, 1.0);
+  hist->Observe(q);
+  *max = std::max(*max, q);
 }
 
-double QErrorHistogram::Quantile(double phi) const {
-  if (count_ == 0) return 0;
-  const int64_t target = static_cast<int64_t>(
-      std::ceil(phi * static_cast<double>(count_)));
-  int64_t cumulative = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= target) {
-      // The bucket's upper bound, but never past the largest observation
-      // (an all-ones histogram has p95 = 1, not 2).
-      return std::min(std::pow(2.0, static_cast<double>(i + 1)), max_);
-    }
-  }
-  return max_;
+double Mean(const LogHistogram& h) {
+  return h.count() == 0 ? 0 : h.sum() / static_cast<double>(h.count());
 }
+
+// The interpolated p95, kept within [1, max]: an all-ones group reads 1,
+// and no estimate passes the largest q-error seen.
+double P95(const LogHistogram& h, double max) {
+  return h.count() == 0 ? 0 : std::clamp(h.Quantile(0.95), 1.0, max);
+}
+
+}  // namespace
 
 void EstimationErrorTracker::Record(const MonitorRecord& rec) {
   MutexLock lock(&mu_);
@@ -49,8 +38,10 @@ void EstimationErrorTracker::Record(const MonitorRecord& rec) {
   const double dpc_q = rec.DpcErrorFactor();
   const double card_q = rec.CardinalityErrorFactor();
   if (dpc_q > 0 || card_q > 0) ++g.with_estimates;
-  if (dpc_q > 0) g.dpc_error.Observe(dpc_q);
-  if (card_q > 0) g.cardinality_error.Observe(card_q);
+  if (dpc_q > 0) Observe(dpc_q, &g.dpc_error, &g.dpc_max);
+  if (card_q > 0) {
+    Observe(card_q, &g.cardinality_error, &g.cardinality_max);
+  }
 }
 
 void EstimationErrorTracker::RecordAll(
@@ -83,12 +74,12 @@ std::string EstimationErrorTracker::Report() const {
     out += StrFormat(
         "%-14s %-26s %-6lld %s/%s/%s      %s/%s/%s\n", g.table.c_str(),
         g.mechanism.c_str(), static_cast<long long>(g.records),
-        FormatDouble(g.dpc_error.mean(), 2).c_str(),
-        FormatDouble(g.dpc_error.Quantile(0.95), 2).c_str(),
-        FormatDouble(g.dpc_error.max(), 2).c_str(),
-        FormatDouble(g.cardinality_error.mean(), 2).c_str(),
-        FormatDouble(g.cardinality_error.Quantile(0.95), 2).c_str(),
-        FormatDouble(g.cardinality_error.max(), 2).c_str());
+        FormatDouble(Mean(g.dpc_error), 2).c_str(),
+        FormatDouble(P95(g.dpc_error, g.dpc_max), 2).c_str(),
+        FormatDouble(g.dpc_max, 2).c_str(),
+        FormatDouble(Mean(g.cardinality_error), 2).c_str(),
+        FormatDouble(P95(g.cardinality_error, g.cardinality_max), 2).c_str(),
+        FormatDouble(g.cardinality_max, 2).c_str());
   }
   if (groups.empty()) out += "(no monitored observations)\n";
   return out;

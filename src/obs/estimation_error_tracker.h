@@ -19,35 +19,9 @@
 
 #include "common/thread_annotations.h"
 #include "core/run_statistics.h"
+#include "obs/metrics_registry.h"
 
 namespace dpcf {
-
-/// Bounded log-scale histogram of q-errors (>= 1). Bucket i spans
-/// (2^i, 2^(i+1)] with bucket 0 catching the exact-ish [1, 2] band; the
-/// last bucket absorbs everything beyond the range. Latched by the owning
-/// tracker; this class itself is a plain value type.
-class QErrorHistogram {
- public:
-  explicit QErrorHistogram(size_t num_buckets = 16)
-      : buckets_(num_buckets, 0) {}
-
-  void Observe(double q);
-
-  int64_t count() const { return count_; }
-  double max() const { return max_; }
-  double mean() const { return count_ == 0 ? 0 : sum_ / count_; }
-  /// Upper bound of the bucket holding the phi-quantile, clamped to max()
-  /// (conservative: estimates round up to the bucket boundary, but never
-  /// past the largest observed q-error).
-  double Quantile(double phi) const;
-  const std::vector<int64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<int64_t> buckets_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  double max_ = 0;
-};
 
 class EstimationErrorTracker {
  public:
@@ -57,8 +31,12 @@ class EstimationErrorTracker {
     std::string mechanism;
     int64_t records = 0;         // all observations routed to this group
     int64_t with_estimates = 0;  // observations carrying optimizer estimates
-    QErrorHistogram dpc_error;
-    QErrorHistogram cardinality_error;
+    // Q-errors (>= 1): bucket i spans (2^i, 2^(i+1)] with [1, 2] first,
+    // and the overflow bucket takes everything above 2^15.
+    LogHistogram dpc_error{2.0, 2.0, 15};
+    LogHistogram cardinality_error{2.0, 2.0, 15};
+    double dpc_max = 0;  // the largest q-error of each kind, exact
+    double cardinality_max = 0;
   };
 
   /// Folds one observation. Records without an attached estimate are

@@ -59,39 +59,23 @@ void EventJournal::Record(JournalEvent type, uint64_t a, uint64_t b) {
   threads_ = std::max(threads_, thread + 1);
 }
 
-uint64_t EventJournal::FirstKeptLocked() const {
-  const uint64_t oldest = head_ > capacity_ ? head_ - capacity_ : 0;
-  return std::max(oldest, drained_);
+uint64_t EventJournal::OldestLocked() const {
+  return head_ > capacity_ ? head_ - capacity_ : 0;
 }
 
-std::vector<EventJournal::Event> EventJournal::CopyLocked(
-    uint64_t from) const {
+std::vector<EventJournal::Event> EventJournal::Snapshot() const {
+  MutexLock lock(&mu_);
   std::vector<Event> out;
-  out.reserve(head_ - from);
-  for (uint64_t pos = from; pos < head_; ++pos) {
+  out.reserve(head_ - OldestLocked());
+  for (uint64_t pos = OldestLocked(); pos < head_; ++pos) {
     out.push_back(ring_[pos % capacity_]);
   }
   return out;
 }
 
-std::vector<EventJournal::Event> EventJournal::Snapshot() const {
-  MutexLock lock(&mu_);
-  return CopyLocked(FirstKeptLocked());
-}
-
-std::vector<EventJournal::Event> EventJournal::Drain() {
-  MutexLock lock(&mu_);
-  const uint64_t from = FirstKeptLocked();
-  // Positions overwritten since the last drain are counted, so that
-  // delivered + dropped_overwritten == recorded.
-  dropped_overwritten_ += static_cast<int64_t>(from - drained_);
-  drained_ = head_;
-  return CopyLocked(from);
-}
-
 int64_t EventJournal::dropped_overwritten() const {
   MutexLock lock(&mu_);
-  return dropped_overwritten_;
+  return static_cast<int64_t>(OldestLocked());
 }
 
 size_t EventJournal::thread_count() const {

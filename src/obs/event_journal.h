@@ -50,7 +50,7 @@ uint32_t ThisThreadIndex();
 
 class EventJournal {
  public:
-  /// One event, as recorded and as returned by Snapshot()/Drain().
+  /// One event, as recorded and as returned by Snapshot().
   struct Event {
     uint64_t ts_us = 0;        // steady-clock microseconds
     uint32_t thread_index = 0; // the recording thread's ordinal
@@ -71,21 +71,15 @@ class EventJournal {
   void Record(JournalEvent type, uint64_t a = 0, uint64_t b = 0)
       EXCLUDES(mu_);
 
-  /// Copies every undrained event still in the ring, oldest first, without
-  /// consuming them.
+  /// Copies every event still in the ring, oldest first.
   std::vector<Event> Snapshot() const EXCLUDES(mu_);
 
-  /// Like Snapshot(), but advances the watermark so the next
-  /// Drain()/Snapshot() only sees newer events. Every recorded event is
-  /// either delivered by exactly one Drain or counted in
-  /// dropped_overwritten().
-  std::vector<Event> Drain() EXCLUDES(mu_);
-
-  /// journal.json: capacity, thread count, drop counter, and the undrained
-  /// events in timestamp order.
+  /// journal.json: capacity, thread count, drop counter, and the events
+  /// still in the ring in timestamp order.
   std::string ToJson() const EXCLUDES(mu_);
 
-  /// Events overwritten before a Drain took them. Cumulative.
+  /// Events the ring has overwritten, so that Snapshot().size() +
+  /// dropped_overwritten() is the number of events recorded.
   int64_t dropped_overwritten() const EXCLUDES(mu_);
 
   size_t capacity() const { return capacity_; }
@@ -94,16 +88,13 @@ class EventJournal {
   size_t thread_count() const EXCLUDES(mu_);
 
  private:
-  /// First ring position Snapshot/Drain would deliver.
-  uint64_t FirstKeptLocked() const REQUIRES(mu_);
-  std::vector<Event> CopyLocked(uint64_t from) const REQUIRES(mu_);
+  /// First ring position still holding its event.
+  uint64_t OldestLocked() const REQUIRES(mu_);
 
   const size_t capacity_;
   mutable Mutex mu_{lock_rank::kEventJournal};
   std::vector<Event> ring_ GUARDED_BY(mu_);  // capacity_ slots
   uint64_t head_ GUARDED_BY(mu_) = 0;        // events recorded
-  uint64_t drained_ GUARDED_BY(mu_) = 0;     // first position not drained
-  int64_t dropped_overwritten_ GUARDED_BY(mu_) = 0;
   uint32_t threads_ GUARDED_BY(mu_) = 0;
 };
 

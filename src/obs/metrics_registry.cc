@@ -44,20 +44,6 @@ std::string RenderLabels(const MetricLabels& labels) {
   return out;
 }
 
-std::string LabelsJson(const MetricLabels& labels) {
-  std::string out = "{";
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (i) out += ",";
-    out += '"';
-    out += JsonEscape(labels[i].first);
-    out += "\":\"";
-    out += JsonEscape(labels[i].second);
-    out += '"';
-  }
-  out += "}";
-  return out;
-}
-
 MetricLabels Canonical(MetricLabels labels) {
   std::sort(labels.begin(), labels.end());
   return labels;
@@ -76,6 +62,17 @@ LogHistogram::LogHistogram(double lower_bound, double growth, size_t num_buckets
   buckets_ = std::make_unique<std::atomic<int64_t>[]>(num_buckets);
   for (size_t i = 0; i < num_buckets; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
+  }
+}
+
+LogHistogram::LogHistogram(const LogHistogram& other)
+    : bounds_(other.bounds_),
+      buckets_(std::make_unique<std::atomic<int64_t>[]>(bounds_.size())),
+      overflow_(other.overflow_count()),
+      count_(other.count()),
+      sum_(other.sum()) {
+  for (size_t i = 0; i < bounds_.size(); ++i) {
+    buckets_[i].store(other.bucket_count(i), std::memory_order_relaxed);
   }
 }
 
@@ -114,12 +111,12 @@ std::string MetricsRegistry::LabelKey(const MetricLabels& labels) {
   return RenderLabels(labels);
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name,
+Counter* MetricsRegistry::GetCounter(CounterName name,
                                      const std::string& help,
                                      MetricLabels labels) {
   labels = Canonical(std::move(labels));
   MutexLock lock(&mu_);
-  Family<Counter>& fam = counters_[name];
+  Family<Counter>& fam = counters_[name.c_str()];
   if (fam.help.empty()) fam.help = help;
   Child<Counter>& child = fam.children[LabelKey(labels)];
   if (child.metric == nullptr) {
@@ -129,12 +126,11 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return child.metric.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help,
+Gauge* MetricsRegistry::GetGauge(GaugeName name, const std::string& help,
                                  MetricLabels labels) {
   labels = Canonical(std::move(labels));
   MutexLock lock(&mu_);
-  Family<Gauge>& fam = gauges_[name];
+  Family<Gauge>& fam = gauges_[name.c_str()];
   if (fam.help.empty()) fam.help = help;
   Child<Gauge>& child = fam.children[LabelKey(labels)];
   if (child.metric == nullptr) {
@@ -144,14 +140,14 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
   return child.metric.get();
 }
 
-LogHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::string& help,
-                                         double lower_bound, double growth,
-                                         size_t num_buckets,
-                                         MetricLabels labels) {
+LogHistogram* MetricsRegistry::GetHistogram(HistogramName name,
+                                            const std::string& help,
+                                            double lower_bound, double growth,
+                                            size_t num_buckets,
+                                            MetricLabels labels) {
   labels = Canonical(std::move(labels));
   MutexLock lock(&mu_);
-  HistogramFamily& fam = histograms_[name];
+  HistogramFamily& fam = histograms_[name.c_str()];
   if (fam.children.empty()) {
     fam.help = help;
     fam.lower_bound = lower_bound;
@@ -221,66 +217,6 @@ std::string MetricsRegistry::PrometheusText() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  MutexLock lock(&mu_);
-  std::string out = "{\n  \"counters\": [";
-  bool first = true;
-  for (const auto& [name, fam] : counters_) {
-    for (const auto& [key, child] : fam.children) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += StrFormat("    {\"name\": \"%s\", \"labels\": %s, "
-                       "\"value\": %lld}",
-                       JsonEscape(name).c_str(),
-                       LabelsJson(child.labels).c_str(),
-                       static_cast<long long>(child.metric->value()));
-    }
-  }
-  out += "\n  ],\n  \"gauges\": [";
-  first = true;
-  for (const auto& [name, fam] : gauges_) {
-    for (const auto& [key, child] : fam.children) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += StrFormat("    {\"name\": \"%s\", \"labels\": %s, "
-                       "\"value\": %s}",
-                       JsonEscape(name).c_str(),
-                       LabelsJson(child.labels).c_str(),
-                       FormatDouble(child.metric->value(), 6).c_str());
-    }
-  }
-  out += "\n  ],\n  \"histograms\": [";
-  first = true;
-  for (const auto& [name, fam] : histograms_) {
-    for (const auto& [key, child] : fam.children) {
-      const LogHistogram& h = *child.metric;
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += StrFormat("    {\"name\": \"%s\", \"labels\": %s, "
-                       "\"count\": %lld, \"sum\": %s, \"buckets\": [",
-                       JsonEscape(name).c_str(),
-                       LabelsJson(child.labels).c_str(),
-                       static_cast<long long>(h.count()),
-                       FormatDouble(h.sum(), 6).c_str());
-      for (size_t i = 0; i < h.num_buckets(); ++i) {
-        if (i) out += ", ";
-        out += StrFormat("{\"le\": %s, \"count\": %lld}",
-                         FormatDouble(h.bucket_bound(i), 6).c_str(),
-                         static_cast<long long>(h.bucket_count(i)));
-      }
-      out += StrFormat("], \"overflow\": %lld, "
-                       "\"quantiles\": {\"p50\": %s, \"p95\": %s, "
-                       "\"p99\": %s}}",
-                       static_cast<long long>(h.overflow_count()),
-                       FormatDouble(h.Quantile(0.5), 6).c_str(),
-                       FormatDouble(h.Quantile(0.95), 6).c_str(),
-                       FormatDouble(h.Quantile(0.99), 6).c_str());
-    }
-  }
-  out += "\n  ]\n}\n";
   return out;
 }
 

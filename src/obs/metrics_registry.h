@@ -7,10 +7,10 @@
 // MonitorManager's constructor) — while the returned handles update with
 // relaxed atomics only, so publishing from the storage hot path never takes
 // a lock and never serializes scan workers. Exposition renders the whole
-// registry as Prometheus text or JSON at quiescent points; like IoStats,
+// registry as Prometheus text at quiescent points; like IoStats,
 // cross-metric consistency is only guaranteed then.
 //
-// Naming convention (machine-checked by the dpcf-metric-naming lint rule):
+// Naming convention (checked by the compiler: see MetricName below):
 // snake_case with a unit suffix — counters end in `_total`, gauges and
 // histograms in a unit such as `_us`, `_bytes`, `_pages`, `_rows`. A
 // constant gauge whose payload is a label value (the Prometheus info-metric
@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,50 @@ namespace dpcf {
 /// Sorted (key, value) label pairs identifying one child of a metric
 /// family, e.g. {{"shard", "3"}}.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
+
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
+/// Not constexpr on purpose: MetricName's consteval constructor calls it
+/// only for a name off the convention, so a bad name fails to compile and
+/// the diagnostic names this function.
+inline void metric_name_violates_naming_convention() {}
+
+/// A metric name, checked against the naming convention where it is
+/// written: it converts from a string literal at compile time only.
+template <MetricKind kKind>
+class MetricName {
+ public:
+  consteval MetricName(const char* name) : name_(name) {
+    if (!Follows(name)) metric_name_violates_naming_convention();
+  }
+  const char* c_str() const { return name_; }
+
+ private:
+  static consteval bool Follows(std::string_view s) {
+    if (s.empty() || s.front() < 'a' || s.front() > 'z' || s.back() == '_') {
+      return false;
+    }
+    for (size_t i = 1; i < s.size(); ++i) {
+      const bool alnum = (s[i] >= 'a' && s[i] <= 'z') ||
+                         (s[i] >= '0' && s[i] <= '9');
+      if (!alnum && (s[i] != '_' || s[i - 1] == '_')) return false;
+    }
+    bool unit = false;
+    for (std::string_view suffix : {"_us", "_ms", "_seconds", "_bytes",
+                                    "_pages", "_rows", "_ratio", "_factor",
+                                    "_ops"}) {
+      unit = unit || s.ends_with(suffix);
+    }
+    if (kKind == MetricKind::kCounter) return s.ends_with("_total");
+    return unit || (kKind == MetricKind::kGauge && s.ends_with("_info"));
+  }
+
+  const char* name_;
+};
+
+using CounterName = MetricName<MetricKind::kCounter>;
+using GaugeName = MetricName<MetricKind::kGauge>;
+using HistogramName = MetricName<MetricKind::kHistogram>;
 
 /// Monotonically increasing event count. Relaxed atomic: safe to bump from
 /// any thread, totals exact at quiescent points.
@@ -65,6 +110,10 @@ class Gauge {
 class LogHistogram {
  public:
   LogHistogram(double lower_bound, double growth, size_t num_buckets);
+  /// A relaxed snapshot, like AtomicCounter's copy: exact at quiescent
+  /// points.
+  LogHistogram(const LogHistogram& other);
+  LogHistogram& operator=(const LogHistogram&) = delete;
 
   void Observe(double v);
 
@@ -82,10 +131,10 @@ class LogHistogram {
 
   /// Server-side quantile estimate (q in [0, 1]) with linear interpolation
   /// inside the covering bucket — the same convention as PromQL's
-  /// histogram_quantile, computed here so metrics.prom and metrics.json
-  /// are dashboardable without a query layer. Observations in the overflow
-  /// bucket clamp to the last bound. Like the rest of exposition, the
-  /// relaxed bucket reads are only cross-consistent at quiescent points.
+  /// histogram_quantile, computed here so metrics.prom is dashboardable
+  /// without a query layer. Observations in the overflow bucket clamp to
+  /// the last bound. Like the rest of exposition, the relaxed bucket reads
+  /// are only cross-consistent at quiescent points.
   double Quantile(double q) const;
 
  private:
@@ -96,9 +145,9 @@ class LogHistogram {
   std::atomic<double> sum_{0};
 };
 
-/// Name -> family -> labeled-child store with Prometheus-text and JSON
-/// exposition. Pointers returned by the Get* methods are stable for the
-/// registry's lifetime.
+/// Name -> family -> labeled-child store with Prometheus-text exposition.
+/// Pointers returned by the Get* methods are stable for the registry's
+/// lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -107,25 +156,21 @@ class MetricsRegistry {
 
   /// Finds or creates the counter `name` with `labels`. `help` is recorded
   /// on first registration of the family.
-  Counter* GetCounter(const std::string& name, const std::string& help,
+  Counter* GetCounter(CounterName name, const std::string& help,
                       MetricLabels labels = {}) EXCLUDES(mu_);
 
-  Gauge* GetGauge(const std::string& name, const std::string& help,
+  Gauge* GetGauge(GaugeName name, const std::string& help,
                   MetricLabels labels = {}) EXCLUDES(mu_);
 
   /// LogHistogram bucket geometry is a property of the family: the parameters
   /// of the first registration win and later calls just resolve the child.
-  LogHistogram* GetHistogram(const std::string& name, const std::string& help,
-                          double lower_bound, double growth,
-                          size_t num_buckets, MetricLabels labels = {})
+  LogHistogram* GetHistogram(HistogramName name, const std::string& help,
+                             double lower_bound, double growth,
+                             size_t num_buckets, MetricLabels labels = {})
       EXCLUDES(mu_);
 
   /// Prometheus text exposition format (# HELP / # TYPE + samples).
   std::string PrometheusText() const EXCLUDES(mu_);
-
-  /// JSON exposition: {"counters": [...], "gauges": [...],
-  /// "histograms": [...]}.
-  std::string ToJson() const EXCLUDES(mu_);
 
  private:
   template <typename M>

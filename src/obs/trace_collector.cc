@@ -18,8 +18,7 @@ TraceCollector::QueryIdScope::~QueryIdScope() { tls_query_id = prev_; }
 
 uint64_t TraceCollector::current_query_id() { return tls_query_id; }
 
-TraceCollector::TraceCollector(bool enabled)
-    : epoch_(std::chrono::steady_clock::now()), enabled_(enabled) {}
+TraceCollector::TraceCollector() : epoch_(std::chrono::steady_clock::now()) {}
 
 int64_t TraceCollector::NowUs() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(

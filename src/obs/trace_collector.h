@@ -30,7 +30,8 @@ using TraceArgs = std::vector<std::pair<std::string, std::string>>;
 
 class TraceCollector {
  public:
-  explicit TraceCollector(bool enabled = false);
+  /// Starts disabled; set_enabled() is the switch.
+  TraceCollector();
 
   /// RAII thread-local query-id scope: every event recorded from this
   /// thread while the scope is live carries a {"qid": "<id>"} arg, letting
@@ -99,7 +100,7 @@ class TraceCollector {
   void Record(Event event) EXCLUDES(mu_);
 
   const std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> enabled_;
+  std::atomic<bool> enabled_{false};
   size_t max_events_ = 1 << 20;
   // A leaf: Record takes no other latch while holding this one.
   mutable Mutex mu_{lock_rank::kTraceCollector};

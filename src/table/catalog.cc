@@ -55,7 +55,6 @@ std::vector<Index*> Catalog::Indexes() const {
 
 Database::Database(DatabaseOptions options)
     : options_(options),
-      trace_(options.observability.tracing),
       disk_(DiskManagerOptions{options.page_size, options.io_threads}),
       pool_(&disk_, options.buffer_pool_pages) {
   MetricsRegistry* registry =

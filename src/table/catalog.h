@@ -48,20 +48,19 @@ class Catalog {
   std::map<std::string, std::unique_ptr<Index>> indexes_;
 };
 
-/// Observability toggles (DESIGN.md section 11). The registry and trace
-/// collector objects always exist on the Database; these flags decide
-/// whether the storage layer publishes into them.
+/// Observability toggles (DESIGN.md section 11). The registry and journal
+/// objects always exist on the Database; these flags decide whether the
+/// storage layer publishes into them. Tracing has no option: it is
+/// Database::trace()->set_enabled().
 struct ObservabilityOptions {
   /// Attach the storage layer (buffer pool, disk manager, monitor manager)
   /// to the metrics registry. On by default: publication is relaxed-atomic
   /// increments behind branch-predictable null checks.
   bool metrics = true;
-  /// Start with trace-event recording enabled. Off by default — spans read
-  /// a clock; flip at runtime with Database::trace()->set_enabled(true).
-  bool tracing = false;
   /// Wire the flight-recorder event journal (obs/event_journal.h) into the
-  /// storage layer. On by default: recording is a lock-free ring append,
-  /// cheap enough to leave on in production (bench_obs_overhead gates it).
+  /// storage layer. On by default: recording appends to a preallocated
+  /// ring under one latch, cheap enough to leave on in production
+  /// (bench_obs_overhead gates it).
   bool journal = true;
 };
 
@@ -114,8 +113,8 @@ class Database {
   /// but never the registry (Prometheus counters don't reset).
   MetricsRegistry* metrics() { return &metrics_; }
 
-  /// Trace-event collector. Always present; recording follows
-  /// options.observability.tracing and trace()->set_enabled().
+  /// Trace-event collector. Always present and off until
+  /// trace()->set_enabled(true): spans read a clock.
   TraceCollector* trace() { return &trace_; }
 
   /// Flight-recorder journal, or null when options.observability.journal

@@ -362,7 +362,7 @@ class MissPathSelectionTest : public SyntheticDbTest {
         ->GetCounter("disk_reads_total", "", {{"class", "prefetch"}})
         ->value();
   }
-  int64_t PrefetchObservations(const char* family) {
+  int64_t PrefetchObservations(HistogramName family) {
     return db_->metrics()
         ->GetHistogram(family, "", 1.0, 2.0, 20, {{"class", "prefetch"}})
         ->count();

@@ -38,8 +38,6 @@ CASES = [
     ("dpcf-include-hygiene", ["src/good_include.h"], 0),
     ("dpcf-naked-new", ["src/bad_new.h", "src/bad_new.cc"], 3),
     ("dpcf-naked-new", ["src/good_new.h", "src/good_new.cc"], 0),
-    ("dpcf-metric-naming", ["src/bad_metric.cc"], 3),
-    ("dpcf-metric-naming", ["src/good_metric.cc"], 0),
     ("dpcf-eval-in-morsel", ["src/exec/bad_scan_loop.cc"], 2),
     ("dpcf-eval-in-morsel", ["src/exec/good_scan_loop.cc"], 0),
     ("dpcf-simd-intrinsics", ["src/exec/bad_intrinsics.cc"], 2),

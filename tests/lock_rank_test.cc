@@ -70,7 +70,7 @@ TEST(LockRankTest, RanksAreAssignedAndOrdered) {
   // The journal's latch is taken by every Record: under a shard latch
   // (evictions, scheduled prefetches) and under the drift monitor's latch
   // (drift alerts), so it ranks above both, and above every other leaf so
-  // Snapshot/Drain may be called while holding any of them.
+  // Snapshot may be called while holding any of them.
   EXPECT_LT(lock_rank::kEstimationTracker, lock_rank::kDriftMonitor);
   EXPECT_LT(lock_rank::kDriftMonitor, lock_rank::kMetricsRegistry);
   EXPECT_LT(lock_rank::kTraceCollector, lock_rank::kEventJournal);

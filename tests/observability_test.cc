@@ -110,32 +110,18 @@ TEST(MetricsRegistryTest, LogHistogramQuantiles) {
   o->Observe(100.0);
   EXPECT_DOUBLE_EQ(o->Quantile(0.99), 2.0);
 
-  // Prometheus exposition carries summary-style quantile samples and the
-  // JSON mirror a "quantiles" object, so dashboards get p50/p95/p99
-  // without PromQL.
+  // Prometheus exposition carries summary-style quantile samples, so
+  // dashboards get p50/p95/p99 without PromQL.
   const std::string text = reg.PrometheusText();
   EXPECT_NE(text.find("q_us{quantile=\"0.5\"}"), std::string::npos) << text;
   EXPECT_NE(text.find("q_us{quantile=\"0.95\"}"), std::string::npos);
   EXPECT_NE(text.find("q_us{quantile=\"0.99\"}"), std::string::npos);
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"quantiles\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p95\""), std::string::npos) << json;
-}
-
-TEST(MetricsRegistryTest, JsonExposition) {
-  MetricsRegistry reg;
-  reg.GetCounter("a_total", "h", {{"k", "va\"l"}})->Increment();
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"a_total\""), std::string::npos) << json;
-  // Label values are JSON-escaped.
-  EXPECT_NE(json.find("va\\\"l"), std::string::npos) << json;
 }
 
 // ------------------------------------------------------------ TraceCollector
 
 TEST(TraceCollectorTest, DisabledCollectorRecordsNothing) {
-  TraceCollector trace(/*enabled=*/false);
+  TraceCollector trace;  // a collector starts disabled
   trace.AddSpan("cat", "span", 0);
   trace.AddInstant("cat", "instant");
   { ScopedSpan s(&trace, "cat", "scoped"); }
@@ -145,7 +131,8 @@ TEST(TraceCollectorTest, DisabledCollectorRecordsNothing) {
 }
 
 TEST(TraceCollectorTest, RecordsSpansAndInstants) {
-  TraceCollector trace(/*enabled=*/true);
+  TraceCollector trace;
+  trace.set_enabled(true);
   const int64_t begin = trace.NowUs();
   trace.AddSpan("io", "miss read", begin, {{"page", "7"}});
   trace.AddInstant("exec", "plan start");
@@ -161,7 +148,8 @@ TEST(TraceCollectorTest, RecordsSpansAndInstants) {
 }
 
 TEST(TraceCollectorTest, QueryIdScopeTagsEvents) {
-  TraceCollector trace(/*enabled=*/true);
+  TraceCollector trace;
+  trace.set_enabled(true);
   EXPECT_EQ(TraceCollector::current_query_id(), 0u);
   trace.AddInstant("exec", "untagged");
   {
@@ -194,8 +182,8 @@ TEST(TraceCollectorTest, ExecutePlanTagsSpansWithContextQueryId) {
   // qid-tagged spans, including those recorded by worker threads.
   DatabaseOptions opts;
   opts.buffer_pool_pages = 512;
-  opts.observability.tracing = true;
   Database db(opts);
+  db.trace()->set_enabled(true);
   SyntheticOptions sopts;
   sopts.num_rows = 2000;
   sopts.seed = 5;
@@ -240,7 +228,8 @@ long long TraceTidOf(const std::string& json, const std::string& name) {
 // files apart (each in its own first-seen order) would swap them.
 TEST(TraceCollectorTest, SpanTidIsTheJournalThreadIndex) {
   EventJournal journal;
-  TraceCollector trace(/*enabled=*/true);
+  TraceCollector trace;
+  trace.set_enabled(true);
   std::binary_semaphore a_journaled{0};
   std::binary_semaphore b_done{0};
   std::thread a([&] {
@@ -273,7 +262,8 @@ TEST(TraceCollectorTest, SpanTidIsTheJournalThreadIndex) {
 }
 
 TEST(TraceCollectorTest, CapDropsAndCounts) {
-  TraceCollector trace(/*enabled=*/true);
+  TraceCollector trace;
+  trace.set_enabled(true);
   trace.set_max_events(2);
   for (int i = 0; i < 5; ++i) trace.AddInstant("cat", "e");
   EXPECT_EQ(trace.event_count(), 2u);
@@ -302,7 +292,7 @@ TEST(TraceCollectorTest, OperatorSpansFormatNamesOnlyWhenEnabled) {
   DatabaseOptions opts;
   opts.buffer_pool_pages = 16;
   Database db(opts);
-  TraceCollector trace(/*enabled=*/false);
+  TraceCollector trace;
   ExecContext ctx(db.buffer_pool());
   ctx.set_trace(&trace);
   DescribeCountingOp op;
@@ -325,26 +315,6 @@ TEST(TraceCollectorTest, OperatorSpansFormatNamesOnlyWhenEnabled) {
 }
 
 // --------------------------------------------------- EstimationErrorTracker
-
-TEST(QErrorHistogramTest, ObserveAndQuantile) {
-  QErrorHistogram h;
-  h.Observe(1.0);
-  h.Observe(1.5);
-  h.Observe(3.0);
-  h.Observe(100.0);
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.mean(), (1.0 + 1.5 + 3.0 + 100.0) / 4);
-  // Conservative bucket-boundary quantiles: the median lands in the
-  // [1, 2] band; the tail's bucket (64, 128] is clamped to the max.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 100.0);
-
-  // Perfect estimates: every quantile is exactly 1, not bucket 0's bound.
-  QErrorHistogram ones;
-  for (int i = 0; i < 20; ++i) ones.Observe(1.0);
-  EXPECT_DOUBLE_EQ(ones.Quantile(0.95), 1.0);
-}
 
 TEST(EstimationErrorTrackerTest, GroupsByTableAndMechanism) {
   EstimationErrorTracker tracker;
@@ -373,12 +343,61 @@ TEST(EstimationErrorTrackerTest, GroupsByTableAndMechanism) {
   // The estimate-less record is counted but contributes to no histogram.
   EXPECT_EQ(t.with_estimates, 1);
   EXPECT_EQ(t.dpc_error.count(), 1);
-  EXPECT_DOUBLE_EQ(t.dpc_error.max(), 4.0);
-  EXPECT_DOUBLE_EQ(t.cardinality_error.max(), 1.0);
+  EXPECT_DOUBLE_EQ(t.dpc_max, 4.0);
+  EXPECT_DOUBLE_EQ(t.cardinality_max, 1.0);
 
   EXPECT_NE(tracker.Report().find("prefix-exact"), std::string::npos);
   tracker.Clear();
   EXPECT_EQ(tracker.total_records(), 0);
+}
+
+// A record whose estimated DPC is off from the actual by `q`.
+MonitorRecord WithDpcError(const std::string& mechanism, double q) {
+  MonitorRecord rec;
+  rec.table = "T";
+  rec.mechanism = mechanism;
+  rec.actual_dpc = 100;
+  rec.estimated_dpc = 100 * q;
+  return rec;
+}
+
+// The tracker's q-error histograms are LogHistograms of 15 doubling
+// buckets from 2: bucket i spans (2^i, 2^(i+1)] with [1, 2] first, and
+// the overflow bucket takes everything above 2^15. The report's p95 is
+// the interpolated quantile clamped to [1, max].
+TEST(EstimationErrorTrackerTest, QErrorBucketsAndClampedP95) {
+  EstimationErrorTracker tracker;
+  for (double q : {1.0, 1.5, 3.0, 100.0, 40000.0}) {
+    tracker.Record(WithDpcError("prefix-exact", q));
+  }
+  for (int i = 0; i < 20; ++i) tracker.Record(WithDpcError("exact", 1.0));
+
+  std::vector<EstimationErrorTracker::GroupSummary> groups =
+      tracker.Summaries();
+  ASSERT_EQ(groups.size(), 2u);
+  const auto& ones = groups[0].mechanism == "exact" ? groups[0] : groups[1];
+  const auto& spread = groups[0].mechanism == "exact" ? groups[1] : groups[0];
+
+  const LogHistogram& h = spread.dpc_error;
+  ASSERT_EQ(h.num_buckets(), 15u);
+  EXPECT_DOUBLE_EQ(h.bucket_bound(0), 2.0);
+  EXPECT_DOUBLE_EQ(h.bucket_bound(14), 32768.0);
+  EXPECT_EQ(h.bucket_count(0), 2);  // 1 and 1.5
+  EXPECT_EQ(h.bucket_count(1), 1);  // 3 in (2, 4]
+  EXPECT_EQ(h.bucket_count(6), 1);  // 100 in (64, 128]
+  EXPECT_EQ(h.overflow_count(), 1);  // 40000 > 2^15
+  EXPECT_EQ(h.count(), 5);
+  EXPECT_DOUBLE_EQ(spread.dpc_max, 40000.0);
+
+  // Perfect estimates: the interpolated p95 (1.9 in [1, 2]) clamps to the
+  // max, 1, and so does every column of the report.
+  EXPECT_EQ(ones.dpc_error.bucket_count(0), 20);
+  EXPECT_DOUBLE_EQ(ones.dpc_max, 1.0);
+  const std::string report = tracker.Report();
+  const size_t row = report.find(" exact ");
+  ASSERT_NE(row, std::string::npos) << report;
+  const std::string line = report.substr(row, report.find('\n', row) - row);
+  EXPECT_NE(line.find(" 1.0/1.0/1.0 "), std::string::npos) << report;
 }
 
 // ------------------------------------------------------ per-operator profiles

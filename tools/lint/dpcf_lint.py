@@ -2,10 +2,11 @@
 """DPCF static analysis: the repo's own rules, on one python3-only engine.
 
 The compiler enforces the contracts it can: [[nodiscard]] on Status,
-Result<T> and the scope-only RAII guards, and clang -Wthread-safety on the
-latch annotations (tests/negative_compile proves both fire). This script
-checks the domain rules no compiler knows about (DESIGN.md section 9 has
-the catalog and the rationale for each):
+Result<T> and the scope-only RAII guards, the metric naming convention
+(MetricName's consteval constructor), and clang -Wthread-safety on the
+latch annotations (tests/negative_compile proves all three fire). This
+script checks the domain rules no compiler knows about (DESIGN.md section
+9 has the catalog and the rationale for each):
 
   dpcf-mutex-annotation     raw std::mutex in src/; a dpcf::Mutex that
                             guards no GUARDED_BY state
@@ -18,7 +19,6 @@ the catalog and the rationale for each):
   dpcf-include-hygiene      missing #pragma once, parent-relative includes,
                             .cc not including its own header first
   dpcf-naked-new            naked new/delete
-  dpcf-metric-naming        registry metric names off-convention
   dpcf-eval-in-morsel       per-row predicate/monitor calls inside page
                             row loops in src/exec
   dpcf-simd-intrinsics      raw vector intrinsics outside src/exec/simd*
@@ -686,48 +686,6 @@ def check_naked_new(src, model):
         if _DELETE.search(line) and not _DELETED_FN.search(line):
             yield (i, "naked delete; owners must be RAII "
                       "(unique_ptr / PageGuard)")
-
-
-# dpcf-metric-naming: the convention MetricsRegistry documents
-# (obs/metrics_registry.h), so Prometheus exposition stays queryable:
-# snake_case, counters end in `_total`, gauges and histograms in a unit
-# suffix, or `_info` for constant gauges whose payload is a label. Checked
-# for every GetCounter/GetGauge/GetHistogram in src/ and bench/ whose name
-# is a string literal.
-_METRIC_CALL = re.compile(r"\bGet(Counter|Gauge|Histogram)\s*\(")
-_LITERAL = re.compile(r'"([^"\\]*)"')
-_SNAKE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)*$")
-_UNIT_SUFFIXES = ("_us", "_ms", "_seconds", "_bytes", "_pages", "_rows",
-                  "_ratio", "_factor", "_ops", "_info")
-
-
-@rule("dpcf-metric-naming",
-      "metric names must be snake_case with a unit suffix (counters "
-      "`_total`; gauges/histograms `_us`, `_ms`, `_bytes`, `_pages`, "
-      "`_rows`, `_ratio`, `_factor`, `_ops`, or `_info` for constant "
-      "label-carrying gauges)")
-def check_metric_naming(src, model):
-    if not src.rel.startswith(("src/", "bench/")):
-        return
-    for i, line in enumerate(src.code_lines, start=1):
-        for m in _METRIC_CALL.finditer(line):
-            # Names are blanked in code_lines; read them from the raw line
-            # (columns line up), or the next one for a wrapped call.
-            lit = _LITERAL.search(src.raw_lines[i - 1], m.end())
-            if lit is None and i < len(src.raw_lines):
-                lit = _LITERAL.search(src.raw_lines[i])
-            if lit is None:
-                continue  # not a literal name; nothing to check
-            kind, name = m.group(1), lit.group(1)
-            if not _SNAKE.match(name):
-                yield (i, f"metric name '{name}' is not snake_case")
-            elif kind == "Counter" and not name.endswith("_total"):
-                yield (i, f"counter '{name}' must end in '_total'")
-            elif kind != "Counter" and (name.endswith("_total") or
-                                        not name.endswith(_UNIT_SUFFIXES)):
-                yield (i, f"{kind.lower()} '{name}' must end in a unit "
-                          f"suffix ({', '.join(_UNIT_SUFFIXES)}), not "
-                          "'_total'")
 
 
 # dpcf-eval-in-morsel: the scan hot path evaluates predicates with
