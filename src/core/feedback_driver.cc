@@ -68,6 +68,7 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                   .GetInt64(outer_col));
                         }
                       });
+  out.outer_rows = static_cast<int64_t>(outer_keys.size());
   JoinHashTable table;
   DPCF_RETURN_IF_ERROR(table.Build(outer_keys));
   // Every inner row probes (semi_join_rows ignores the inner selection);
@@ -76,6 +77,7 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
   ForEachRawPageMatch(
       disk, *query.inner_table, query.inner_pred,
       [&](PageNo, const RowBlock& block, std::span<const uint32_t> sel) {
+        out.inner_rows += static_cast<int64_t>(sel.size());
         size_t next = 0;  // sel[next] is the next passing row
         for (uint32_t r = 0; r < block.size(); ++r) {
           const bool passes = next < sel.size() && sel[next] == r;
@@ -93,21 +95,21 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
   return out;
 }
 
-Status FeedbackDriver::InjectSelectionCardinalities(Table* table,
-                                                    const Predicate& pred) {
-  if (pred.empty()) return Status::OK();
+void FeedbackDriver::InjectSelectionCardinalities(Table* table,
+                                                  const Predicate& pred,
+                                                  int64_t pred_rows) {
+  if (pred.empty()) return;
   DiskManager* disk = db_->disk();
-  auto exact = [&](const Predicate& expr) {
-    return static_cast<double>(ExactCardinality(disk, *table, expr));
-  };
   auto inject_once = [&](const Predicate& expr) {
     std::string key = SelPredKey(*table, expr);
     if (!hints_.Cardinality(key).has_value()) {
-      hints_.SetCardinality(key, exact(expr));
+      hints_.SetCardinality(
+          key, static_cast<double>(ExactCardinality(disk, *table, expr)));
     }
   };
   // Full conjunction…
-  hints_.SetCardinality(SelPredKey(*table, pred), exact(pred));
+  hints_.SetCardinality(SelPredKey(*table, pred),
+                        static_cast<double>(pred_rows));
   // …the sargable expression of every index the optimizer could seek…
   std::vector<Predicate> sargables;
   for (Index* index : db_->catalog().IndexesForTable(table)) {
@@ -124,20 +126,26 @@ Status FeedbackDriver::InjectSelectionCardinalities(Table* table,
       inject_once(combined);
     }
   }
-  return Status::OK();
 }
 
 Status FeedbackDriver::InjectCardinalities(const SingleTableQuery& query) {
-  return InjectSelectionCardinalities(query.table, query.pred);
+  if (!query.pred.empty()) {
+    InjectSelectionCardinalities(
+        query.table, query.pred,
+        ExactCardinality(db_->disk(), *query.table, query.pred));
+  }
+  return Status::OK();
 }
 
 Status FeedbackDriver::InjectCardinalities(const JoinQuery& query) {
-  DPCF_RETURN_IF_ERROR(
-      InjectSelectionCardinalities(query.outer_table, query.outer_pred));
-  DPCF_RETURN_IF_ERROR(
-      InjectSelectionCardinalities(query.inner_table, query.inner_pred));
+  // The join oracle's walks count both filtered sides too, so each table
+  // is walked once.
   DPCF_ASSIGN_OR_RETURN(ExactJoinCardinalities exact,
                         ExactJoinCardinality(db_->disk(), query));
+  InjectSelectionCardinalities(query.outer_table, query.outer_pred,
+                               exact.outer_rows);
+  InjectSelectionCardinalities(query.inner_table, query.inner_pred,
+                               exact.inner_rows);
   hints_.SetCardinality(
       JoinPredKey(*query.outer_table, query.outer_col, *query.inner_table,
                   query.inner_col),

@@ -116,12 +116,15 @@ struct ExactJoinCardinalities {
   /// Inner rows matching some (filtered) outer key, ignoring the inner
   /// selection — the fetch stream of an INL join (paper Section IV).
   int64_t semi_join_rows = 0;
+  int64_t outer_rows = 0;  // |σ(outer)|
+  int64_t inner_rows = 0;  // |σ(inner)|
 };
-/// Both counts by two raw walks (ForEachRawPageMatch): the filtered outer
-/// keys go into one JoinHashTable (exec/join_hash_table.h), and each inner
-/// row adds its key's run length to join_rows when the inner predicate
-/// passes, and 1 to semi_join_rows when the run is non-empty. Fails only
-/// if the outer side has more rows than a 32-bit row index holds.
+/// All four counts by two raw walks (ForEachRawPageMatch): the filtered
+/// outer keys go into one JoinHashTable (exec/join_hash_table.h), and each
+/// inner row adds its key's run length to join_rows when the inner
+/// predicate passes, and 1 to semi_join_rows when the run is non-empty.
+/// Fails only if the outer side has more rows than a 32-bit row index
+/// holds.
 Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                                     const JoinQuery& query);
 
@@ -163,7 +166,10 @@ class FeedbackDriver {
   /// Step 1: exact cardinalities of every expression the optimizer costs.
   Status InjectCardinalities(const SingleTableQuery& query);
   Status InjectCardinalities(const JoinQuery& query);
-  Status InjectSelectionCardinalities(Table* table, const Predicate& pred);
+  /// Hints `pred` (no-op when empty) at `pred_rows`, its exact count, and
+  /// walks `table` for each index's sargable part not hinted yet.
+  void InjectSelectionCardinalities(Table* table, const Predicate& pred,
+                                    int64_t pred_rows);
 
   void AttachEstimates(const Optimizer& opt,
                        const std::vector<MonitoredExpr>& entries,

@@ -2,11 +2,13 @@
 // and the RE/SE communication boundary.
 //
 // PageIds exist only below this boundary (scan / fetch operators); the
-// relational-engine operators (joins, aggregates) never see them. The one
-// sanctioned channel between the layers is the *filter slot table*: a
-// relational-engine join registers a BitvectorFilter in a pre-allocated slot
-// (the paper's SE→RE "callback" in reverse), and a storage-engine scan's
-// monitor bundle probes it as a derived semi-join predicate (Fig 5).
+// relational-engine operators (joins, aggregates) never see them. Join keys
+// cross it downward, never page ids: a relational-engine join registers a
+// BitvectorFilter in a pre-allocated slot of the *filter slot table* (the
+// paper's SE→RE "callback" in reverse), and a storage-engine scan's
+// monitor bundle probes it as a derived semi-join predicate (Fig 5). A hash
+// join also hands its probe child its key table
+// (Operator::SetJoinKeyFilter), the same predicate used to drop rows.
 
 #pragma once
 

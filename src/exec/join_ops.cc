@@ -1,6 +1,7 @@
 #include "exec/join_ops.h"
 
 #include <cassert>
+#include <iterator>
 
 #include "common/string_util.h"
 
@@ -9,7 +10,7 @@ namespace dpcf {
 namespace {
 /// Overwrites *out with a followed by b, in place: *out keeps its capacity,
 /// so a caller that reuses one output tuple allocates nothing per row.
-void Concat(const Tuple& a, const Tuple& b, Tuple* out) {
+void Concat(std::span<const Value> a, std::span<const Value> b, Tuple* out) {
   out->assign(a.begin(), a.end());
   out->insert(out->end(), b.begin(), b.end());
 }
@@ -25,7 +26,8 @@ HashJoinOp::HashJoinOp(OperatorPtr build, int build_key_idx,
       filter_spec_(filter_spec) {}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
-  build_rows_.clear();
+  build_values_.clear();
+  build_arity_ = 0;
   matches_ = {};
   match_pos_ = 0;
 
@@ -43,6 +45,11 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
     auto more = build_->Next(ctx, &t);
     if (!more.ok()) return more.status();
     if (!*more) break;
+    if (keys.empty()) {
+      build_arity_ = t.size();
+    } else if (t.size() != build_arity_) {
+      return Status::Internal("hash join build rows differ in arity");
+    }
     int64_t key = t[static_cast<size_t>(build_key_idx_)].AsInt64();
     ++ctx->cpu()->hash_table_ops;
     if (filter != nullptr) {
@@ -50,7 +57,9 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       filter->AddKeyCounted(key);
     }
     keys.push_back(key);
-    build_rows_.push_back(std::move(t));
+    build_values_.insert(build_values_.end(),
+                         std::make_move_iterator(t.begin()),
+                         std::make_move_iterator(t.end()));
   }
   DPCF_RETURN_IF_ERROR(build_->Close(ctx));
   DPCF_RETURN_IF_ERROR(table_.Build(keys));
@@ -58,13 +67,19 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
     DPCF_RETURN_IF_ERROR(ctx->SetFilter(filter_spec_->slot,
                                         std::move(filter)));
   }
+  // The semi-join filter runs in the probe scan, before tuples are built.
+  probe_->SetJoinKeyFilter(&table_, probe_key_idx_);
   return probe_->Open(ctx);
 }
 
 Result<bool> HashJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
   while (true) {
     if (match_pos_ < matches_.size()) {
-      Concat(probe_tuple_, build_rows_[matches_[match_pos_++]], out);
+      const size_t row = matches_[match_pos_++];
+      Concat(probe_tuple_,
+             std::span<const Value>(build_values_).subspan(
+                 row * build_arity_, build_arity_),
+             out);
       return true;
     }
     auto more = probe_->Next(ctx, &probe_tuple_);
@@ -78,10 +93,12 @@ Result<bool> HashJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
 }
 
 Status HashJoinOp::CloseImpl(ExecContext* ctx) {
+  Status st = probe_->Close(ctx);
+  probe_->SetJoinKeyFilter(nullptr, 0);
   matches_ = {};
-  build_rows_.clear();
+  build_values_.clear();
   table_ = {};
-  return probe_->Close(ctx);
+  return st;
 }
 
 std::string HashJoinOp::Describe() const {

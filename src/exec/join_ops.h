@@ -36,11 +36,14 @@ struct BitvectorSpec {
   uint32_t numbits = 1 << 20;
 };
 
-/// In-memory hash join. Open drains the build side into a row vector and
-/// builds a JoinHashTable over its keys once. Output tuples are the probe
-/// tuple followed by the build tuple, in probe order and then the build
-/// side's order within a key. Charges one hash_table_ops per build row and
-/// per probe row.
+/// In-memory hash join. Open drains the build side into one flat value
+/// array and builds a JoinHashTable over its keys once, then hands the
+/// table to the probe child (Operator::SetJoinKeyFilter) before opening
+/// it: a heap scan there drops the rows no build key matches. Output
+/// tuples are the probe tuple followed by the build tuple, in probe order
+/// and then the build side's order within a key. Charges one
+/// hash_table_ops per build row and per probe row, the probe child
+/// charging the rows it drops.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, int build_key_idx, OperatorPtr probe,
@@ -62,8 +65,10 @@ class HashJoinOp : public Operator {
   int probe_key_idx_;
   std::optional<BitvectorSpec> filter_spec_;
 
-  std::vector<Tuple> build_rows_;
-  JoinHashTable table_;  // build key -> indexes into build_rows_
+  // Build row i is build_values_[i * build_arity_, (i + 1) * build_arity_).
+  std::vector<Value> build_values_;
+  size_t build_arity_ = 0;
+  JoinHashTable table_;  // build key -> build row indexes
   Tuple probe_tuple_;
   std::span<const uint32_t> matches_;  // probe_tuple_'s build rows
   size_t match_pos_ = 0;

@@ -29,6 +29,8 @@
 
 namespace dpcf {
 
+class JoinHashTable;  // exec/join_hash_table.h
+
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -59,6 +61,16 @@ class Operator {
 
   /// Child operators, for plan rendering.
   virtual std::vector<const Operator*> children() const { return {}; }
+
+  /// A hash join hands its probe child the built key table before opening
+  /// it (`key_idx`: the probe key's position in this operator's tuples),
+  /// and null at Close. An operator that takes it (the serial heap scan)
+  /// emits only rows whose key `keys` matches, charging one hash_table_ops
+  /// per row it drops; the default takes nothing and emits every row.
+  virtual void SetJoinKeyFilter(const JoinHashTable* keys, int key_idx) {
+    (void)keys;
+    (void)key_idx;
+  }
 
   /// Profile of the most recent profiled execution (zeros otherwise).
   const OpProfile& profile() const { return profile_; }

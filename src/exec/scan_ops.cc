@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "common/string_util.h"
+#include "exec/join_hash_table.h"
 #include "obs/metrics_registry.h"
 
 namespace dpcf {
@@ -189,10 +190,54 @@ Result<bool> TableScanOp::NextImpl(ExecContext* ctx, Tuple* out) {
     guard_ = std::move(guard).value();
     page_open_ = true;
     sel_count_ = step_.Eval(guard_.data(), ctx->cpu(), &scratch_);
+    if (join_keys_ != nullptr) {
+      sel_count_ = KeepJoinMatches(sel_count_, ctx->cpu());
+    }
     sel_pos_ = 0;
   }
   done_ = true;
   return false;
+}
+
+void TableScanOp::SetJoinKeyFilter(const JoinHashTable* keys, int key_idx) {
+  join_keys_ = nullptr;
+  if (keys == nullptr || key_idx < 0 ||
+      static_cast<size_t>(key_idx) >= projection_.size()) {
+    return;
+  }
+  const auto col =
+      static_cast<size_t>(projection_[static_cast<size_t>(key_idx)]);
+  // The join reads a string key as Value::AsInt64(), not as the row's
+  // bytes: such a probe is left to the join, row by row.
+  if (table_->schema().column(col).type != ValueType::kInt64) return;
+  join_keys_ = keys;
+  join_key_col_ = col;
+}
+
+uint32_t TableScanOp::KeepJoinMatches(uint32_t survivors, CpuStats* cpu) {
+  uint32_t* sel = scratch_.sel.data();
+  auto key_of = [&](uint32_t r) {
+    return RowView(scratch_.block.row(r), &table_->schema())
+        .GetInt64(join_key_col_);
+  };
+  // Two passes, each compacting sel without a branch: the key filter
+  // rejects most rows, and only what it passes walks the table's slots.
+  uint32_t maybe = 0;
+  for (uint32_t i = 0; i < survivors; ++i) {
+    const uint32_t r = sel[i];
+    sel[maybe] = r;
+    maybe += join_keys_->MayContain(key_of(r)) ? 1 : 0;
+  }
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < maybe; ++i) {
+    const uint32_t r = sel[i];
+    sel[kept] = r;
+    kept += join_keys_->Find(key_of(r)).empty() ? 0 : 1;
+  }
+  // The join charges one probe per row it receives; these rows it never
+  // receives are charged here, so the run's total is what it was.
+  cpu->hash_table_ops += survivors - kept;
+  return kept;
 }
 
 void TableScanOp::LeavePage(ExecContext* ctx) {

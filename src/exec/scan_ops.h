@@ -124,6 +124,12 @@ struct ClusteredRange {
 /// (at the next fetch, or at Close for an abandoned scan). Observing on
 /// leave is what makes a merge join's partial bitvector exact: by then the
 /// join has consumed every outer key up to the page's last key.
+///
+/// As a hash join's probe child it takes the join's key table
+/// (SetJoinKeyFilter) and drops each page's survivors whose key the table
+/// does not match before they become tuples: the derived semi-join
+/// predicate of paper Fig 5, evaluated inside the scan. Observe still sees
+/// the whole page.
 class TableScanOp : public Operator {
  public:
   TableScanOp(Table* table, Predicate pushed, std::vector<int> projection,
@@ -134,6 +140,9 @@ class TableScanOp : public Operator {
   std::string Describe() const override;
   void CollectOwnMonitorRecords(
       std::vector<MonitorRecord>* out) const override;
+  /// Takes `keys` when `key_idx` projects an INT64 column; otherwise
+  /// takes nothing.
+  void SetJoinKeyFilter(const JoinHashTable* keys, int key_idx) override;
 
   const ScanMonitorBundle* monitors() const { return monitors_.get(); }
   bool vectorized() const { return step_.vectorized(); }
@@ -147,12 +156,18 @@ class TableScanOp : public Operator {
   /// Observes the open page and unpins it.
   void LeavePage(ExecContext* ctx);
 
+  /// Compacts scratch_.sel[0..survivors) to the rows whose key join_keys_
+  /// matches, in order, and charges the dropped ones. Returns the count.
+  uint32_t KeepJoinMatches(uint32_t survivors, CpuStats* cpu);
+
   Table* table_;
   std::vector<int> projection_;
   std::unique_ptr<ScanMonitorBundle> monitors_;
   std::optional<ClusteredRange> range_;
   const HeapPageStep step_;
   HeapPageStep::Scratch scratch_;
+  const JoinHashTable* join_keys_ = nullptr;  // see SetJoinKeyFilter
+  size_t join_key_col_ = 0;                   // its table column
 
   PageGuard guard_;
   PageNo page_idx_ = 0;

@@ -59,7 +59,11 @@ Result<std::unique_ptr<Index>> Index::Build(BufferPool* pool, Table* table,
       pool->disk(), [&](PageNo p, uint16_t s, const RowView& row) {
         entries.push_back(BtreeEntry{index->KeyForRow(row), Rid{p, s}.Pack()});
       });
-  std::sort(entries.begin(), entries.end());
+  // A clustering-key walk already comes out sorted (entries are unique,
+  // so skipping the sort changes nothing).
+  if (!std::is_sorted(entries.begin(), entries.end())) {
+    std::sort(entries.begin(), entries.end());
+  }
   DPCF_ASSIGN_OR_RETURN(Btree tree, Btree::Build(pool, index->name_, entries));
   index->tree_ = std::make_unique<Btree>(std::move(tree));
   return index;

@@ -26,7 +26,9 @@ Histogram Histogram::FromValues(std::vector<int64_t> values,
                                 int num_buckets) {
   Histogram h;
   if (values.empty()) return h;
-  std::sort(values.begin(), values.end());
+  if (!std::is_sorted(values.begin(), values.end())) {
+    std::sort(values.begin(), values.end());
+  }
   h.row_count_ = static_cast<int64_t>(values.size());
   h.min_ = values.front();
   h.max_ = values.back();

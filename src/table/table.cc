@@ -51,13 +51,17 @@ Status TableBuilder::Finish() {
     uint32_t key_off = table_->schema().offset(key_col);
     const char* base = buffer_.data();
     uint32_t rs = row_size_;
-    std::stable_sort(order.begin(), order.end(),
-                     [base, rs, key_off](int64_t a, int64_t b) {
-                       int64_t ka, kb;
-                       std::memcpy(&ka, base + a * rs + key_off, sizeof(ka));
-                       std::memcpy(&kb, base + b * rs + key_off, sizeof(kb));
-                       return ka < kb;
-                     });
+    auto by_key = [base, rs, key_off](int64_t a, int64_t b) {
+      int64_t ka, kb;
+      std::memcpy(&ka, base + a * rs + key_off, sizeof(ka));
+      std::memcpy(&kb, base + b * rs + key_off, sizeof(kb));
+      return ka < kb;
+    };
+    // Loaders usually append in key order; a stable sort of a sorted run
+    // is the identity.
+    if (!std::is_sorted(order.begin(), order.end(), by_key)) {
+      std::stable_sort(order.begin(), order.end(), by_key);
+    }
   }
 
   HeapFile* file = table_->file();

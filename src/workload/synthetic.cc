@@ -25,14 +25,16 @@ Result<Table*> BuildSyntheticTable(Database* db, const std::string& name,
   std::vector<int64_t> c5 = RandomPermutation(n, &rng);
 
   TableBuilder builder(table);
-  const Value padding = Value::String("pad");
+  // One row tuple, refilled: the padding value never changes.
+  Tuple row(6);
+  row[5] = Value::String("pad");
   for (int64_t i = 0; i < n; ++i) {
-    Tuple row{Value::Int64(i + 1),
-              Value::Int64(i + 1),  // C2 = C1
-              Value::Int64(c3[static_cast<size_t>(i)] + 1),
-              Value::Int64(c4[static_cast<size_t>(i)] + 1),
-              Value::Int64(c5[static_cast<size_t>(i)] + 1),
-              padding};
+    const auto u = static_cast<size_t>(i);
+    row[0] = Value::Int64(i + 1);
+    row[1] = Value::Int64(i + 1);  // C2 = C1
+    row[2] = Value::Int64(c3[u] + 1);
+    row[3] = Value::Int64(c4[u] + 1);
+    row[4] = Value::Int64(c5[u] + 1);
     DPCF_RETURN_IF_ERROR(builder.AddRow(row));
   }
   DPCF_RETURN_IF_ERROR(builder.Finish());

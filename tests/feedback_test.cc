@@ -342,12 +342,15 @@ TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
         }
       });
   ExactJoinCardinalities expected;
+  expected.outer_rows = static_cast<int64_t>(outer_keys.size());
   q.inner_table->file()->ForEachRawRow(
       db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
         const int64_t matches = std::count(
             outer_keys.begin(), outer_keys.end(), row.GetInt64(0));
         if (matches > 0) ++expected.semi_join_rows;
-        if (MatchesRow(q.inner_pred, row)) expected.join_rows += matches;
+        if (!MatchesRow(q.inner_pred, row)) return;
+        ++expected.inner_rows;
+        expected.join_rows += matches;
       });
   // Multiplicity > 1 is what this test is about.
   ASSERT_GT(expected.join_rows, expected.semi_join_rows);
@@ -356,6 +359,8 @@ TEST_F(ExactCardTest, JoinCardinalitiesCountDuplicateKeys) {
                        ExactJoinCardinality(db_->disk(), q));
   EXPECT_EQ(exact.join_rows, expected.join_rows);
   EXPECT_EQ(exact.semi_join_rows, expected.semi_join_rows);
+  EXPECT_EQ(exact.outer_rows, expected.outer_rows);
+  EXPECT_EQ(exact.inner_rows, expected.inner_rows);
 }
 
 // Every exact oracle's answers over a set of predicates and joins, from
@@ -712,6 +717,46 @@ TEST_F(FeedbackDriverTest, OutcomesArePinned) {
       "JOIN(T.C2=T1.C2)", "T1|C1<679",        "JOIN(T.C3=T1.C3)",
       "T1|C1<679",        "JOIN(T.C3=T1.C3)"};
   EXPECT_EQ(labels, want);
+}
+
+// The join inject walks T1 and T once each: the join oracle's walks also
+// count both filtered sides, which the full-conjunction hints take. Every
+// cold-cache reset zeroes IoStats, so a page held pinned here makes the
+// first one fail and RunJoin stop right after its inject (and optimize),
+// with the raw reads still on the counter.
+TEST_F(FeedbackDriverTest, JoinInjectWalksEachTableOnce) {
+  Table* t1 = nullptr;
+  ASSERT_NO_FATAL_FAILURE(AddT1(&t1));
+  JoinQuery q;
+  q.outer_table = t1;
+  q.outer_pred.Add(PredicateAtom::Int64(kC1, CmpOp::kLt, 601));
+  q.outer_col = kC3;
+  q.inner_table = t_;
+  q.inner_col = kC3;
+  q.count_star = true;
+  q.inner_count_col = kPadding;
+  ASSERT_OK_AND_ASSIGN(PageGuard pin,
+                       db_->buffer_pool()->Fetch(PageId{t_->segment(), 0}));
+  for (bool inner_pred : {false, true}) {
+    SCOPED_TRACE(inner_pred ? "inner predicate" : "no inner predicate");
+    if (inner_pred) {
+      q.inner_pred.Add(PredicateAtom::Int64(kC5, CmpOp::kLt, 10'000));
+    }
+    FeedbackDriver driver(db_.get(), &stats_, {});
+    const int64_t raw_before = db_->disk()->io_stats()->raw_page_reads;
+    EXPECT_FALSE(driver.RunJoin(q).ok());
+    EXPECT_EQ(db_->disk()->io_stats()->raw_page_reads - raw_before,
+              t1->page_count() + t_->page_count());
+    // The hints are the exact counts.
+    EXPECT_EQ(driver.hints()->Cardinality(SelPredKey(*t1, q.outer_pred)),
+              600);
+    EXPECT_EQ(driver.hints()->Cardinality(SelPredKey(*t_, q.inner_pred)),
+              inner_pred ? std::optional<double>(9999) : std::nullopt);
+    EXPECT_EQ(driver.hints()->Cardinality(
+                  JoinPredKey(*t1, kC3, *t_, kC3)),
+              static_cast<double>(
+                  ExactJoinCardinality(db_->disk(), q)->join_rows));
+  }
 }
 
 // The loaders write every page straight to the disk, once: building T, T1

@@ -14,6 +14,8 @@
 namespace dpcf {
 namespace {
 
+using dpcf::testing::MatchesRow;
+
 class JoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -73,6 +75,68 @@ class JoinTest : public ::testing::Test {
     return result->output[0][0].AsInt64();
   }
 
+  // One cold, profiled run of q's Hash Join plan.
+  struct HashJoinRun {
+    AccessKind probe_kind = AccessKind::kTableScan;
+    int64_t probe_rows = 0;  // tuples the probe child emitted
+    RunStatistics stats;
+    std::vector<Tuple> output;
+  };
+  HashJoinRun RunHashJoin(const JoinQuery& q, bool monitored = false,
+                          bool vectorized = true) {
+    HashJoinRun run;
+    OptimizerHints hints;
+    Optimizer opt(db_.get(), &stats_, &hints);
+    auto plans = opt.EnumerateJoinPlans(q);
+    EXPECT_TRUE(plans.ok()) << plans.status().ToString();
+    const JoinPlan& plan = plans->front();
+    EXPECT_EQ(plan.method, JoinMethod::kHashJoin);
+    run.probe_kind = plan.inner_path.kind;
+    EXPECT_OK(db_->ColdCache());
+    ExecContext ctx(db_->buffer_pool());
+    ctx.set_profiling(true);
+    PlanMonitorHooks hooks;
+    hooks.vectorized_scan = vectorized;
+    if (monitored) {
+      MonitorOptions mopts;
+      mopts.vectorized_scan = vectorized;
+      MonitorManager mm(db_.get(), mopts);
+      auto ih = mm.ForJoin(plan, q, &ctx);
+      EXPECT_TRUE(ih.ok()) << ih.status().ToString();
+      hooks = std::move(ih->hooks);
+    }
+    auto root = BuildJoinExec(plan, q, hooks);
+    EXPECT_TRUE(root.ok()) << root.status().ToString();
+    auto result = ExecutePlan(root->get(), &ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const Operator* join = root->get();
+    if (q.count_star) join = join->children()[0];
+    run.probe_rows = join->children()[1]->profile().rows;
+    run.stats = result->stats;
+    run.output = result->output;
+    return run;
+  }
+
+  // Rows of T passing q's inner predicate whose join key some filtered T1
+  // row holds, by brute force over the raw rows.
+  int64_t SemiJoinPassingRows(const JoinQuery& q) {
+    std::set<int64_t> keys;
+    t1_->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+          if (MatchesRow(q.outer_pred, row)) {
+            keys.insert(row.GetInt64(static_cast<size_t>(q.outer_col)));
+          }
+        });
+    int64_t rows = 0;
+    t_->file()->ForEachRawRow(
+        db_->disk(), [&](PageNo, uint16_t, const RowView& row) {
+          rows += MatchesRow(q.inner_pred, row) &&
+                  keys.count(row.GetInt64(
+                      static_cast<size_t>(q.inner_col))) != 0;
+        });
+    return rows;
+  }
+
   std::unique_ptr<Database> db_;
   Table* t_ = nullptr;
   Table* t1_ = nullptr;
@@ -123,6 +187,90 @@ TEST_F(JoinTest, HashJoinBitvectorCountsInnerPages) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The probe scan evaluates the build keys as a semi-join predicate (paper
+// Fig 5): the rows no build key matches never become tuples. The run's
+// charges are what they were: one hash table op per build row and per
+// probe row passing the pushed predicate, wherever it is charged.
+TEST_F(JoinTest, HashJoinProbeScanEmitsOnlyTheSemiJoin) {
+  for (int ci : {kC2, kC3, kC4, kC5}) {
+    SCOPED_TRACE(ci);
+    const JoinQuery q = MakeQuery(ci, 2001);
+    ASSERT_OK_AND_ASSIGN(ExactJoinCardinalities exact,
+                         ExactJoinCardinality(db_->disk(), q));
+    const HashJoinRun run = RunHashJoin(q);
+    ASSERT_EQ(run.probe_kind, AccessKind::kTableScan);
+    EXPECT_EQ(run.probe_rows, exact.semi_join_rows);
+    ASSERT_EQ(run.output.size(), 1u);
+    EXPECT_EQ(run.output[0][0].AsInt64(), exact.join_rows);
+    EXPECT_EQ(run.stats.cpu.hash_table_ops, 2000 + t_->row_count());
+  }
+}
+
+TEST_F(JoinTest, HashJoinProbeScanFiltersAfterTheInnerPredicate) {
+  for (int ci : {kC2, kC3, kC4, kC5}) {
+    SCOPED_TRACE(ci);
+    JoinQuery q = MakeQuery(ci, 2001);
+    q.inner_pred.Add(PredicateAtom::Int64(kC5, CmpOp::kLt, 10'000));
+    ASSERT_OK_AND_ASSIGN(ExactJoinCardinalities exact,
+                         ExactJoinCardinality(db_->disk(), q));
+    const HashJoinRun run = RunHashJoin(q);
+    ASSERT_EQ(run.probe_kind, AccessKind::kTableScan);
+    EXPECT_EQ(run.probe_rows, SemiJoinPassingRows(q));
+    EXPECT_LT(run.probe_rows, exact.semi_join_rows);
+    ASSERT_EQ(run.output.size(), 1u);
+    EXPECT_EQ(run.output[0][0].AsInt64(), exact.join_rows);
+    EXPECT_EQ(run.stats.cpu.hash_table_ops, 2000 + 9999);
+  }
+}
+
+// A probe child other than a heap scan takes no key table: it emits every
+// row passing its predicate, and the join probes each one.
+TEST_F(JoinTest, HashJoinProbesAnIndexSeekRowByRow) {
+  JoinQuery q = MakeQuery(kC3, 2001);
+  q.inner_pred.Add(PredicateAtom::Int64(kC5, CmpOp::kLt, 20));
+  ASSERT_OK_AND_ASSIGN(ExactJoinCardinalities exact,
+                       ExactJoinCardinality(db_->disk(), q));
+  const HashJoinRun run = RunHashJoin(q);
+  ASSERT_EQ(run.probe_kind, AccessKind::kIndexSeek);
+  EXPECT_EQ(run.probe_rows, 19);
+  ASSERT_EQ(run.output.size(), 1u);
+  EXPECT_EQ(run.output[0][0].AsInt64(), exact.join_rows);
+  EXPECT_EQ(run.stats.cpu.hash_table_ops, 2000 + 19);
+}
+
+// The page step's two evaluators feed the key filter the same survivors:
+// same tuples in probe order, same charges, same monitor records.
+TEST_F(JoinTest, HashJoinRowEvaluatorMatchesTheBatchPath) {
+  JoinQuery q = MakeQuery(kC4, 2001);
+  q.inner_pred.Add(PredicateAtom::Int64(kC5, CmpOp::kLt, 10'000));
+  q.count_star = false;
+  for (bool monitored : {false, true}) {
+    SCOPED_TRACE(monitored ? "monitored" : "unmonitored");
+    const HashJoinRun batch = RunHashJoin(q, monitored, true);
+    const HashJoinRun rows = RunHashJoin(q, monitored, false);
+    ASSERT_EQ(batch.probe_kind, AccessKind::kTableScan);
+    EXPECT_EQ(batch.output.size(), static_cast<size_t>(batch.probe_rows));
+    EXPECT_EQ(rows.output, batch.output);
+    EXPECT_EQ(rows.probe_rows, batch.probe_rows);
+    const CpuStats& a = rows.stats.cpu;
+    const CpuStats& b = batch.stats.cpu;
+    EXPECT_EQ(a.rows_processed, b.rows_processed);
+    EXPECT_EQ(a.predicate_atom_evals, b.predicate_atom_evals);
+    EXPECT_EQ(a.monitor_hash_ops, b.monitor_hash_ops);
+    EXPECT_EQ(a.monitor_row_ops, b.monitor_row_ops);
+    EXPECT_EQ(a.hash_table_ops, b.hash_table_ops);
+    ASSERT_EQ(rows.stats.monitors.size(), batch.stats.monitors.size());
+    EXPECT_EQ(batch.stats.monitors.empty(), !monitored);
+    for (size_t i = 0; i < batch.stats.monitors.size(); ++i) {
+      EXPECT_EQ(rows.stats.monitors[i].label, batch.stats.monitors[i].label);
+      EXPECT_EQ(rows.stats.monitors[i].actual_dpc,
+                batch.stats.monitors[i].actual_dpc);
+      EXPECT_EQ(rows.stats.monitors[i].actual_cardinality,
+                batch.stats.monitors[i].actual_cardinality);
+    }
+  }
 }
 
 TEST_F(JoinTest, InlJoinLinearCountingIsAccurate) {
