@@ -1,7 +1,6 @@
 #include "optimizer/yao.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dpcf {
 
@@ -23,13 +22,6 @@ double YaoEstimate(int64_t pages, int64_t rows_per_page,
     miss_prob *= numer / denom;
   }
   return static_cast<double>(pages) * (1.0 - miss_prob);
-}
-
-double CardenasEstimate(int64_t pages, int64_t qualifying_rows) {
-  if (pages <= 0 || qualifying_rows <= 0) return 0;
-  const double p = static_cast<double>(pages);
-  return p * (1.0 - std::pow(1.0 - 1.0 / p,
-                             static_cast<double>(qualifying_rows)));
 }
 
 int64_t PageCountLowerBound(int64_t rows_per_page, int64_t qualifying_rows) {

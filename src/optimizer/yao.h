@@ -18,10 +18,6 @@ namespace dpcf {
 double YaoEstimate(int64_t pages, int64_t rows_per_page,
                    int64_t qualifying_rows);
 
-/// Cardenas' approximation P * (1 - (1 - 1/P)^k); cheaper, slightly
-/// overestimates for small pages. Provided for the ablation bench.
-double CardenasEstimate(int64_t pages, int64_t qualifying_rows);
-
 /// Lower bound ceil(k/m) and upper bound min(k, P) on the true page count
 /// (used by the Clustering Ratio, paper Section V-B.2).
 int64_t PageCountLowerBound(int64_t rows_per_page, int64_t qualifying_rows);

@@ -6,6 +6,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "common/string_util.h"
 #include "obs/event_journal.h"
 #include "obs/metrics_registry.h"
@@ -177,6 +181,12 @@ int64_t DiskManager::NowUs() {
 
 void DiskManager::WaitUntil(int64_t due_us) {
   if (due_us == 0) return;
+#if defined(__linux__)
+  // Linux lets a thread's timers fire up to its slack (50 µs by default)
+  // late; ask once per thread for 1 ns. A refused call leaves the default.
+  [[maybe_unused]] thread_local const int slack_set =
+      prctl(PR_SET_TIMERSLACK, 1UL);
+#endif
   std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
       std::chrono::microseconds(due_us)));
 }

@@ -6,6 +6,9 @@
 //  - a demand read is due one latency after it is issued; prefetches queue
 //    on the device channels, so with one channel n of them end no earlier
 //    than n latencies after submission; with no latency nothing is due;
+//  - a wait never returns before its due time, returns at once for 0 or a
+//    time already past, and (on Linux) leaves its thread with 1 ns of
+//    timer slack once it has waited for a non-zero due time;
 //  - a fetch of a page whose read is not yet due waits once, however many
 //    other reads the shard has in flight, and the exact accounting
 //    invariant logical_reads == buffer_hits + physical_reads() holds;
@@ -23,6 +26,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -139,6 +146,57 @@ TEST(AsyncDiskTest, OneChannelQueuesPrefetchesBackToBack) {
   EXPECT_EQ(static_cast<int64_t>(disk.io_stats()->prefetch_hits), 1);
   CheckExactInvariant(*disk.io_stats(), "one channel");
 }
+
+// ------------------------------------------------------------ the wait
+//
+// Lateness has no upper bound here: a shared host can preempt a sleeper
+// for as long as it likes.
+
+TEST(AsyncDiskTest, WaitUntilNeverReturnsBeforeItsDueTime) {
+  for (const int64_t wait_us : {1, 20, 200, 2000}) {
+    for (int i = 0; i < 10; ++i) {
+      const int64_t due_us = DiskManager::NowUs() + wait_us;
+      DiskManager::WaitUntil(due_us);
+      EXPECT_GE(DiskManager::NowUs(), due_us) << wait_us << " us wait";
+    }
+  }
+}
+
+TEST(AsyncDiskTest, WaitUntilReturnsAtOnceForZeroOrAPastDueTime) {
+  // A due time one second back: a wait that slept the gap between it and
+  // now would take a second.
+  const int64_t start_us = DiskManager::NowUs();
+  DiskManager::WaitUntil(0);
+  DiskManager::WaitUntil(start_us - 1'000'000);
+  EXPECT_LT(DiskManager::NowUs() - start_us, 500'000);
+}
+
+#if defined(__linux__)
+// Each case runs on a fresh thread, which first sets its own slack to the
+// kernel's default: a thread inherits the slack of the thread that starts
+// it, and this binary's main thread has waited in earlier cases.
+constexpr unsigned long kDefaultSlackNs = 50'000;
+
+TEST(AsyncDiskTest, FirstWaitAsksForPreciseTimers) {
+  int slack_ns = -1;
+  std::thread([&slack_ns] {
+    prctl(PR_SET_TIMERSLACK, kDefaultSlackNs);
+    DiskManager::WaitUntil(DiskManager::NowUs() + 1);
+    slack_ns = prctl(PR_GET_TIMERSLACK);
+  }).join();
+  EXPECT_EQ(slack_ns, 1);
+}
+
+TEST(AsyncDiskTest, ZeroWaitLeavesTheTimerSlackAlone) {
+  int slack_ns = -1;
+  std::thread([&slack_ns] {
+    prctl(PR_SET_TIMERSLACK, kDefaultSlackNs);
+    DiskManager::WaitUntil(0);
+    slack_ns = prctl(PR_GET_TIMERSLACK);
+  }).join();
+  EXPECT_EQ(slack_ns, static_cast<int>(kDefaultSlackNs));
+}
+#endif
 
 // ---------------------------------------------------- pool integration
 

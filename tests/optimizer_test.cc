@@ -15,6 +15,16 @@ namespace {
 
 using dpcf::testing::SyntheticDbTest;
 
+/// Cardenas' approximation P * (1 - (1 - 1/P)^k) of the pages k random
+/// rows touch: a reference formula for Yao's, which it underestimates,
+/// the more so the fewer rows a page holds.
+double CardenasEstimate(int64_t pages, int64_t qualifying_rows) {
+  if (pages <= 0 || qualifying_rows <= 0) return 0;
+  const double p = static_cast<double>(pages);
+  return p * (1.0 - std::pow(1.0 - 1.0 / p,
+                             static_cast<double>(qualifying_rows)));
+}
+
 // ------------------------------------------------------------- Histogram
 
 TEST(HistogramTest, UniformRangeEstimatesAreAccurate) {
